@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -197,13 +197,18 @@ def sigma2_crosscheck(series, anchor, tau_range=(2.0, 6.0)) -> float:
 _FMT = "%.17g"
 
 
-def write_series_csv(series, path):
+def _write_records(records, names, path):
+    """CSV of dataclass records: the integer step, then %.17g floats."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(SERIES_FIELDS)
-        for r in series:
-            row = [getattr(r, k) for k in SERIES_FIELDS]
+        w.writerow(names)
+        for r in records:
+            row = [getattr(r, k) for k in names]
             w.writerow([str(row[0])] + [_FMT % v for v in row[1:]])
+
+
+def write_series_csv(series, path):
+    _write_records(series, SERIES_FIELDS, path)
 
 
 def read_series_csv(path):
@@ -223,13 +228,7 @@ def read_series_csv(path):
 
 
 def write_anchor_csv(anchor, path):
-    fields = ["step", "t", "tau", "anchor_f", "anchor_r", "rho2", "log_fw"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(fields)
-        for s in anchor:
-            row = [getattr(s, k) for k in fields]
-            w.writerow([str(row[0])] + [_FMT % v for v in row[1:]])
+    _write_records(anchor, [f.name for f in fields(AnchorSample)], path)
 
 
 def read_anchor_csv(path):

@@ -38,7 +38,7 @@ __all__ = [
     "ComparisonVerdict", "linear_part", "quadratic_part", "bilinear_part",
     "full_operator", "class_c_check", "barrier_y1", "barrier_y2",
     "barrier_residual_sub", "barrier_residual_sup", "fit_lambda0",
-    "sandwich_monitor", "comparison_check", "write_violation_csv",
+    "comparison_check", "write_violation_csv",
 ]
 
 
@@ -223,11 +223,6 @@ class SandwichMonitor:
                     self.violations.append(ViolationRecord(
                         steps[r], float(taus[r]), float(phi[r, k]), kind,
                         float(deficit[k])))
-
-
-def sandwich_monitor(artifacts) -> list:
-    """Violation log of a completed run (the run itself performs the checks)."""
-    return list(artifacts.violations)
 
 
 def write_violation_csv(violations, path):

@@ -1,6 +1,6 @@
-"""Time-stepping engines for the potential flow, in two coordinate systems.
+"""Time stepping of the potential flow: one explicit core, two frames.
 
-Unscaled engine: the slope field u(f, t) on the moving domain [a(t), b(t)]
+Unscaled frame: the slope field u(f, t) on the moving domain [a(t), b(t)]
 (a = a0 - t, b = b0 - 3t, imposed analytically) evolves, at fixed normalized
 position xi = (f - a)/(b - a), by
 
@@ -8,22 +8,27 @@ position xi = (f - a)/(b - a), by
 
 the chain-rule transcription of the r-coordinate potential equation
 phi_t = phi_rr/phi_r + phi_r/phi - 2 (via phi_t = u_f + u/f - 2 and
-phi_rr = u_f u).  Endpoints stay pinned at u = 0 with exact slopes +1 / -1,
-and the slopes feed Hermite stencils at the boundary-adjacent nodes.
+phi_rr = u_f u).  An anchor point rides along by phi_t for the gauge.
 
-Dilated engine: the blow-up view y(phi, tau) on [1, Phi_max(tau)] with
+Dilated frame: the blow-up view y(phi, tau) on [1, Phi_max(tau)] with
 Phi_max = (b0 - 3a0) e^tau + 3 evolves by
 
     d_tau y = y y_pp + (2 - phi - y_p) y_p + y (1 - y/phi^2)
 
 plus the frame-stretch advection term when the normalized coordinate rides
-the growing (or truncated) outer boundary.
+the growing outer boundary; a truncated window stops at phi_cut and takes
+its outer value from a Dirichlet source instead.
 
-Both engines use explicit RK2 (midpoint) with a local CFL-limited step and
-rejection-halving on interior positivity loss.  Meshes cluster in the inner
-window [a, a + K (T - t)] (K = 10, at least 25% of the nodes) on a
-CFL-equidistributed spacing law with a resolution floor, and are rebuilt
-every remesh_interval steps by monotone cubic interpolation.
+The core (_Engine) is common to both frames: endpoints pinned at u = 0 with
+exact slopes +1 / -1 feeding Hermite stencils at the boundary-adjacent
+nodes, explicit RK2 (midpoint) with a local CFL-limited step and
+rejection-halving on interior positivity loss, and remeshing.  Meshes
+cluster in the inner window [a, a + K (T - t)] (K = 10, at least 25% of the
+nodes) on a CFL-equidistributed spacing law with a resolution floor, and are
+rebuilt every remesh_interval steps by monotone cubic interpolation.  A
+frame (_UnscaledEngine, _DilatedEngine) supplies only its domain and
+velocity, rhs, CFL advection term, outer boundary data, remesh window and
+measurements.
 """
 
 from __future__ import annotations
@@ -32,17 +37,18 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import analysis
 from .barriers import (BarrierParams, SandwichMonitor, class_c_check,
-                       fit_lambda0, write_violation_csv)
+                       fit_lambda0, full_operator, write_violation_csv)
 from .geometry import (KahlerClass, LogProfile, RadialProfile,
                        endpoint_second_derivative, read_profile_csv,
-                       to_radial, validate_profile, write_profile_csv)
+                       reduced_rm, to_radial, validate_profile,
+                       write_profile_csv)
 from .grids import (affine_interp, apply_weights, cumint_inverse_linear,
                     derivatives, hermite_boundary, hermite_cubic_coeffs,
                     interior_weights, onesided_weights, window_mesh)
@@ -148,14 +154,9 @@ class FlowConfig:
         return self
 
 
-_FIELD_TYPES = {
-    "a0": float, "b0": float, "initial_kind": str, "initial_path": str,
-    "grid_n": int, "grading": float, "cfl": float, "stop_tau": float,
-    "engine": str, "remesh_interval": int, "barrier_delta": float,
-    "perturbation_eps": float, "anchor_f_ref": float, "record_every": int,
-    "snap_taus": "floats", "window_hi": float, "phi_cut": float,
-    "lambda0_floor": float, "inner_res": float, "max_steps": int,
-}
+_PARSERS = {"float": float, "int": int, "str": str,
+            "tuple": lambda v: tuple(float(x) for x in v.split(",") if x.strip())}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(FlowConfig)}
 
 
 def parse_config_text(text) -> FlowConfig:
@@ -169,20 +170,12 @@ def parse_config_text(text) -> FlowConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"unknown config key: {key!r}")
         if key in kv:
             raise ConfigError(f"duplicate config key: {key!r}")
-        typ = _FIELD_TYPES[key]
         try:
-            if typ == "floats":
-                kv[key] = tuple(float(v) for v in val.split(",") if v.strip())
-            elif typ is int:
-                kv[key] = int(val)
-            elif typ is float:
-                kv[key] = float(val)
-            else:
-                kv[key] = val
+            kv[key] = _FIELD_PARSERS[key](val)
         except ValueError as e:
             raise ConfigError(f"bad value for {key!r}: {val!r} ({e})") from None
     for req in ("a0", "b0"):
@@ -215,24 +208,17 @@ def _resample(spl, x_old, u_old, x_new, slope_left=None, slope_right=None):
     endpoint stencil denominators, would corrupt curvature diagnostics.
     """
     u_new = np.asarray(spl(x_new), dtype=float)
-    if slope_left is not None:
-        d1, d2 = x_old[1] - x_old[0], x_old[2] - x_old[0]
-        r1 = u_old[1] - u_old[0] - slope_left * d1
-        r2 = u_old[2] - u_old[0] - slope_left * d2
+    for slope, (i0, i1, i2) in ((slope_left, (0, 1, 2)), (slope_right, (-1, -2, -3))):
+        if slope is None:
+            continue
+        d1, d2 = x_old[i1] - x_old[i0], x_old[i2] - x_old[i0]
+        r1 = u_old[i1] - u_old[i0] - slope * d1
+        r2 = u_old[i2] - u_old[i0] - slope * d2
         c2, c3 = hermite_cubic_coeffs(d1, d2, r1, r2)
-        dd = x_new - x_old[0]
-        m = dd < d2
-        u_new[m] = u_old[0] + slope_left * dd[m] + c2 * dd[m] ** 2 + c3 * dd[m] ** 3
-        u_new[0] = u_old[0]
-    if slope_right is not None:
-        d1, d2 = x_old[-2] - x_old[-1], x_old[-3] - x_old[-1]
-        r1 = u_old[-2] - u_old[-1] - slope_right * d1
-        r2 = u_old[-3] - u_old[-1] - slope_right * d2
-        c2, c3 = hermite_cubic_coeffs(d1, d2, r1, r2)
-        dd = x_new - x_old[-1]
-        m = dd > d2
-        u_new[m] = u_old[-1] + slope_right * dd[m] + c2 * dd[m] ** 2 + c3 * dd[m] ** 3
-        u_new[-1] = u_old[-1]
+        dd = x_new - x_old[i0]
+        m = dd < d2 if i0 == 0 else dd > d2
+        u_new[m] = u_old[i0] + slope * dd[m] + c2 * dd[m] ** 2 + c3 * dd[m] ** 3
+        u_new[i0] = u_old[i0]
     return u_new
 
 
@@ -355,28 +341,33 @@ def make_initial(cfg: FlowConfig) -> FlowState:
 
 
 # ---------------------------------------------------------------------------
-# unscaled engine
+# engines: one explicit core, two frames
 # ---------------------------------------------------------------------------
 
 _MAX_HALVINGS = 45
 _MONITOR_BLOCK = 8192    # values per sandwich-monitor block (64 kB)
 
 
-class _UnscaledEngine:
-    def __init__(self, state: FlowState, cfg: FlowConfig):
-        self.a0 = cfg.a0
-        self.b0 = cfg.b0
-        self.T = state.T
-        self.cfl = cfg.cfl
-        self.policy = _policy_from(cfg)
-        self.remesh_interval = cfg.remesh_interval
-        self.t = state.t
-        self.step_count = state.step
-        self.anchor_r = state.anchor_r
-        self.anchor_f = state.anchor_f
-        a, b = self.a0 - self.t, self.b0 - 3.0 * self.t
-        self._set_mesh((state.profile.f - a) / (b - a), state.profile.u.copy())
-        self.last_interp_error = 0.0
+class _Engine:
+    """Explicit RK2 core shared by the unscaled and the dilated frame.
+
+    The state is the frame time t (tau in the dilated frame) and the values
+    u (y) at normalised nodes xi in [0, 1].  The inner end is pinned at
+    u = 0 with slope +1; the outer end is pinned at u = 0 with slope -1
+    unless the frame is truncated, when it carries the Dirichlet value
+    _outer_value(t).  A frame supplies rhs(), _cfl_terms(), _remesh_nodes(),
+    nodes() and measure(); the core holds the mesh with its stencils, the
+    CFL cache, the midpoint step, advance_to and remesh.
+    """
+
+    truncated = False
+
+    def __init__(self, t, step_count, cfl, policy: RemeshPolicy, xi, u):
+        self.t = t
+        self.step_count = step_count
+        self.cfl = cfl
+        self.policy = policy
+        self._set_mesh(xi, u)
 
     # mesh ------------------------------------------------------------
     def _set_mesh(self, xi, u):
@@ -384,12 +375,10 @@ class _UnscaledEngine:
         self.u = u
         self.W1, self.W2 = (tuple(W) for W in interior_weights(xi))
         self._hstep = np.minimum(np.diff(xi)[:-1], np.diff(xi)[1:])
-        self._cfl_next = getattr(self, "step_count", 0)
+        self._cfl_next = self.step_count
         self._cfl_dt = np.inf
-        self._xi_list = xi.tolist()
         self._xii = xi[1:-1]
-        self._vframe = -1.0 - 2.0 * self._xii
-        # offsets of the two nodes next to each end, in units of D
+        # offsets of the two nodes next to each end, in units of the frame length
         self._ends = (float(xi[1]), float(xi[2]),
                       float(xi[-2]) - 1.0, float(xi[-3]) - 1.0)
         # rhs buffers: slot 0 for the first RK stage (and measure), slot 1
@@ -400,8 +389,133 @@ class _UnscaledEngine:
             uf = np.empty(n)
             uf[0], uf[-1] = 1.0, -1.0
             self._slots.append((uf, uf[1:-1], np.empty(n - 2), np.empty(n - 2)))
-        self._fi = np.empty(n - 2)
         self._tmp = np.empty(n - 2)
+
+    # spatial operator -------------------------------------------------
+    def _derivs(self, u, L, slot=0):
+        """(u_f at every node, u_ff at interior nodes) for frame length L, in
+        the slot's buffers, Hermite-corrected next to the pinned ends; a
+        truncated outer node takes the slope of its neighbour."""
+        uf, ufi, uff, _ = self._slots[slot]
+        apply_weights(self.W1, u, ufi, self._tmp)
+        ufi /= L
+        apply_weights(self.W2, u, uff, self._tmp)
+        uff /= L * L
+        x1, x2, y1, y2 = self._ends
+        u1, u2, v2, v1 = u[1:3].tolist() + u[-3:-1].tolist()
+        uf[1], uff[0], _ = hermite_boundary(x1 * L, x2 * L, 0.0, 1.0, u1, u2)
+        if self.truncated:
+            uf[-1] = uf[-2]
+        else:
+            uf[-2], uff[-1], _ = hermite_boundary(y1 * L, y2 * L, 0.0, -1.0, v1, v2)
+        return uf, uff
+
+    def stable_dt(self, uf):
+        """CFL bound from u_f on all nodes; the array part is refreshed every
+        few steps (the state drifts by O(dt) per step, far below the cfl
+        safety margin)."""
+        if self.step_count >= self._cfl_next:
+            L, adv = self._cfl_terms(uf[1:-1])
+            h = self._hstep * L
+            self._cfl_dt = 0.95 * self.cfl / float(
+                np.max(2.0 * self.u[1:-1] / (h * h) + adv / h))
+            self._cfl_next = self.step_count + 8
+        return self._cfl_dt
+
+    # time step ---------------------------------------------------------
+    def step(self, dt_max):
+        """One midpoint step of at most dt_max, halved until the interior
+        stays positive; returns the step taken."""
+        F1, uf1, _ = self.rhs(self.u, self.t, 0)
+        dt = min(self.stable_dt(uf1), dt_max)
+        inc = self._tmp
+        for _ in range(_MAX_HALVINGS):
+            tm = self.t + 0.5 * dt
+            umid = self.u.copy()
+            np.multiply(F1, 0.5 * dt, out=inc)
+            umid[1:-1] += inc
+            if self.truncated:
+                umid[-1] = self._outer_value(tm)
+            if not np.minimum.reduce(umid[1:-1]) > 0.0:   # also catches NaN
+                dt *= 0.5
+                self._cfl_next = self.step_count  # force a CFL refresh
+                continue
+            F2, uf2, _ = self.rhs(umid, tm, 1)
+            unew = self.u.copy()
+            np.multiply(F2, dt, out=inc)
+            unew[1:-1] += inc
+            if self.truncated:
+                unew[-1] = self._outer_value(self.t + dt)
+            if (not np.minimum.reduce(unew[1:-1]) > 0.0
+                    or not math.isfinite(unew[1])):
+                dt *= 0.5
+                self._cfl_next = self.step_count
+                continue
+            self._commit(dt, unew, tm, umid, uf1, uf2)
+            return dt
+        raise FlowPositivityError(self.step_count, self.t)
+
+    def _commit(self, dt, unew, tm, umid, uf1, uf2):
+        """Accept a step (uf1, uf2: u_f of the two stages)."""
+        self.u = unew
+        self.t += dt
+        self.step_count += 1
+
+    def advance_to(self, t_target, max_substeps=100000):
+        for _ in range(max_substeps):
+            gap = t_target - self.t
+            if gap <= 1e-14:
+                return
+            self.step(gap)
+        raise RuntimeError("engine failed to reach the target time")
+
+    # remesh ------------------------------------------------------------
+    def remesh(self):
+        """New nodes by the policy, values resampled by monotone cubics with
+        the end data re-imposed exactly."""
+        x_old = self.nodes()
+        spl = PchipInterpolator(x_old, self.u)
+        lo, L, x_new = self._remesh_nodes(spl, x_old)
+        u_new = _resample(spl, x_old, self.u, x_new, slope_left=1.0,
+                          slope_right=None if self.truncated else -1.0)
+        u_new[0] = 0.0
+        u_new[-1] = self._outer_value(self.t) if self.truncated else 0.0
+        u_new[1:-1] = np.maximum(u_new[1:-1], 1e-300)
+        self._set_mesh((x_new - lo) / L, u_new)
+
+    # measurements -------------------------------------------------------
+    @staticmethod
+    def _fik_window(phi, y, yp, ypp, window_hi):
+        """(sup|y - Y|, sup|y_p - Y_p|, max reduced |Rm|) over phi <= window_hi
+        of the dilated view, with y_p at every node, y_pp at interior ones."""
+        mask = phi <= window_hi
+        yf, ypf, _ = fik_y_derivs(phi[mask])
+        sup0 = float(np.max(np.abs(y[mask] - yf)))
+        sup1 = float(np.max(np.abs(yp[mask] - ypf)))
+        mi = mask[1:-1]
+        rm1, rm2, rm3 = reduced_rm(phi[1:-1][mi], y[1:-1][mi], yp[1:-1][mi], ypp[mi])
+        rm = np.maximum(rm1, np.maximum(rm2, rm3))
+        return sup0, sup1, float(np.max(rm)) if rm.size else 0.0
+
+
+class _UnscaledEngine(_Engine):
+    """u(f, t) on the moving domain [a0 - t, b0 - 3t], with the anchor ODE."""
+
+    def __init__(self, state: FlowState, a0, b0, cfl, policy: RemeshPolicy):
+        self.a0 = a0
+        self.b0 = b0
+        self.T = state.T
+        self.anchor_r = state.anchor_r
+        self.anchor_f = state.anchor_f
+        a, b = a0 - state.t, b0 - 3.0 * state.t
+        super().__init__(state.t, state.step, cfl, policy,
+                         (state.profile.f - a) / (b - a), state.profile.u.copy())
+
+    def _set_mesh(self, xi, u):
+        super()._set_mesh(xi, u)
+        self._xi_list = xi.tolist()
+        self._vframe = -1.0 - 2.0 * self._xii
+        self._fi = np.empty(xi.size - 2)
 
     def domain(self, t=None):
         t = self.t if t is None else t
@@ -413,20 +527,7 @@ class _UnscaledEngine:
         a, _, D = self.domain(t)
         return a + self.xi * D
 
-    # spatial operator -------------------------------------------------
-    def _derivs(self, u, D, slot=0):
-        """(u_f at every node, u_ff at interior nodes), in the slot's buffers,
-        Hermite-corrected next to the ends."""
-        uf, ufi, uff, _ = self._slots[slot]
-        apply_weights(self.W1, u, ufi, self._tmp)
-        ufi /= D
-        apply_weights(self.W2, u, uff, self._tmp)
-        uff /= D * D
-        x1, x2, y1, y2 = self._ends
-        u1, u2, v2, v1 = u[1:3].tolist() + u[-3:-1].tolist()
-        uf[1], uff[0], _ = hermite_boundary(x1 * D, x2 * D, 0.0, 1.0, u1, u2)
-        uf[-2], uff[-1], _ = hermite_boundary(y1 * D, y2 * D, 0.0, -1.0, v1, v2)
-        return uf, uff
+    nodes = f_nodes
 
     def rhs(self, u, t, slot=0):
         """(F, u_f, u_ff) at time t, in the slot's buffers; F and u_ff on the
@@ -450,20 +551,12 @@ class _UnscaledEngine:
         F += tmp
         return F, uf, uff
 
-    def stable_dt(self, uf):
-        """CFL bound from u_f on all nodes; the array part is refreshed every
-        few steps (the state drifts by O(dt) per step, far below the cfl
-        safety margin)."""
-        if self.step_count >= self._cfl_next:
-            _, _, D = self.domain()
-            h = self._hstep * D
-            ui = self.u[1:-1]
-            adv = np.abs(2.0 - 2.0 * uf[1:-1] - 1.0 - 2.0 * self.xi[1:-1])
-            self._cfl_dt = 0.95 * self.cfl / float(np.max(2.0 * ui / (h * h) + adv / h))
-            self._cfl_next = self.step_count + 8
-        return min(self._cfl_dt, 0.25 * (self.T - self.t))
+    def _cfl_terms(self, ufi):
+        return self.domain()[2], np.abs(2.0 - 2.0 * ufi - 1.0 - 2.0 * self._xii)
 
-    # time step ---------------------------------------------------------
+    def stable_dt(self, uf):
+        return min(super().stable_dt(uf), 0.25 * (self.T - self.t))
+
     def _phi_t_at(self, x, t, u, uf):
         """phi_t = u_f + u/f - 2 at an interior point x (anchor ODE), with u
         and u_f interpolated linearly on the nodes at time t, as np.interp
@@ -472,39 +565,16 @@ class _UnscaledEngine:
         g, v = affine_interp(x, a, D, self._xi_list, uf, u)
         return g + v / x - 2.0
 
-    def step(self, dt_max):
-        F1, uf1, _ = self.rhs(self.u, self.t, 0)
-        dt = min(self.stable_dt(uf1), dt_max)
-        k1 = self._phi_t_at(self.anchor_f, self.t, self.u, uf1)
-        inc = self._tmp
-        for _ in range(_MAX_HALVINGS):
-            umid = self.u.copy()
-            np.multiply(F1, 0.5 * dt, out=inc)
-            umid[1:-1] += inc
-            if not np.minimum.reduce(umid[1:-1]) > 0.0:   # also catches NaN
-                dt *= 0.5
-                self._cfl_next = self.step_count  # force a CFL refresh
-                continue
-            tm = self.t + 0.5 * dt
-            F2, uf2, _ = self.rhs(umid, tm, 1)
-            unew = self.u.copy()
-            np.multiply(F2, dt, out=inc)
-            unew[1:-1] += inc
-            if (not np.minimum.reduce(unew[1:-1]) > 0.0
-                    or not math.isfinite(unew[1])):
-                dt *= 0.5
-                self._cfl_next = self.step_count
-                continue
-            # anchor rides along with the same midpoint rule
-            amid = self.anchor_f + 0.5 * dt * k1
-            k2 = self._phi_t_at(amid, tm, umid, uf2)
-            self.anchor_f += dt * k2
-            self.u = unew
-            self.t += dt
-            self.step_count += 1
-            self._maybe_reanchor()
-            return dt
-        raise FlowPositivityError(self.step_count, self.t)
+    def _anchor_step(self, dt, uf1, tm, umid, uf2):
+        """The anchor rides along by the midpoint rule, from (t, u, uf1) and
+        (tm, umid, uf2)."""
+        amid = self.anchor_f + 0.5 * dt * self._phi_t_at(self.anchor_f, self.t, self.u, uf1)
+        self.anchor_f += dt * self._phi_t_at(amid, tm, umid, uf2)
+
+    def _commit(self, dt, unew, tm, umid, uf1, uf2):
+        self._anchor_step(dt, uf1, tm, umid, uf2)
+        super()._commit(dt, unew, tm, umid, uf1, uf2)
+        self._maybe_reanchor()
 
     def _maybe_reanchor(self):
         a, b, D = self.domain()
@@ -515,21 +585,11 @@ class _UnscaledEngine:
         self.anchor_r = self.r_of(f_new)
         self.anchor_f = f_new
 
-    # remesh ------------------------------------------------------------
-    def remesh(self):
+    def _remesh_nodes(self, spl, f_old):
         a, b, D = self.domain()
-        f_old = self.f_nodes()
-        spl = PchipInterpolator(f_old, self.u)
         u_of = lambda d: np.clip(spl(a + np.clip(d, 0.0, D)), 0.0, None)
-        f_new = _mesh_for(u_of, a, b, self.T - self.t, self.policy)
-        u_new = _resample(spl, f_old, self.u, f_new, slope_left=1.0, slope_right=-1.0)
-        u_new[0] = u_new[-1] = 0.0
-        u_new[1:-1] = np.maximum(u_new[1:-1], 1e-300)
-        back = PchipInterpolator(f_new, u_new)(f_old)
-        self.last_interp_error = float(np.max(np.abs(back - self.u)))
-        self._set_mesh((f_new - a) / D, u_new)
+        return a, D, _mesh_for(u_of, a, b, self.T - self.t, self.policy)
 
-    # measurements -------------------------------------------------------
     def r_of(self, x):
         """r-coordinate of an interior point, via r = anchor_r + int df/u."""
         f = self.f_nodes()[1:-1]
@@ -547,8 +607,7 @@ class _UnscaledEngine:
         return self.anchor_r + at(float(x)) - at(float(self.anchor_f))
 
     def state(self) -> FlowState:
-        a, b, D = self.domain()
-        return FlowState(RadialProfile(a + self.xi * D, self.u.copy()),
+        return FlowState(RadialProfile(self.f_nodes(), self.u.copy()),
                          t=self.t, T=self.T, anchor_r=self.anchor_r,
                          anchor_f=self.anchor_f, step=self.step_count)
 
@@ -572,26 +631,13 @@ class _UnscaledEngine:
         Tt = self.T - self.t
         tau = -np.log(Tt)
         f = self.f_nodes()
-        uf_full, uff = self._derivs(self.u, D)
-        uf = uf_full[1:-1]
+        uf, uff = self._derivs(self.u, D)
         uffa = endpoint_second_derivative(f, self.u, "left", 1.0)
         lam2 = -1.0 / a - uffa
         R0 = 2.0 * (1.0 / a + lam2)
-
-        phi = f / Tt
-        y = self.u / Tt
-        yp = uf_full
-        mask = phi <= window_hi
-        yf, ypf, _ = fik_y_derivs(phi[mask])
-        sup0 = float(np.max(np.abs(y[mask] - yf)))
-        sup1 = float(np.max(np.abs(yp[mask] - ypf)))
-
-        ypp_win = Tt * uff[mask[1:-1]] if mask.size > 2 else np.zeros(0)
-        pw, yw, ypw = phi[1:-1][mask[1:-1]], y[1:-1][mask[1:-1]], uf[mask[1:-1]]
-        rm = np.maximum(2.0 * np.abs(ypp_win),
-                        np.maximum(4.0 / pw * np.abs(1.0 - yw / pw),
-                                   2.0 / pw * np.abs(yw / pw - ypw)))
-        max_rm = float(np.max(rm)) if rm.size else 0.0
+        # the dilated view: phi = f / Tt, y = u / Tt, y_p = u_f, y_pp = Tt u_ff
+        sup0, sup1, max_rm = self._fik_window(f / Tt, self.u / Tt, uf, Tt * uff,
+                                              window_hi)
 
         with np.errstate(invalid="ignore"):
             max_F = float(np.max(self.u / f))
@@ -612,8 +658,8 @@ class _UnscaledEngine:
         rec = SeriesRecord(step=self.step_count, t=self.t, tau=tau, a=a, b=b,
                            R_sigma0=R0, lambda2_sigma0=lam2,
                            sup_err_c0=sup0, sup_err_c1=sup1, max_F=max_F,
-                           min_yphi=float(np.min(uf_full)),
-                           max_yphi=float(np.max(uf_full)),
+                           min_yphi=float(np.min(uf)),
+                           max_yphi=float(np.max(uf)),
                            gauge_C=-rho2, max_rm=max_rm, dt=dt_last)
         anch = AnchorSample(step=self.step_count, t=self.t, tau=tau,
                             anchor_f=self.anchor_f, anchor_r=self.anchor_r,
@@ -621,228 +667,112 @@ class _UnscaledEngine:
         return rec, anch
 
 
-# ---------------------------------------------------------------------------
-# dilated engine
-# ---------------------------------------------------------------------------
-
-class _DilatedEngine:
-    """Evolves y(phi, tau) on [1, Phi_out(tau)].
+class _DilatedEngine(_Engine):
+    """y(phi, tau) on [1, Phi_out(tau)]; the core's t is tau and its u is y.
 
     Phi_out follows the true outer boundary Phi_max(tau) = b3a e^tau + 3 until
-    it reaches phi_cut (if finite); past that the window is static and the
-    outer node carries a Dirichlet value from the configured source.
+    a remesh finds it past phi_cut; from then on (or from the start, for a
+    truncated window) the window is static and the outer node carries the
+    Dirichlet value outer_bc(tau), or keeps its value without outer_bc.
     """
 
-    def __init__(self, tau, phi, y, b3a, cfg_like, phi_cut=np.inf, outer_bc=None):
+    def __init__(self, tau, phi, y, b3a, cfl, policy: RemeshPolicy, truncated,
+                 phi_cut=np.inf, outer_bc=None):
         self.b3a = float(b3a)
-        self.cfl = cfg_like.cfl
-        self.policy = (_policy_from(cfg_like) if isinstance(cfg_like, FlowConfig)
-                       else cfg_like.policy)
-        self.tau = float(tau)
+        self.truncated = bool(truncated)
         self.phi_cut = float(phi_cut)
         self.outer_bc = outer_bc            # callable tau -> outer Dirichlet value
-        self.truncated = bool(phi[-1] < self.phi_max(tau) - 1e-9 or
-                              (np.isfinite(phi_cut) and phi[-1] >= phi_cut - 1e-12))
         self._static_out = float(phi[-1])
-        self.step_count = 0
-        self._set_mesh((phi - 1.0) / (phi[-1] - 1.0), np.asarray(y, dtype=float))
+        super().__init__(float(tau), 0, cfl, policy,
+                         (phi - 1.0) / (phi[-1] - 1.0), np.asarray(y, dtype=float))
 
-    def phi_max(self, tau=None):
-        return self.b3a * np.exp(self.tau if tau is None else tau) + 3.0
+    tau = property(lambda self: self.t)
+    y = property(lambda self: self.u)
+
+    def _frame(self, tau=None):
+        """(Phi_out, dPhi_out / dtau) at dilated time tau."""
+        if self.truncated:
+            return self._static_out, 0.0
+        pm = self.b3a * np.exp(self.t if tau is None else tau) + 3.0
+        return pm, pm - 3.0
 
     def phi_outer(self, tau=None):
-        return self._static_out if self.truncated else self.phi_max(tau)
-
-    def _set_mesh(self, eta, y):
-        self.eta = eta
-        self.y = y
-        self.W1, self.W2 = interior_weights(eta)
-        self._hstep = np.minimum(np.diff(eta)[:-1], np.diff(eta)[1:])
-        self._cfl_next = getattr(self, "step_count", 0)
-        self._cfl_dt = np.inf
+        return self._frame(tau)[0]
 
     def phi_nodes(self, tau=None):
-        return 1.0 + self.eta * (self.phi_outer(tau) - 1.0)
+        return 1.0 + self.xi * (self.phi_outer(tau) - 1.0)
 
-    def _outer_state(self, tau):
-        """(phi_out, dphi_out, outer_value) at dilated time tau."""
-        if self.truncated:
-            val = self.outer_bc(tau) if self.outer_bc is not None else self.y[-1]
-            return self._static_out, 0.0, float(val)
-        pm = self.phi_max(tau)
-        return pm, pm - 3.0, 0.0
+    nodes = phi_nodes
 
-    def _derivs(self, y, L, pinned_outer):
-        yp = apply_weights(self.W1, y) / L
-        ypp = apply_weights(self.W2, y) / (L * L)
-        d1, d2 = float(self.eta[1] * L), float(self.eta[2] * L)
-        yp[0], ypp[0], _ = hermite_boundary(d1, d2, 0.0, 1.0, float(y[1]), float(y[2]))
-        if pinned_outer:
-            d1, d2 = float((self.eta[-2] - 1.0) * L), float((self.eta[-3] - 1.0) * L)
-            yp[-1], ypp[-1], _ = hermite_boundary(d1, d2, 0.0, -1.0,
-                                                  float(y[-2]), float(y[-3]))
-        return yp, ypp
+    def _outer_value(self, tau):
+        return float(self.outer_bc(tau) if self.outer_bc is not None else self.u[-1])
 
-    def rhs(self, y, tau):
-        phi_out, dphi, _ = self._outer_state(tau)
+    def rhs(self, y, tau, slot=0):
+        """(F, y_p, y_pp) at dilated time tau, laid out as the unscaled rhs;
+        the last term is the frame-stretch advection of the moving window."""
+        phi_out, dphi = self._frame(tau)
         L = phi_out - 1.0
-        p = 1.0 + self.eta[1:-1] * L
+        p = 1.0 + self._xii * L
         yi = y[1:-1]
-        yp, ypp = self._derivs(y, L, pinned_outer=not self.truncated)
-        E = yi * ypp + (2.0 - p - yp) * yp + yi * (1.0 - yi / p ** 2)
-        return E + yp * self.eta[1:-1] * dphi, yp
+        yp_full, ypp = self._derivs(y, L, slot)
+        yp = yp_full[1:-1]
+        return full_operator(p, yi, yp, ypp) + yp * self._xii * dphi, yp_full, ypp
 
-    def stable_dtau(self, yp, tau):
-        if self.step_count >= self._cfl_next:
-            phi_out, dphi, _ = self._outer_state(tau)
-            L = phi_out - 1.0
-            h = self._hstep * L
-            p = 1.0 + self.eta[1:-1] * L
-            adv = np.abs(2.0 - p - 2.0 * yp + self.eta[1:-1] * dphi)
-            self._cfl_dt = 0.95 * self.cfl / float(
-                np.max(2.0 * self.y[1:-1] / (h * h) + adv / h))
-            self._cfl_next = self.step_count + 8
-        return self._cfl_dt
+    def _cfl_terms(self, ypi):
+        phi_out, dphi = self._frame()
+        L = phi_out - 1.0
+        p = 1.0 + self._xii * L
+        return L, np.abs(2.0 - p - 2.0 * ypi + self._xii * dphi)
 
-    def step(self, dtau_max):
-        F1, yp1 = self.rhs(self.y, self.tau)
-        dtau = min(self.stable_dtau(yp1, self.tau), dtau_max)
-        for _ in range(_MAX_HALVINGS):
-            tm = self.tau + 0.5 * dtau
-            te = self.tau + dtau
-            ymid = self.y.copy()
-            ymid[1:-1] += 0.5 * dtau * F1
-            _, _, val_m = self._outer_state(tm)
-            ymid[-1] = val_m
-            if not np.min(ymid[1:-1]) > 0.0:
-                dtau *= 0.5
-                self._cfl_next = self.step_count
-                continue
-            F2, _ = self.rhs(ymid, tm)
-            ynew = self.y.copy()
-            ynew[1:-1] += dtau * F2
-            _, _, val_e = self._outer_state(te)
-            ynew[-1] = val_e
-            if not np.min(ynew[1:-1]) > 0.0 or not np.isfinite(ynew[1]):
-                dtau *= 0.5
-                self._cfl_next = self.step_count
-                continue
-            self.y = ynew
-            self.tau = te
-            self.step_count += 1
-            return dtau
-        raise FlowPositivityError(self.step_count, self.tau)
-
-    def advance_to(self, tau_target, max_substeps=100000):
-        for _ in range(max_substeps):
-            gap = tau_target - self.tau
-            if gap <= 1e-14:
-                return
-            self.step(gap)
-        raise RuntimeError("dilated engine failed to reach the target time")
-
-    def remesh(self):
-        phi_old = self.phi_nodes()
-        phi_out, _, _ = self._outer_state(self.tau)
+    def _remesh_nodes(self, spl, phi_old):
+        phi_out = self.phi_outer()
         # switch to the static truncated window once the true boundary passes it
-        if not self.truncated and np.isfinite(self.phi_cut) and phi_out >= self.phi_cut:
+        if not self.truncated and phi_out >= self.phi_cut:
             self.truncated = True
-            self._static_out = self.phi_cut
-            phi_out = self.phi_cut
-        spl = PchipInterpolator(phi_old, self.y)
-        D = phi_out - 1.0
-        W = min(self.policy.inner_window_k, D)
+            self._static_out = phi_out = self.phi_cut
         u_of = lambda d: np.clip(spl(np.clip(1.0 + d, phi_old[0], phi_old[-1])), 0.0, None)
-        delta = window_mesh(D, self.policy.n - 1, W, self.policy.inner_res,
-                            self.policy.grading, coeff=u_of,
-                            min_fraction=self.policy.min_inner_fraction)
-        phi_new = np.minimum(1.0 + delta, phi_old[-1])
-        y_new = _resample(spl, phi_old, self.y, phi_new, slope_left=1.0,
-                          slope_right=None if self.truncated else -1.0)
-        y_new[0] = 0.0
-        if self.truncated:
-            _, _, val = self._outer_state(self.tau)
-            y_new[-1] = val
-        else:
-            y_new[-1] = 0.0
-        y_new[1:-1] = np.maximum(y_new[1:-1], 1e-300)
-        self._set_mesh((phi_new - 1.0) / D, y_new)
+        # the blow-up frame is the unscaled one at T - t = 1
+        phi_new = _mesh_for(u_of, 1.0, phi_out, 1.0, self.policy)
+        return 1.0, phi_out - 1.0, np.minimum(phi_new, phi_old[-1])
 
     def state(self) -> DilatedState:
-        return DilatedState(self.tau, self.phi_nodes(), self.y.copy(),
+        return DilatedState(self.t, self.phi_nodes(), self.u.copy(),
                             truncated=self.truncated)
 
     def measure(self, window_hi, dtau_last, t_origin_T):
         phi = self.phi_nodes()
-        Tt = np.exp(-self.tau)
-        yp, ypp = self._derivs(self.y, self.phi_outer() - 1.0,
-                               pinned_outer=not self.truncated)
-        yp_full = np.concatenate(([1.0], yp, [-1.0 if not self.truncated else yp[-1]]))
-        ypp1 = endpoint_second_derivative(phi, self.y, "left", 1.0)
+        Tt = np.exp(-self.t)
+        yp, ypp = self._derivs(self.u, self.phi_outer() - 1.0)
+        ypp1 = endpoint_second_derivative(phi, self.u, "left", 1.0)
         lam2 = (-1.0 - ypp1) / Tt
         R0 = -2.0 * ypp1 / Tt
-        mask = phi <= window_hi
-        yf, ypf, _ = fik_y_derivs(phi[mask])
-        sup0 = float(np.max(np.abs(self.y[mask] - yf)))
-        sup1 = float(np.max(np.abs(yp_full[mask] - ypf)))
-        mi = mask[1:-1]
-        pw, yw, ypw, yppw = phi[1:-1][mi], self.y[1:-1][mi], yp[mi], ypp[mi]
-        rm = np.maximum(2.0 * np.abs(yppw),
-                        np.maximum(4.0 / pw * np.abs(1.0 - yw / pw),
-                                   2.0 / pw * np.abs(yw / pw - ypw)))
-        rec = SeriesRecord(step=self.step_count, t=t_origin_T - Tt, tau=self.tau,
-                           a=Tt, b=Tt * self.phi_outer(),
-                           R_sigma0=R0, lambda2_sigma0=lam2,
-                           sup_err_c0=sup0, sup_err_c1=sup1,
-                           max_F=float(np.max(self.y / phi)),
-                           min_yphi=float(np.min(yp_full)),
-                           max_yphi=float(np.max(yp_full)),
-                           gauge_C=np.nan,
-                           max_rm=float(np.max(rm)) if rm.size else 0.0,
-                           dt=dtau_last * Tt)
-        return rec
+        sup0, sup1, max_rm = self._fik_window(phi, self.u, yp, ypp, window_hi)
+        return SeriesRecord(step=self.step_count, t=t_origin_T - Tt, tau=self.t,
+                            a=Tt, b=Tt * self.phi_outer(),
+                            R_sigma0=R0, lambda2_sigma0=lam2,
+                            sup_err_c0=sup0, sup_err_c1=sup1,
+                            max_F=float(np.max(self.u / phi)),
+                            min_yphi=float(np.min(yp)),
+                            max_yphi=float(np.max(yp)),
+                            gauge_C=np.nan, max_rm=max_rm, dt=dtau_last * Tt)
 
 
 # ---------------------------------------------------------------------------
 # public single-step operations
 # ---------------------------------------------------------------------------
 
-class _StatePolicy:
-    """Minimal policy carrier so single-step ops can reuse the engines."""
-    def __init__(self, n, cfl=0.4, grading=3.0, inner_res=3e-4):
-        self.cfl = cfl
-        self.policy = RemeshPolicy(n=n, grading=grading, inner_res=inner_res)
-
-
-def _engine_from_state(s: FlowState, cfl=0.4) -> _UnscaledEngine:
-    """Engine wrapper around an existing state (class constants recovered
-    from a = a0 - t, b = b0 - 3t)."""
-    eng = _UnscaledEngine.__new__(_UnscaledEngine)
-    eng.a0 = s.a + s.t
-    eng.b0 = s.b + 3.0 * s.t
-    eng.T = s.T
-    eng.cfl = cfl
-    eng.policy = RemeshPolicy(n=s.profile.n)
-    eng.remesh_interval = 0
-    eng.t = s.t
-    eng.step_count = s.step
-    eng.anchor_r = s.anchor_r
-    eng.anchor_f = s.anchor_f
-    eng.last_interp_error = 0.0
-    eng._set_mesh((s.profile.f - s.a) / (s.b - s.a), s.profile.u.copy())
-    return eng
-
-
 def step_unscaled(s: FlowState, dt: float, cfl: float = 0.4) -> FlowState:
     """One explicit midpoint step of the moving-boundary equation.
 
     dt is capped at the engine's CFL-stable step and halved on interior
     positivity loss; the endpoints move to a(t+dt), b(t+dt) analytically.
+    The class constants are recovered from a = a0 - t, b = b0 - 3t.
     """
     rep = validate_profile(s.profile)
     if not rep.ok:
         raise ValueError(f"invalid flow state: {rep.codes()}")
-    eng = _engine_from_state(s, cfl=cfl)
+    eng = _UnscaledEngine(s, s.a + s.t, s.b + 3.0 * s.t, cfl,
+                          RemeshPolicy(n=s.profile.n))
     eng.step(dt)
     return eng.state()
 
@@ -863,7 +793,6 @@ def step_dilated(s: DilatedState, dtau: float, outer_bc: str = "pinned_exact",
         raise ValueError("outer_bc must be 'pinned_exact' or 'from_unscaled'")
     if dtau == 0.0:
         return s
-    pm = None
     truncated = s.truncated or s.y[-1] != 0.0
     if outer_bc == "from_unscaled":
         if outer_value is None:
@@ -873,11 +802,10 @@ def step_dilated(s: DilatedState, dtau: float, outer_bc: str = "pinned_exact",
     else:
         bc = (lambda tau, v=float(s.y[-1]): v) if truncated else None
     b3a = (s.phi_max - 3.0) * np.exp(-s.tau) if not truncated else 0.0
-    eng = _DilatedEngine(s.tau, s.phi, s.y, b3a, _StatePolicy(s.phi.size, cfl=cfl),
-                         phi_cut=s.phi_max if truncated else np.inf, outer_bc=bc)
-    eng.truncated = truncated
-    target = s.tau + dtau
-    eng.advance_to(target)
+    eng = _DilatedEngine(s.tau, s.phi, s.y, b3a, cfl, RemeshPolicy(n=s.phi.size),
+                         truncated, phi_cut=s.phi_max if truncated else np.inf,
+                         outer_bc=bc)
+    eng.advance_to(s.tau + dtau)
     return eng.state()
 
 
@@ -885,36 +813,21 @@ def remesh(s, policy: RemeshPolicy):
     """Rebuild the grid per the policy and monotone-cubic resample the state.
 
     Endpoint values (and, through the engines' stencils, the endpoint slopes)
-    are re-imposed exactly; returns (state, interpolation_error_estimate).
+    are re-imposed exactly; returns (state, interpolation_error_estimate),
+    the estimate being the largest change of the old values when the new
+    profile is interpolated back onto the old nodes.
     """
     if isinstance(s, FlowState):
-        f, u = s.profile.f, s.profile.u
-        a, b = f[0], f[-1]
-        t_left = s.T - s.t
-        spl = PchipInterpolator(f, u)
-        u_of = lambda d: np.clip(spl(a + np.clip(d, 0.0, b - a)), 0.0, None)
-        f_new = _mesh_for(u_of, a, b, t_left, policy)
-        u_new = _resample(spl, f, u, f_new, slope_left=1.0, slope_right=-1.0)
-        u_new[0] = u_new[-1] = 0.0
-        err = float(np.max(np.abs(PchipInterpolator(f_new, u_new)(f) - u)))
-        return FlowState(RadialProfile(f_new, u_new), s.t, s.T, s.anchor_r,
-                         s.anchor_f, s.step), err
-    if isinstance(s, DilatedState):
-        spl = PchipInterpolator(s.phi, s.y)
-        D = s.phi_max - 1.0
-        W = min(policy.inner_window_k, D)
-        u_of = lambda d: np.clip(spl(np.clip(1.0 + d, s.phi[0], s.phi[-1])), 0.0, None)
-        delta = window_mesh(D, policy.n - 1, W, policy.inner_res, policy.grading,
-                            coeff=u_of, min_fraction=policy.min_inner_fraction)
-        phi_new = 1.0 + delta
-        y_new = _resample(spl, s.phi, s.y, phi_new, slope_left=1.0,
-                          slope_right=None if s.truncated else -1.0)
-        y_new[0] = 0.0
-        if not s.truncated:
-            y_new[-1] = 0.0
-        err = float(np.max(np.abs(PchipInterpolator(phi_new, y_new)(s.phi) - s.y)))
-        return DilatedState(s.tau, phi_new, y_new, truncated=s.truncated), err
-    raise TypeError("remesh expects FlowState or DilatedState")
+        eng = _UnscaledEngine(s, s.a + s.t, s.b + 3.0 * s.t, 0.4, policy)
+    elif isinstance(s, DilatedState):
+        b3a = 0.0 if s.truncated else (s.phi_max - 3.0) * np.exp(-s.tau)
+        eng = _DilatedEngine(s.tau, s.phi, s.y, b3a, 0.4, policy, s.truncated)
+    else:
+        raise TypeError("remesh expects FlowState or DilatedState")
+    x_old, u_old = eng.nodes(), eng.u
+    eng.remesh()
+    err = float(np.max(np.abs(PchipInterpolator(eng.nodes(), eng.u)(x_old) - u_old)))
+    return eng.state(), err
 
 
 def anchor_track(s: FlowState, dt: float = 0.0) -> tuple:
@@ -926,13 +839,11 @@ def anchor_track(s: FlowState, dt: float = 0.0) -> tuple:
     the run-level additive constant fixed at the first measurement; its
     late-time slope equals the soliton translation rate sqrt2 - 1.
     """
-    eng = _engine_from_state(s)
+    eng = _UnscaledEngine(s, s.a + s.t, s.b + 3.0 * s.t, 0.4,
+                          RemeshPolicy(n=s.profile.n))
     if dt > 0.0:
         uf, _ = eng._derivs(eng.u, eng.domain()[2])
-        k1 = eng._phi_t_at(eng.anchor_f, eng.t, eng.u, uf)
-        amid = eng.anchor_f + 0.5 * dt * k1
-        k2 = eng._phi_t_at(amid, eng.t, eng.u, uf)
-        eng.anchor_f += dt * k2
+        eng._anchor_step(dt, uf, eng.t, eng.u, uf)
     _, anch = eng.measure(window_hi=3.0, dt_last=dt)
     new_state = FlowState(s.profile, s.t, s.T, eng.anchor_r, eng.anchor_f, s.step)
     return new_state, anch
@@ -989,33 +900,33 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
 
     use_unscaled = cfg.engine in ("unscaled", "both")
     use_dilated = cfg.engine in ("dilated", "both")
-    ue = _UnscaledEngine(state0, cfg) if use_unscaled else None
+    policy = _policy_from(cfg)
+    ue = (_UnscaledEngine(state0, cfg.a0, cfg.b0, cfg.cfl, policy)
+          if use_unscaled else None)
+
+    def outer_bc_now(tau):
+        Tt = T - ue.t
+        return float(np.interp(de.phi_outer() * Tt, ue.f_nodes(), ue.u)) / Tt
+
     de = None
     if use_dilated:
-        if cfg.engine == "dilated":
-            de = _DilatedEngine(d0.tau, d0.phi, d0.y, cfg.b0 - 3.0 * cfg.a0, cfg,
-                                phi_cut=np.inf)
-        else:
-            if cfg.phi_cut < d0.phi_max - 1e-9:
-                keep = d0.phi < cfg.phi_cut
-                phi_c = np.append(d0.phi[keep], cfg.phi_cut)
-                y_c = np.append(d0.y[keep], np.interp(cfg.phi_cut, d0.phi, d0.y))
-            else:
-                phi_c, y_c = d0.phi, d0.y
-            de = _DilatedEngine(d0.tau, phi_c, y_c, cfg.b0 - 3.0 * cfg.a0, cfg,
-                                phi_cut=cfg.phi_cut)
+        phi_c, y_c = d0.phi, d0.y
+        phi_cut = cfg.phi_cut if use_unscaled else np.inf
+        if phi_cut < d0.phi_max - 1e-9:
+            keep = d0.phi < phi_cut
+            phi_c = np.append(d0.phi[keep], phi_cut)
+            y_c = np.append(d0.y[keep], np.interp(phi_cut, d0.phi, d0.y))
+        # the window starts truncated when it ends at phi_cut
+        de = _DilatedEngine(d0.tau, phi_c, y_c, cfg.b0 - 3.0 * cfg.a0, cfg.cfl,
+                            policy, phi_c[-1] >= phi_cut - 1e-12, phi_cut=phi_cut,
+                            outer_bc=outer_bc_now if use_unscaled else None)
 
     primary = ue if use_unscaled else de
+    t_end = t_stop if use_unscaled else cfg.stop_tau    # in the primary's time
     series, anchors, snaps, cross = [], [], {}, []
     pending_snaps = sorted(set(cfg.snap_taus))
     status, failing = "completed", None
     dt_last = 0.0
-
-    if cfg.engine == "both":
-        def outer_bc_now(tau):
-            Tt = T - ue.t
-            return float(np.interp(de.phi_outer() * Tt, ue.f_nodes(), ue.u)) / Tt
-        de.outer_bc = outer_bc_now
 
     def record():
         if use_unscaled:
@@ -1025,8 +936,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             rec = de.measure(cfg.window_hi, dt_last, T)
         series.append(rec)
         if use_unscaled and use_dilated and de.truncated:
-            Tt = T - ue.t
-            pu, yu = ue.f_nodes() / Tt, ue.u / Tt
+            pu, yu, _ = ue.dilated_view()
             pd = de.phi_nodes()
             m = pd <= 5.0
             diff = np.interp(pd[m], pu, yu) - de.y[m]
@@ -1064,14 +974,10 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             if primary.step_count >= cfg.max_steps:
                 status = "max_steps"
                 break
-            if use_unscaled:
-                dt_last = ue.step(t_stop - ue.t)
-                tau_now = -np.log(T - ue.t)
-                if use_dilated:
-                    de.advance_to(tau_now)
-            else:
-                dt_last = de.step(cfg.stop_tau - de.tau)
-                tau_now = de.tau
+            dt_last = primary.step(t_end - primary.t)
+            tau_now = -np.log(T - ue.t) if use_unscaled else de.tau
+            if use_unscaled and use_dilated:
+                de.advance_to(tau_now)
             k = primary.step_count
             remesh_now = k % cfg.remesh_interval == 0
             if use_unscaled:
@@ -1081,10 +987,8 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             else:
                 monitor.check(k, tau_now, de.phi_nodes(), de.y)
             if remesh_now:
-                if use_unscaled:
-                    ue.remesh()
-                if use_dilated:
-                    de.remesh()
+                for eng in filter(None, (ue, de)):
+                    eng.remesh()
             while pending_snaps and tau_now >= pending_snaps[0] - 1e-12:
                 snapshot(pending_snaps.pop(0))
             if k % cfg.record_every == 0:
@@ -1127,26 +1031,16 @@ def write_artifacts(arts: RunArtifacts, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
-    p = os.path.join(out_dir, "series.csv")
-    analysis.write_series_csv(arts.series, p)
-    paths.append(p)
-
-    p = os.path.join(out_dir, "anchor.csv")
-    analysis.write_anchor_csv(arts.anchor, p)
-    paths.append(p)
-
-    p = os.path.join(out_dir, "violations.csv")
-    write_violation_csv(arts.violations, p)
-    paths.append(p)
+    for name, write, rows in (("series.csv", analysis.write_series_csv, arts.series),
+                              ("anchor.csv", analysis.write_anchor_csv, arts.anchor),
+                              ("violations.csv", write_violation_csv, arts.violations)):
+        paths.append(os.path.join(out_dir, name))
+        write(rows, paths[-1])
 
     for label, (radial, dil) in arts.snapshots.items():
-        tag = f"{label:g}"
-        p = os.path.join(out_dir, f"snap_tau{tag}_radial.csv")
-        write_profile_csv(radial, p)
-        paths.append(p)
-        p = os.path.join(out_dir, f"snap_tau{tag}_dilated.csv")
-        write_profile_csv(RadialProfile(dil.phi, dil.y), p)
-        paths.append(p)
+        for view, prof in (("radial", radial), ("dilated", RadialProfile(dil.phi, dil.y))):
+            paths.append(os.path.join(out_dir, f"snap_tau{label:g}_{view}.csv"))
+            write_profile_csv(prof, paths[-1])
 
     arts.manifest["artifacts"] = [os.path.basename(q) for q in paths + ["manifest.json"]]
     p = os.path.join(out_dir, "manifest.json")

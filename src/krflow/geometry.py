@@ -32,7 +32,7 @@ __all__ = [
     "KahlerClass", "LogProfile", "RadialProfile", "CalabiAsymptotics",
     "CurvatureReport", "RiemannBound", "ValidationReport", "Violation",
     "DegenerateProfileError", "validate_profile", "to_radial", "to_log",
-    "curvature", "asymptotic_eigenvalues", "riemann_components",
+    "curvature", "asymptotic_eigenvalues", "riemann_components", "reduced_rm",
     "write_profile_csv", "read_profile_csv", "write_curvature_csv",
 ]
 
@@ -308,10 +308,15 @@ def curvature(p: RadialProfile) -> CurvatureReport:
         lam1 = psi / f
         lam2 = -uf / f + u / f ** 2 - uff
     scalar = 2.0 * (lam1 + lam2)
-    rm1 = 2.0 * np.abs(uff)
-    rm2 = 4.0 / f * np.abs(1.0 - u / f)
-    rm3 = 2.0 / f * np.abs(u / f - uf)
-    return CurvatureReport(f.copy(), psi, lam1, lam2, scalar, rm1, rm2, rm3)
+    return CurvatureReport(f.copy(), psi, lam1, lam2, scalar,
+                           *reduced_rm(f, u, uf, uff))
+
+
+def reduced_rm(x, y, yp, ypp):
+    """Symmetry-reduced Riemann magnitudes 2|y''|, (4/x)|1 - y/x| and
+    (2/x)|y/x - y'| of a profile y(x), radial (x = f) or dilated (x = phi)."""
+    return (2.0 * np.abs(ypp), 4.0 / x * np.abs(1.0 - y / x),
+            2.0 / x * np.abs(y / x - yp))
 
 
 def asymptotic_eigenvalues(c: CalabiAsymptotics, end: str):
@@ -336,10 +341,7 @@ def riemann_components(obj) -> RiemannBound:
         x, y = obj.f, obj.u
     else:
         raise TypeError("expected RadialProfile or a dilated state with .phi/.y")
-    yp, ypp = _profile_derivatives(x, y)
-    rm1 = 2.0 * np.abs(ypp)
-    rm2 = 4.0 / x * np.abs(1.0 - y / x)
-    rm3 = 2.0 / x * np.abs(y / x - yp)
+    rm1, rm2, rm3 = reduced_rm(x, y, *_profile_derivatives(x, y))
     return RiemannBound(rm1, rm2, rm3, float(np.max(np.maximum(rm1, np.maximum(rm2, rm3)))))
 
 
@@ -362,18 +364,17 @@ _FMT = "%.17g"
 
 def write_profile_csv(p, path):
     """Profile CSV: header 'f,u' (RadialProfile) or 'r,phi' (LogProfile)."""
+    if isinstance(p, RadialProfile):
+        header, cols = ["f", "u"], (p.f, p.u)
+    elif isinstance(p, LogProfile):
+        header, cols = ["r", "phi"], (p.r, p.phi)
+    else:
+        raise TypeError("expected RadialProfile or LogProfile")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if isinstance(p, RadialProfile):
-            w.writerow(["f", "u"])
-            for a, b in zip(p.f, p.u):
-                w.writerow([_FMT % a, _FMT % b])
-        elif isinstance(p, LogProfile):
-            w.writerow(["r", "phi"])
-            for a, b in zip(p.r, p.phi):
-                w.writerow([_FMT % a, _FMT % b])
-        else:
-            raise TypeError("expected RadialProfile or LogProfile")
+        w.writerow(header)
+        for a, b in zip(*cols):
+            w.writerow([_FMT % a, _FMT % b])
 
 
 def read_profile_csv(path):

@@ -153,27 +153,16 @@ def derivatives(x, u, slope_left=None, slope_right=None):
     ux[1:-1] = apply_weights(W1, u)
     uxx[1:-1] = apply_weights(W2, u)
 
-    if slope_left is None:
-        w1, w2 = onesided_weights(x[1] - x[0], x[2] - x[0])
-        ux[0] = w1 @ u[:3]
-        uxx[0] = w2 @ u[:3]
-    else:
-        d1, d2 = x[1] - x[0], x[2] - x[0]
-        du1, ddu1, ddu0 = hermite_boundary(d1, d2, u[0], slope_left, u[1], u[2])
-        ux[0] = slope_left
-        uxx[0] = ddu0
-        ux[1], uxx[1] = du1, ddu1
-
-    if slope_right is None:
-        w1, w2 = onesided_weights(x[-2] - x[-1], x[-3] - x[-1])
-        ux[-1] = w1 @ u[-1:-4:-1]
-        uxx[-1] = w2 @ u[-1:-4:-1]
-    else:
-        d1, d2 = x[-2] - x[-1], x[-3] - x[-1]
-        du1, ddu1, ddu0 = hermite_boundary(d1, d2, u[-1], slope_right, u[-2], u[-3])
-        ux[-1] = slope_right
-        uxx[-1] = ddu0
-        ux[-2], uxx[-2] = du1, ddu1
+    for slope, (i0, i1, i2) in ((slope_left, (0, 1, 2)), (slope_right, (-1, -2, -3))):
+        d1, d2 = x[i1] - x[i0], x[i2] - x[i0]
+        if slope is None:
+            w1, w2 = onesided_weights(d1, d2)
+            near = u[:3] if i0 == 0 else u[-1:-4:-1]
+            ux[i0], uxx[i0] = w1 @ near, w2 @ near
+        else:
+            du1, ddu1, ddu0 = hermite_boundary(d1, d2, u[i0], slope, u[i1], u[i2])
+            ux[i0], uxx[i0] = slope, ddu0
+            ux[i1], uxx[i1] = du1, ddu1
     return ux, uxx
 
 

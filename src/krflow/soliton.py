@@ -146,19 +146,24 @@ def _bisect_root(g, lo, hi, xtol):
     return 0.5 * (lo + hi)
 
 
-def find_fik_constant():
-    """Root of int_1^inf (2-s) s e^{-Cs} ds = 0 on [1.2, 1.6].
-
-    Bisection on adaptive quadrature to 1e-12, a few Newton polish steps, then
-    a cross-check against the analytic root sqrt(2) of the closed form.
-    """
-    c = _bisect_root(weight_integral, 1.2, 1.6, 1e-12)
+def _weight_root(lo, hi, upper=np.inf):
+    """Root C in [lo, hi] of int_1^upper (2-s) s e^{-Cs} ds = 0: bisection on
+    adaptive quadrature to 1e-12, then a few Newton polish steps."""
+    g = lambda C: weight_integral(C, upper=upper)
+    c = _bisect_root(g, lo, hi, 1e-12)
     for _ in range(3):
-        g = weight_integral(c)
-        dg, _ = quad(lambda s: -s * _weight(s, c), 1.0, np.inf, epsabs=1e-13, limit=200)
+        val = g(c)
+        dg, _ = quad(lambda s: -s * _weight(s, c), 1.0, upper, epsabs=1e-13, limit=200)
         if dg == 0.0:
             break
-        c -= g / dg
+        c -= val / dg
+    return c
+
+
+def find_fik_constant():
+    """Root of int_1^inf (2-s) s e^{-Cs} ds = 0 on [1.2, 1.6], cross-checked
+    against the analytic root sqrt(2) of the closed form."""
+    c = _weight_root(1.2, 1.6)
     if abs(c - SQRT2) > 1e-10:
         raise RuntimeError(f"quadrature root {c!r} disagrees with closed-form root sqrt(2)")
     return c
@@ -171,14 +176,7 @@ def find_cao_koiso_constant():
     e^{2C} (2 - C^2) = 3C^2 + 4C + 2, used as the independent oracle; the
     quadrature root and the oracle root must agree to 1e-8.
     """
-    g = lambda C: weight_integral(C, upper=3.0)
-    c = _bisect_root(g, 0.5, 1.0, 1e-12)
-    for _ in range(3):
-        val = g(c)
-        dg, _ = quad(lambda s: -s * _weight(s, c), 1.0, 3.0, epsabs=1e-13, limit=200)
-        if dg == 0.0:
-            break
-        c -= val / dg
+    c = _weight_root(0.5, 1.0, upper=3.0)
     oracle = _bisect_root(lambda C: np.exp(2 * C) * (2 - C * C) - (3 * C * C + 4 * C + 2),
                           0.5, 1.0, 1e-14)
     if abs(c - oracle) > 1e-8:

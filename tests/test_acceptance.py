@@ -65,7 +65,7 @@ def test_stationary_fik_blowup_constants():
     # stationary run: (T-t) R and (T-t) lambda2 sit at the closed-form values
     # 4 - 2 sqrt2 and 1 - sqrt2 up to stencil error, constant in tau
     import numpy as np
-    from krflow.flow import _DilatedEngine, _StatePolicy
+    from krflow.flow import RemeshPolicy, _DilatedEngine
     from krflow.grids import window_mesh
     from krflow.soliton import fik_y
 
@@ -73,9 +73,9 @@ def test_stationary_fik_blowup_constants():
     delta = window_mesh(49.0, n - 1, 10.0, 3e-4, 3.0,
                         coeff=lambda d: fik_y(1.0 + d))
     grid = 1.0 + delta
-    eng = _DilatedEngine(0.0, grid, fik_y(grid), b3a=0.0,
-                         cfg_like=_StatePolicy(n), phi_cut=grid[-1],
-                         outer_bc=lambda tau: fik_y(grid[-1]))
+    eng = _DilatedEngine(0.0, grid, fik_y(grid), b3a=0.0, cfl=0.4,
+                         policy=RemeshPolicy(n), truncated=True,
+                         phi_cut=grid[-1], outer_bc=lambda tau: fik_y(grid[-1]))
     rt2 = np.sqrt(2.0)
     vals = []
     for _ in range(3):

@@ -40,6 +40,18 @@ def test_unknown_level_exits_2(tmp_path):
     assert ex.value.code == 2
 
 
+def test_quick_level_runs_the_documented_criteria():
+    # the README's `verify --level quick` line and the acceptance docstring
+    # promise A1-A3, A8, A11 and A14 (A8 and A14 on the reduced-scale run)
+    import os
+    import re
+    from krflow.acceptance import QUICK_IDS
+    assert QUICK_IDS == ("A1", "A2", "A3", "A8", "A11", "A14")
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        assert re.search(r"verify --level quick +# A1-A3, A8, A11, A14 ", fh.read())
+
+
 @pytest.mark.slow
 def test_evolve_analyze_pipeline(tmp_path, capsys):
     cfgp = tmp_path / "run.cfg"

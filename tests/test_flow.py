@@ -6,7 +6,7 @@ from krflow.flow import (ConfigError, FlowConfig, FlowSetupError, RemeshPolicy,
                          anchor_track, load_config, make_initial,
                          parse_config_text, r_coordinate_reference, remesh,
                          run_flow, step_dilated, step_unscaled, write_artifacts,
-                         _UnscaledEngine)
+                         _DilatedEngine, _UnscaledEngine)
 from krflow.geometry import RadialProfile, curvature, validate_profile
 from krflow.grids import (apply_weights, hermite_boundary, interior_weights,
                           window_mesh)
@@ -226,9 +226,14 @@ def _reference_rhs(eng, u, t):
     return F, np.concatenate(([1.0], uf, [-1.0])), uff
 
 
+def _unscaled_engine(cfg):
+    return _UnscaledEngine(make_initial(cfg), cfg.a0, cfg.b0, cfg.cfl,
+                           RemeshPolicy(n=cfg.grid_n))
+
+
 def test_unscaled_rhs_and_anchor_rate_match_reference_bit_for_bit():
     cfg = small_cfg(initial_kind="cao_koiso", b0=3.0, cfl=0.5)
-    eng = _UnscaledEngine(make_initial(cfg), cfg)
+    eng = _unscaled_engine(cfg)
     for _ in range(30):
         eng.step(1.0)
     eng.remesh()
@@ -247,8 +252,61 @@ def test_unscaled_rhs_and_anchor_rate_match_reference_bit_for_bit():
             assert eng._phi_t_at(float(x), t, u, uf) == want
 
 
+def _reference_dilated_rhs(eng, y, tau):
+    """The dilated rhs with numpy temporaries and numpy-scalar stencils: E[y]
+    on the window [1, Phi_out], plus the stretch term of a moving window."""
+    eta = eng.xi
+    if eng.truncated:
+        L, dphi = eng.phi_outer() - 1.0, 0.0
+    else:
+        pm = eng.b3a * np.exp(tau) + 3.0
+        L, dphi = pm - 1.0, pm - 3.0
+    W1, W2 = interior_weights(eta)
+    p = 1.0 + eta[1:-1] * L
+    yi = y[1:-1]
+    yp = apply_weights(W1, y) / L
+    ypp = apply_weights(W2, y) / (L * L)
+    d1, d2 = eta[1] * L, eta[2] * L
+    yp[0], ypp[0], _ = hermite_boundary(d1, d2, 0.0, 1.0, y[1], y[2])
+    if eng.truncated:
+        yp_out = yp[-1]      # no slope is imposed at a cut
+    else:
+        d1, d2 = (eta[-2] - 1.0) * L, (eta[-3] - 1.0) * L
+        yp[-1], ypp[-1], _ = hermite_boundary(d1, d2, 0.0, -1.0, y[-2], y[-3])
+        yp_out = -1.0
+    E = yi * ypp + (2.0 - p - yp) * yp + yi * (1.0 - yi / p ** 2)
+    return E + yp * eta[1:-1] * dphi, np.concatenate(([1.0], yp, [yp_out])), ypp
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["full", "truncated"])
+def test_dilated_rhs_matches_reference_bit_for_bit(truncated):
+    cfg = small_cfg()
+    d = analysis.dilate(make_initial(cfg))
+    pol = RemeshPolicy(n=cfg.grid_n)
+    if truncated:
+        keep = d.phi < 20.0
+        phi = np.append(d.phi[keep], 20.0)
+        y = np.append(d.y[keep], np.interp(20.0, d.phi, d.y))
+        eng = _DilatedEngine(d.tau, phi, y, 0.0, cfg.cfl, pol, True, phi_cut=20.0,
+                             outer_bc=lambda tau: float(y[-1]))
+    else:
+        eng = _DilatedEngine(d.tau, d.phi, d.y, cfg.b0 - 3.0 * cfg.a0, cfg.cfl,
+                             pol, False)
+    for _ in range(30):
+        eng.step(1.0)
+    eng.remesh()
+    eng.step(1.0)
+    assert eng.truncated == truncated
+    rng = np.random.default_rng(3)
+    for slot, tau in ((0, eng.tau), (1, eng.tau + 1e-4)):
+        y = eng.y * (1.0 + 1e-3 * rng.standard_normal(eng.y.size))
+        got = eng.rhs(y, tau, slot)
+        for g, w in zip(got, _reference_dilated_rhs(eng, y, tau)):
+            assert np.array_equal(g, w)
+
+
 def test_dilated_rows_match_per_step_view():
-    eng = _UnscaledEngine(make_initial(small_cfg()), small_cfg())
+    eng = _unscaled_engine(small_cfg())
     ts, us, views = [], [], []
     for _ in range(5):
         eng.step(1.0)

@@ -1,0 +1,62 @@
+"""Run artifacts of three tiny runs, pinned byte for byte.
+
+Each run (grid_n = 128, about 500 steps, a remesh every 50 steps) writes its
+artifacts, and every file must equal the one under tests/data/golden/<run>.
+The 'both' run crosses phi_cut early, so its dilated engine switches to the
+truncated window and takes its outer value from the unscaled engine.  Any
+change to the arithmetic of a step, a remesh or a measurement shows here as
+a changed byte; manifest.json is compared without its wall time.
+
+The files depend on the floating-point results of numpy and the C library
+(they were written on x86-64 with numpy 2.4 and scipy 1.17).  To record a
+deliberate change of the numbers, run `PYTHONPATH=src python
+tests/test_golden_artifacts.py`.
+"""
+
+import json
+import os
+
+import pytest
+
+from krflow.flow import FlowConfig, run_flow, write_artifacts
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "golden")
+BASE = dict(a0=1.0, b0=9.93, grid_n=128, stop_tau=0.1, record_every=25,
+            remesh_interval=50, snap_taus=(0.05, 0.1))
+RUNS = {
+    "unscaled": {},
+    "dilated": dict(engine="dilated"),
+    # Phi_max = 6.93 e^tau + 3 passes 10.5 at tau = 0.079
+    "both": dict(engine="both", phi_cut=10.5),
+}
+
+
+def write_run(name, out_dir):
+    return write_artifacts(run_flow(FlowConfig(**BASE, **RUNS[name])), out_dir)
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_artifacts_match_golden_files(name, tmp_path):
+    manifest = write_run(name, tmp_path)
+    want_dir = os.path.join(DATA, name)
+    assert sorted(manifest["artifacts"]) == sorted(os.listdir(want_dir))
+    if name == "both":
+        assert manifest["cross_engine_supdiff_max"] is not None
+    for fname in manifest["artifacts"]:
+        got = _read(os.path.join(tmp_path, fname))
+        want = _read(os.path.join(want_dir, fname))
+        if fname == "manifest.json":
+            got, want = json.loads(got), json.loads(want)
+            got.pop("wall_time_s")
+            want.pop("wall_time_s")
+        assert got == want, fname
+
+
+if __name__ == "__main__":
+    for name in RUNS:
+        write_run(name, os.path.join(DATA, name))
