@@ -139,19 +139,16 @@ def crit_a2(ctx):
 
 
 def crit_a3(ctx):
-    from .flow import RemeshPolicy, _DilatedEngine
-    from .grids import window_mesh
+    from .flow import _DilatedEngine, _mesh_for
     t0 = time.perf_counter()
     phi = np.geomspace(1.0, 100.0, 20001)
     y, yp, ypp = fik_y_derivs(phi)
     resid = float(np.max(np.abs(full_operator(phi, y, yp, ypp))))
 
     n = 1024
-    delta = window_mesh(49.0, n - 1, 10.0, 3e-4, 3.0,
-                        coeff=lambda d: fik_y(1.0 + d))
-    grid = 1.0 + delta
-    eng = _DilatedEngine(0.0, grid, fik_y(grid), b3a=0.0, cfl=0.4,
-                         policy=RemeshPolicy(n), truncated=True,
+    grid = _mesh_for(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, n)
+    eng = _DilatedEngine(0.0, grid, fik_y(grid), b3a=0.0, cfl=FlowConfig.cfl,
+                         n=n, truncated=True,
                          phi_cut=grid[-1], outer_bc=lambda tau: fik_y(grid[-1]))
     k = 0
     while eng.tau < 1.0:

@@ -23,12 +23,14 @@ The core (_Engine) is common to both frames: endpoints pinned at u = 0 with
 exact slopes +1 / -1 feeding Hermite stencils at the boundary-adjacent
 nodes, explicit RK2 (midpoint) with a local CFL-limited step and
 rejection-halving on interior positivity loss, and remeshing.  Meshes
-cluster in the inner window [a, a + K (T - t)] (K = 10, at least 25% of the
-nodes) on a CFL-equidistributed spacing law with a resolution floor, and are
-rebuilt every remesh_interval steps by monotone cubic interpolation.  A
-frame (_UnscaledEngine, _DilatedEngine) supplies only its domain and
-velocity, rhs, CFL advection term, outer boundary data, remesh window and
-measurements.
+cluster in the inner window [a, a + K (T - t)] on a CFL-equidistributed
+spacing law with a resolution floor, and are rebuilt every remesh_interval
+steps by monotone cubic interpolation.  The mesh law's constants (K, the
+window's least share of the nodes, the floor and the outer grading) are
+fixed next to _mesh_for, and the [1, 3] window on which runs are compared
+with Y next to _Engine.  A frame (_UnscaledEngine, _DilatedEngine) supplies
+only its domain and velocity, rhs, CFL advection term, outer boundary data,
+remesh window and measurements.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .soliton import cao_koiso_profile, fik_y, fik_y_derivs
 from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
 __all__ = [
-    "FlowConfig", "RemeshPolicy", "RunArtifacts", "ConfigError",
+    "FlowConfig", "RunArtifacts", "ConfigError",
     "FlowSetupError", "FlowPositivityError", "make_initial", "step_unscaled",
     "step_dilated", "run_flow", "remesh", "anchor_track", "load_config",
     "parse_config_text", "write_artifacts", "r_coordinate_reference",
@@ -95,20 +97,13 @@ class FlowConfig:
     initial_kind: str = "parabola"
     initial_path: str = ""
     grid_n: int = 1024
-    grading: float = 3.0
     cfl: float = 0.4
     stop_tau: float = 6.5
     engine: str = "unscaled"
     remesh_interval: int = 200
-    barrier_delta: float = 1e-7
-    perturbation_eps: float = 0.6
-    anchor_f_ref: float = 0.0
     record_every: int = 25
     snap_taus: tuple = ()
-    window_hi: float = 3.0
     phi_cut: float = 50.0
-    lambda0_floor: float = 1e-3
-    inner_res: float = 3e-4
     max_steps: int = 5_000_000
 
     @property
@@ -128,25 +123,27 @@ class FlowConfig:
             errs.append(f"requires b > 3a, got (a0, b0) = ({self.a0}, {self.b0})")
         if self.initial_kind == "cao_koiso_perturbed" and abs(self.a0 - 1.0) > 1e-12:
             errs.append("cao_koiso_perturbed requires a0 = 1")
+        if self.initial_kind == "from_file" and not self.initial_path:
+            errs.append("from_file initial data needs initial_path")
         if self.grid_n < 128:
             errs.append("grid_n must be >= 128")
-        if self.grading < 1.0:
-            errs.append("grading must be >= 1")
         if not (0.0 < self.cfl <= 0.5):
             errs.append("cfl must lie in (0, 0.5]")
         if self.stop_tau < 0.0:
             errs.append("stop_tau must be >= 0")
-        if self.stop_tau <= -np.log(self.a0) and not errs:
-            errs.append(f"stop_tau = {self.stop_tau} does not exceed the "
-                        f"starting dilated time {-np.log(self.a0):.6g}")
-        if not (0.0 < self.barrier_delta <= 1e-6):
-            errs.append("barrier_delta must lie in (0, 1e-6]")
+        if not errs:
+            tau0 = 0.0 - np.log(self.a0)      # not -0.0, which prints as '-0'
+            if self.stop_tau <= tau0:
+                errs.append(f"stop_tau = {self.stop_tau} does not exceed the "
+                            f"starting dilated time {tau0:.6g}")
+            outside = [f"{s:g}" for s in self.snap_taus if not tau0 < s <= self.stop_tau]
+            if outside:
+                errs.append(f"snap_taus {', '.join(outside)} outside the run's "
+                            f"(tau0, stop_tau] = ({tau0:.6g}, {self.stop_tau:g}]")
         if self.remesh_interval < 1 or self.record_every < 1:
             errs.append("remesh_interval and record_every must be >= 1")
         if self.engine not in _ENGINES:
             errs.append(f"engine must be one of {_ENGINES}")
-        if self.anchor_f_ref and not (self.a0 < self.anchor_f_ref < self.b0):
-            errs.append("anchor_f_ref must be strictly interior to (a0, b0)")
         if self.phi_cut <= 3.0:
             errs.append("phi_cut must exceed 3")
         if errs:
@@ -189,15 +186,6 @@ def load_config(path) -> FlowConfig:
         return parse_config_text(fh.read())
 
 
-@dataclass(frozen=True)
-class RemeshPolicy:
-    n: int
-    grading: float = 3.0
-    inner_window_k: float = 10.0
-    min_inner_fraction: float = 0.25
-    inner_res: float = 3e-4
-
-
 def _resample(spl, x_old, u_old, x_new, slope_left=None, slope_right=None):
     """Monotone cubic resample, by spl = PchipInterpolator(x_old, u_old), with
     exact boundary data re-imposed.
@@ -226,18 +214,24 @@ def _resample(spl, x_old, u_old, x_new, slope_left=None, slope_right=None):
 # initial data
 # ---------------------------------------------------------------------------
 
-def _mesh_for(u_of_delta, a, b, t_left, policy: RemeshPolicy):
-    """f-grid on [a, b] clustered in the inner window [a, a + K * t_left]."""
+# The mesh law, in units of the time left t_left = T - t: the inner window
+# [a, a + _INNER_WINDOW_K t_left] holds at least _MIN_INNER_FRACTION of the
+# nodes, spaced no finer than _INNER_RES t_left; the rest stretch outward
+# with exponent _GRADING.
+_INNER_WINDOW_K = 10.0
+_MIN_INNER_FRACTION = 0.25
+_INNER_RES = 3e-4
+_GRADING = 3.0
+
+
+def _mesh_for(u_of_delta, a, b, t_left, n):
+    """n-node f-grid on [a, b] by the mesh law, with u_of_delta = u(a + d)."""
     D = b - a
-    W = min(policy.inner_window_k * t_left, D)
-    h0 = max(policy.inner_res * t_left, 1e-12 * D)
-    delta = window_mesh(D, policy.n - 1, W, h0, policy.grading,
-                        coeff=u_of_delta, min_fraction=policy.min_inner_fraction)
+    W = min(_INNER_WINDOW_K * t_left, D)
+    h0 = max(_INNER_RES * t_left, 1e-12 * D)
+    delta = window_mesh(D, n - 1, W, h0, _GRADING,
+                        coeff=u_of_delta, min_fraction=_MIN_INNER_FRACTION)
     return a + delta
-
-
-def _policy_from(cfg: FlowConfig) -> RemeshPolicy:
-    return RemeshPolicy(n=cfg.grid_n, grading=cfg.grading, inner_res=cfg.inner_res)
 
 
 def _quintic_bridge(x0, v0, d0, dd0, x1, v1, d1, dd1):
@@ -267,7 +261,8 @@ def _perturbed_cao_koiso(cfg: FlowConfig):
     ref = cao_koiso_profile(4097).profile
     spl = CubicSpline(ref.f, ref.u)
     b0 = cfg.b0
-    w = min(max(cfg.perturbation_eps, 4.0 * (b0 - 3.0)), 1.5)
+    # the bridge replaces the profile on [3 - w, b0], w at least 0.6
+    w = min(max(0.6, 4.0 * (b0 - 3.0)), 1.5)
     x0 = 3.0 - w
     c_kc = _cao_koiso_constant_cached()
     dd_out = -2.0 / 3.0 - c_kc   # curvature the unperturbed profile has at its outer zero
@@ -283,7 +278,7 @@ def _perturbed_cao_koiso(cfg: FlowConfig):
     vals[0] = vals[-1] = 0.0
     if np.any(vals[1:-1] <= 0.0):
         raise FlowSetupError("perturbed profile loses interior positivity; "
-                             "decrease b0 - 3 or increase perturbation_eps")
+                             "decrease b0 - 3")
     rep = curvature(RadialProfile(probe, vals))
     if min(rep.lambda1.min(), rep.lambda2.min()) <= 0.0:
         raise FlowSetupError("Ricci positivity lost")
@@ -309,7 +304,11 @@ def make_initial(cfg: FlowConfig) -> FlowState:
     elif cfg.initial_kind == "cao_koiso_perturbed":
         u_fn = _perturbed_cao_koiso(cfg)
     else:
-        prof = read_profile_csv(cfg.initial_path)
+        try:
+            prof = read_profile_csv(cfg.initial_path)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot read initial profile {cfg.initial_path!r}: "
+                              f"{e}") from None
         if isinstance(prof, LogProfile):
             prof = to_radial(prof)
         scale = np.max(prof.u)
@@ -322,17 +321,14 @@ def make_initial(cfg: FlowConfig) -> FlowState:
         spl = PchipInterpolator(prof.f, prof.u)
         u_fn = lambda f: np.clip(spl(np.clip(f, prof.a, prof.b)), 0.0, None)
 
-    policy = _policy_from(cfg)
-    f = _mesh_for(lambda d: np.clip(u_fn(a0 + d), 0.0, None), a0, b0, T, policy)
+    f = _mesh_for(lambda d: np.clip(u_fn(a0 + d), 0.0, None), a0, b0, T, cfg.grid_n)
     u = np.asarray(u_fn(f), dtype=float)
     u[0] = u[-1] = 0.0
     if np.any(u[1:-1] <= 0.0):
         raise FlowSetupError("initial data not positive on the interior")
 
-    state = FlowState(RadialProfile(f, u), t=0.0, T=T,
-                      anchor_r=0.0,
-                      anchor_f=cfg.anchor_f_ref or 0.5 * (a0 + b0),
-                      step=0)
+    state = FlowState(RadialProfile(f, u), t=0.0, T=T, anchor_r=0.0,
+                      anchor_f=0.5 * (a0 + b0), step=0)
     d0 = analysis.dilate(state)
     res = class_c_check(d0)
     if not res.ok:
@@ -346,6 +342,7 @@ def make_initial(cfg: FlowConfig) -> FlowState:
 
 _MAX_HALVINGS = 45
 _MONITOR_BLOCK = 8192    # values per sandwich-monitor block (64 kB)
+_WINDOW_HI = 3.0         # y is compared with Y on the window 1 <= phi <= 3
 
 
 class _Engine:
@@ -362,11 +359,11 @@ class _Engine:
 
     truncated = False
 
-    def __init__(self, t, step_count, cfl, policy: RemeshPolicy, xi, u):
+    def __init__(self, t, step_count, cfl, n, xi, u):
         self.t = t
         self.step_count = step_count
         self.cfl = cfl
-        self.policy = policy
+        self.n = n              # node count of every remeshed grid
         self._set_mesh(xi, u)
 
     # mesh ------------------------------------------------------------
@@ -471,7 +468,7 @@ class _Engine:
 
     # remesh ------------------------------------------------------------
     def remesh(self):
-        """New nodes by the policy, values resampled by monotone cubics with
+        """New nodes by the mesh law, values resampled by monotone cubics with
         the end data re-imposed exactly."""
         x_old = self.nodes()
         spl = PchipInterpolator(x_old, self.u)
@@ -485,10 +482,10 @@ class _Engine:
 
     # measurements -------------------------------------------------------
     @staticmethod
-    def _fik_window(phi, y, yp, ypp, window_hi):
-        """(sup|y - Y|, sup|y_p - Y_p|, max reduced |Rm|) over phi <= window_hi
+    def _fik_window(phi, y, yp, ypp):
+        """(sup|y - Y|, sup|y_p - Y_p|, max reduced |Rm|) over phi <= _WINDOW_HI
         of the dilated view, with y_p at every node, y_pp at interior ones."""
-        mask = phi <= window_hi
+        mask = phi <= _WINDOW_HI
         yf, ypf, _ = fik_y_derivs(phi[mask])
         sup0 = float(np.max(np.abs(y[mask] - yf)))
         sup1 = float(np.max(np.abs(yp[mask] - ypf)))
@@ -501,14 +498,14 @@ class _Engine:
 class _UnscaledEngine(_Engine):
     """u(f, t) on the moving domain [a0 - t, b0 - 3t], with the anchor ODE."""
 
-    def __init__(self, state: FlowState, a0, b0, cfl, policy: RemeshPolicy):
+    def __init__(self, state: FlowState, a0, b0, cfl, n):
         self.a0 = a0
         self.b0 = b0
         self.T = state.T
         self.anchor_r = state.anchor_r
         self.anchor_f = state.anchor_f
         a, b = a0 - state.t, b0 - 3.0 * state.t
-        super().__init__(state.t, state.step, cfl, policy,
+        super().__init__(state.t, state.step, cfl, n,
                          (state.profile.f - a) / (b - a), state.profile.u.copy())
 
     def _set_mesh(self, xi, u):
@@ -588,7 +585,7 @@ class _UnscaledEngine(_Engine):
     def _remesh_nodes(self, spl, f_old):
         a, b, D = self.domain()
         u_of = lambda d: np.clip(spl(a + np.clip(d, 0.0, D)), 0.0, None)
-        return a, D, _mesh_for(u_of, a, b, self.T - self.t, self.policy)
+        return a, D, _mesh_for(u_of, a, b, self.T - self.t, self.n)
 
     def r_of(self, x):
         """r-coordinate of an interior point, via r = anchor_r + int df/u."""
@@ -626,7 +623,7 @@ class _UnscaledEngine(_Engine):
         phi /= Tt
         return phi, np.stack(us) / Tt
 
-    def measure(self, window_hi, dt_last):
+    def measure(self, dt_last):
         a, b, D = self.domain()
         Tt = self.T - self.t
         tau = -np.log(Tt)
@@ -636,8 +633,7 @@ class _UnscaledEngine(_Engine):
         lam2 = -1.0 / a - uffa
         R0 = 2.0 * (1.0 / a + lam2)
         # the dilated view: phi = f / Tt, y = u / Tt, y_p = u_f, y_pp = Tt u_ff
-        sup0, sup1, max_rm = self._fik_window(f / Tt, self.u / Tt, uf, Tt * uff,
-                                              window_hi)
+        sup0, sup1, max_rm = self._fik_window(f / Tt, self.u / Tt, uf, Tt * uff)
 
         with np.errstate(invalid="ignore"):
             max_F = float(np.max(self.u / f))
@@ -676,14 +672,14 @@ class _DilatedEngine(_Engine):
     Dirichlet value outer_bc(tau), or keeps its value without outer_bc.
     """
 
-    def __init__(self, tau, phi, y, b3a, cfl, policy: RemeshPolicy, truncated,
+    def __init__(self, tau, phi, y, b3a, cfl, n, truncated,
                  phi_cut=np.inf, outer_bc=None):
         self.b3a = float(b3a)
         self.truncated = bool(truncated)
         self.phi_cut = float(phi_cut)
         self.outer_bc = outer_bc            # callable tau -> outer Dirichlet value
         self._static_out = float(phi[-1])
-        super().__init__(float(tau), 0, cfl, policy,
+        super().__init__(float(tau), 0, cfl, n,
                          (phi - 1.0) / (phi[-1] - 1.0), np.asarray(y, dtype=float))
 
     tau = property(lambda self: self.t)
@@ -732,21 +728,21 @@ class _DilatedEngine(_Engine):
             self._static_out = phi_out = self.phi_cut
         u_of = lambda d: np.clip(spl(np.clip(1.0 + d, phi_old[0], phi_old[-1])), 0.0, None)
         # the blow-up frame is the unscaled one at T - t = 1
-        phi_new = _mesh_for(u_of, 1.0, phi_out, 1.0, self.policy)
+        phi_new = _mesh_for(u_of, 1.0, phi_out, 1.0, self.n)
         return 1.0, phi_out - 1.0, np.minimum(phi_new, phi_old[-1])
 
     def state(self) -> DilatedState:
         return DilatedState(self.t, self.phi_nodes(), self.u.copy(),
                             truncated=self.truncated)
 
-    def measure(self, window_hi, dtau_last, t_origin_T):
+    def measure(self, dtau_last, t_origin_T):
         phi = self.phi_nodes()
         Tt = np.exp(-self.t)
         yp, ypp = self._derivs(self.u, self.phi_outer() - 1.0)
         ypp1 = endpoint_second_derivative(phi, self.u, "left", 1.0)
         lam2 = (-1.0 - ypp1) / Tt
         R0 = -2.0 * ypp1 / Tt
-        sup0, sup1, max_rm = self._fik_window(phi, self.u, yp, ypp, window_hi)
+        sup0, sup1, max_rm = self._fik_window(phi, self.u, yp, ypp)
         return SeriesRecord(step=self.step_count, t=t_origin_T - Tt, tau=self.t,
                             a=Tt, b=Tt * self.phi_outer(),
                             R_sigma0=R0, lambda2_sigma0=lam2,
@@ -761,24 +757,28 @@ class _DilatedEngine(_Engine):
 # public single-step operations
 # ---------------------------------------------------------------------------
 
-def step_unscaled(s: FlowState, dt: float, cfl: float = 0.4) -> FlowState:
+def _engine_on(s: FlowState, n):
+    """Unscaled engine on a bare state, at the default CFL number, remeshing
+    to n nodes; the class constants are recovered from a = a0 - t, b = b0 - 3t."""
+    return _UnscaledEngine(s, s.a + s.t, s.b + 3.0 * s.t, FlowConfig.cfl, n)
+
+
+def step_unscaled(s: FlowState, dt: float) -> FlowState:
     """One explicit midpoint step of the moving-boundary equation.
 
     dt is capped at the engine's CFL-stable step and halved on interior
     positivity loss; the endpoints move to a(t+dt), b(t+dt) analytically.
-    The class constants are recovered from a = a0 - t, b = b0 - 3t.
     """
     rep = validate_profile(s.profile)
     if not rep.ok:
         raise ValueError(f"invalid flow state: {rep.codes()}")
-    eng = _UnscaledEngine(s, s.a + s.t, s.b + 3.0 * s.t, cfl,
-                          RemeshPolicy(n=s.profile.n))
+    eng = _engine_on(s, s.profile.n)
     eng.step(dt)
     return eng.state()
 
 
 def step_dilated(s: DilatedState, dtau: float, outer_bc: str = "pinned_exact",
-                 outer_value=None, cfl: float = 0.4) -> DilatedState:
+                 outer_value=None) -> DilatedState:
     """One explicit midpoint step of the dilated equation.
 
     outer_bc = 'pinned_exact': full domains keep y = 0 at the true moving
@@ -802,15 +802,16 @@ def step_dilated(s: DilatedState, dtau: float, outer_bc: str = "pinned_exact",
     else:
         bc = (lambda tau, v=float(s.y[-1]): v) if truncated else None
     b3a = (s.phi_max - 3.0) * np.exp(-s.tau) if not truncated else 0.0
-    eng = _DilatedEngine(s.tau, s.phi, s.y, b3a, cfl, RemeshPolicy(n=s.phi.size),
+    eng = _DilatedEngine(s.tau, s.phi, s.y, b3a, FlowConfig.cfl, s.phi.size,
                          truncated, phi_cut=s.phi_max if truncated else np.inf,
                          outer_bc=bc)
     eng.advance_to(s.tau + dtau)
     return eng.state()
 
 
-def remesh(s, policy: RemeshPolicy):
-    """Rebuild the grid per the policy and monotone-cubic resample the state.
+def remesh(s, n):
+    """Rebuild the grid with n nodes by the mesh law and monotone-cubic
+    resample the state.
 
     Endpoint values (and, through the engines' stencils, the endpoint slopes)
     are re-imposed exactly; returns (state, interpolation_error_estimate),
@@ -818,10 +819,10 @@ def remesh(s, policy: RemeshPolicy):
     profile is interpolated back onto the old nodes.
     """
     if isinstance(s, FlowState):
-        eng = _UnscaledEngine(s, s.a + s.t, s.b + 3.0 * s.t, 0.4, policy)
+        eng = _engine_on(s, n)
     elif isinstance(s, DilatedState):
         b3a = 0.0 if s.truncated else (s.phi_max - 3.0) * np.exp(-s.tau)
-        eng = _DilatedEngine(s.tau, s.phi, s.y, b3a, 0.4, policy, s.truncated)
+        eng = _DilatedEngine(s.tau, s.phi, s.y, b3a, FlowConfig.cfl, n, s.truncated)
     else:
         raise TypeError("remesh expects FlowState or DilatedState")
     x_old, u_old = eng.nodes(), eng.u
@@ -839,12 +840,11 @@ def anchor_track(s: FlowState, dt: float = 0.0) -> tuple:
     the run-level additive constant fixed at the first measurement; its
     late-time slope equals the soliton translation rate sqrt2 - 1.
     """
-    eng = _UnscaledEngine(s, s.a + s.t, s.b + 3.0 * s.t, 0.4,
-                          RemeshPolicy(n=s.profile.n))
+    eng = _engine_on(s, s.profile.n)
     if dt > 0.0:
         uf, _ = eng._derivs(eng.u, eng.domain()[2])
         eng._anchor_step(dt, uf, eng.t, eng.u, uf)
-    _, anch = eng.measure(window_hi=3.0, dt_last=dt)
+    _, anch = eng.measure(dt_last=dt)
     new_state = FlowState(s.profile, s.t, s.T, eng.anchor_r, eng.anchor_f, s.step)
     return new_state, anch
 
@@ -894,14 +894,12 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     t_stop = T - np.exp(-cfg.stop_tau)
 
     d0 = analysis.dilate(state0)
-    params = BarrierParams(delta=cfg.barrier_delta, lambda_init=0.2,
-                           lambda0=fit_lambda0(d0, floor=cfg.lambda0_floor))
+    params = BarrierParams(lambda0=fit_lambda0(d0))
     monitor = SandwichMonitor(params, tau0)
 
     use_unscaled = cfg.engine in ("unscaled", "both")
     use_dilated = cfg.engine in ("dilated", "both")
-    policy = _policy_from(cfg)
-    ue = (_UnscaledEngine(state0, cfg.a0, cfg.b0, cfg.cfl, policy)
+    ue = (_UnscaledEngine(state0, cfg.a0, cfg.b0, cfg.cfl, cfg.grid_n)
           if use_unscaled else None)
 
     def outer_bc_now(tau):
@@ -918,7 +916,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             y_c = np.append(d0.y[keep], np.interp(phi_cut, d0.phi, d0.y))
         # the window starts truncated when it ends at phi_cut
         de = _DilatedEngine(d0.tau, phi_c, y_c, cfg.b0 - 3.0 * cfg.a0, cfg.cfl,
-                            policy, phi_c[-1] >= phi_cut - 1e-12, phi_cut=phi_cut,
+                            cfg.grid_n, phi_c[-1] >= phi_cut - 1e-12, phi_cut=phi_cut,
                             outer_bc=outer_bc_now if use_unscaled else None)
 
     primary = ue if use_unscaled else de
@@ -930,17 +928,17 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
 
     def record():
         if use_unscaled:
-            rec, anch = ue.measure(cfg.window_hi, dt_last)
+            rec, anch = ue.measure(dt_last)
             anchors.append(anch)
         else:
-            rec = de.measure(cfg.window_hi, dt_last, T)
+            rec = de.measure(dt_last, T)
         series.append(rec)
         if use_unscaled and use_dilated and de.truncated:
             pu, yu, _ = ue.dilated_view()
             pd = de.phi_nodes()
             m = pd <= 5.0
             diff = np.interp(pd[m], pu, yu) - de.y[m]
-            mw = pd <= cfg.window_hi
+            mw = pd <= _WINDOW_HI
             de_err = float(np.max(np.abs(de.y[mw] - fik_y(pd[mw]))))
             cross.append((rec.tau, float(np.max(np.abs(diff))), de_err))
 
@@ -1015,10 +1013,10 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
         "cross_engine_supdiff_final": (cross[-1][1] if cross else None),
         "lambda0": params.lambda0,
         "tolerances": {
-            "monitor_slack": 1e-8,
+            "monitor_slack": monitor.slack,
             "max_halvings": _MAX_HALVINGS,
-            "barrier_delta": cfg.barrier_delta,
-            "lambda_init": 0.2,
+            "barrier_delta": params.delta,
+            "lambda_init": params.lambda_init,
         },
         "artifacts": [],
     }

@@ -65,16 +65,13 @@ def test_stationary_fik_blowup_constants():
     # stationary run: (T-t) R and (T-t) lambda2 sit at the closed-form values
     # 4 - 2 sqrt2 and 1 - sqrt2 up to stencil error, constant in tau
     import numpy as np
-    from krflow.flow import RemeshPolicy, _DilatedEngine
-    from krflow.grids import window_mesh
+    from krflow.flow import _DilatedEngine, _mesh_for
     from krflow.soliton import fik_y
 
     n = 512
-    delta = window_mesh(49.0, n - 1, 10.0, 3e-4, 3.0,
-                        coeff=lambda d: fik_y(1.0 + d))
-    grid = 1.0 + delta
+    grid = _mesh_for(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, n)
     eng = _DilatedEngine(0.0, grid, fik_y(grid), b3a=0.0, cfl=0.4,
-                         policy=RemeshPolicy(n), truncated=True,
+                         n=n, truncated=True,
                          phi_cut=grid[-1], outer_bc=lambda tau: fik_y(grid[-1]))
     rt2 = np.sqrt(2.0)
     vals = []
@@ -82,7 +79,7 @@ def test_stationary_fik_blowup_constants():
         target = eng.tau + 0.3
         while eng.tau < target:
             eng.step(target - eng.tau)
-        rec = eng.measure(3.0, 1e-4, 1.0)
+        rec = eng.measure(1e-4, 1.0)
         Tt = np.exp(-rec.tau)
         vals.append((Tt * rec.R_sigma0, Tt * rec.lambda2_sigma0))
     for R_hat, l2_hat in vals:

@@ -52,6 +52,25 @@ def test_quick_level_runs_the_documented_criteria():
         assert re.search(r"verify --level quick +# A1-A3, A8, A11, A14 ", fh.read())
 
 
+def test_readme_lists_every_config_key():
+    # the README's config table: one row per FlowConfig field, in field
+    # order, with the field's default as the config parser reads it
+    import os
+    import re
+    from dataclasses import MISSING, fields
+    from krflow.flow import _FIELD_PARSERS, FlowConfig
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", fh.read(), re.M)
+    assert [k for k, _ in rows] == [f.name for f in fields(FlowConfig)]
+    for (key, doc), f in zip(rows, fields(FlowConfig)):
+        if f.default is MISSING:
+            assert doc == "required", key
+        else:
+            text = "" if doc == "empty" else doc.strip("`")
+            assert _FIELD_PARSERS[key](text) == f.default, key
+
+
 @pytest.mark.slow
 def test_evolve_analyze_pipeline(tmp_path, capsys):
     cfgp = tmp_path / "run.cfg"
@@ -97,3 +116,23 @@ def test_analyze_empty_series_exits_3(tmp_path):
     p.write_text("")
     rc = main(["analyze", "--series", str(p), "--report", str(tmp_path / "r.json")])
     assert rc == 3
+
+
+def test_evolve_from_file_without_path_exits_2(tmp_path, capsys):
+    cfgp = tmp_path / "nofile.cfg"
+    cfgp.write_text("a0 = 1.0\nb0 = 10.0\ninitial_kind = from_file\n")
+    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "initial_path" in capsys.readouterr().err
+
+
+def test_evolve_malformed_profile_exits_2(tmp_path, capsys):
+    prof = tmp_path / "bad_profile.csv"
+    prof.write_text("f,u\n1.0,0.0,0.0\n5.5,2.25,0.0\n10.0,0.0,0.0\n")
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text(f"a0 = 1.0\nb0 = 10.0\ninitial_kind = from_file\n"
+                    f"initial_path = {prof}\n")
+    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(prof) in err and "expected two columns" in err

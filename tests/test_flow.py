@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from krflow import analysis
-from krflow.flow import (ConfigError, FlowConfig, FlowSetupError, RemeshPolicy,
+from krflow.flow import (ConfigError, FlowConfig, FlowSetupError,
                          anchor_track, load_config, make_initial,
                          parse_config_text, r_coordinate_reference, remesh,
                          run_flow, step_dilated, step_unscaled, write_artifacts,
@@ -34,10 +34,17 @@ def test_config_validation():
     FlowConfig(a0=1.0, b0=3.0, initial_kind="cao_koiso").validate()
     with pytest.raises(ConfigError):
         FlowConfig(a0=1.0, b0=10.0, cfl=0.9).validate()
-    with pytest.raises(ConfigError):
-        FlowConfig(a0=1.0, b0=10.0, barrier_delta=1e-5).validate()
+    for key in ("grading", "barrier_delta", "perturbation_eps", "anchor_f_ref",
+                "window_hi", "lambda0_floor", "inner_res"):
+        with pytest.raises(ConfigError, match=f"unknown config key: '{key}'"):
+            parse_config_text(f"a0 = 1\nb0 = 10\n{key} = 1e-7")
     with pytest.raises(ConfigError):
         FlowConfig(a0=1.0, b0=10.0, grid_n=64).validate()
+    # snapshots must lie in (tau0, stop_tau] = (-log a0, stop_tau]
+    FlowConfig(a0=1.0, b0=10.0, stop_tau=0.05, snap_taus=(0.02, 0.05)).validate()
+    for snaps in ((0.02, 3.0), (-1.0,), (0.0,)):
+        with pytest.raises(ConfigError, match="snap_taus"):
+            FlowConfig(a0=1.0, b0=10.0, stop_tau=0.05, snap_taus=snaps).validate()
 
 
 def test_config_file_parsing(tmp_path):
@@ -174,8 +181,7 @@ def test_step_dilated_sandwich_preserved():
 
 def test_remesh_contracts():
     st = make_initial(small_cfg(grid_n=256))
-    pol = RemeshPolicy(n=512)
-    st2, err = remesh(st, pol)
+    st2, err = remesh(st, 512)
     assert st2.profile.n == 512
     assert st2.profile.u[0] == 0.0 and st2.profile.u[-1] == 0.0
     assert err < 1e-4
@@ -192,7 +198,7 @@ def test_remesh_contracts():
 def test_remesh_dilated_state():
     phi = np.linspace(1.0, 20.0, 300)
     d = DilatedState(0.0, phi, fik_y(phi), truncated=True)
-    d2, err = remesh(d, RemeshPolicy(n=400))
+    d2, err = remesh(d, 400)
     assert d2.phi.size == 400
     assert d2.y[0] == 0.0
     assert err < 1e-4
@@ -227,8 +233,7 @@ def _reference_rhs(eng, u, t):
 
 
 def _unscaled_engine(cfg):
-    return _UnscaledEngine(make_initial(cfg), cfg.a0, cfg.b0, cfg.cfl,
-                           RemeshPolicy(n=cfg.grid_n))
+    return _UnscaledEngine(make_initial(cfg), cfg.a0, cfg.b0, cfg.cfl, cfg.grid_n)
 
 
 def test_unscaled_rhs_and_anchor_rate_match_reference_bit_for_bit():
@@ -282,16 +287,16 @@ def _reference_dilated_rhs(eng, y, tau):
 def test_dilated_rhs_matches_reference_bit_for_bit(truncated):
     cfg = small_cfg()
     d = analysis.dilate(make_initial(cfg))
-    pol = RemeshPolicy(n=cfg.grid_n)
+    n = cfg.grid_n
     if truncated:
         keep = d.phi < 20.0
         phi = np.append(d.phi[keep], 20.0)
         y = np.append(d.y[keep], np.interp(20.0, d.phi, d.y))
-        eng = _DilatedEngine(d.tau, phi, y, 0.0, cfg.cfl, pol, True, phi_cut=20.0,
+        eng = _DilatedEngine(d.tau, phi, y, 0.0, cfg.cfl, n, True, phi_cut=20.0,
                              outer_bc=lambda tau: float(y[-1]))
     else:
         eng = _DilatedEngine(d.tau, d.phi, d.y, cfg.b0 - 3.0 * cfg.a0, cfg.cfl,
-                             pol, False)
+                             n, False)
     for _ in range(30):
         eng.step(1.0)
     eng.remesh()

@@ -55,6 +55,11 @@ def test_run_artifacts_match_golden_files(name, tmp_path):
             got.pop("wall_time_s")
             want.pop("wall_time_s")
         assert got == want, fname
+    # the config echo, lists read back as tuples, rebuilds the run's config
+    with open(os.path.join(tmp_path, "manifest.json")) as fh:
+        echo = json.load(fh)["config"]
+    echo = {k: tuple(v) if isinstance(v, list) else v for k, v in echo.items()}
+    assert FlowConfig(**echo) == FlowConfig(**BASE, **RUNS[name])
 
 
 if __name__ == "__main__":
