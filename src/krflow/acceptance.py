@@ -31,8 +31,6 @@ from .soliton import (SQRT2, closed_form_weight_integral, fik_y, fik_y_derivs,
 __all__ = ["AcceptanceContext", "CriterionResult", "Check", "CRITERIA",
            "run_acceptance", "format_results", "QUICK_IDS"]
 
-RT2 = SQRT2
-
 
 @dataclass(frozen=True)
 class Check:
@@ -113,7 +111,7 @@ def _result(cid, label, checks, seconds):
 def crit_a1(ctx):
     t0 = time.perf_counter()
     c = find_fik_constant()
-    dev = abs(c - RT2)
+    dev = abs(c - SQRT2)
     worst = max(abs(weight_integral(cc) - closed_form_weight_integral(cc))
                 for cc in (0.5, 1.0, 2.0))
     dt = time.perf_counter() - t0
@@ -203,7 +201,7 @@ def crit_a6(ctx):
     arts, _ = ctx.canonical()
     r = arts.record_at_tau(6.0)
     val = np.exp(-r.tau) * r.R_sigma0
-    target = 4.0 - 2.0 * RT2
+    target = 4.0 - 2.0 * SQRT2
     dev = abs(val / target - 1.0)
     return _result("A6", "scalar blow-up constant", [
         Check("(T-t) R at the section, tau=6", val,
@@ -216,7 +214,7 @@ def crit_a7(ctx):
     arts, _ = ctx.canonical()
     r = arts.record_at_tau(6.0)
     val = np.exp(-r.tau) * r.lambda2_sigma0
-    target = 1.0 - RT2
+    target = 1.0 - SQRT2
     dev = abs(val / target - 1.0)
     tail = [rec for rec in arts.series if rec.tau >= 3.0]
     neg = all(rec.lambda2_sigma0 < 0 for rec in tail)
@@ -231,12 +229,12 @@ def crit_a8(ctx):
     t0 = time.perf_counter()
     phi = np.geomspace(1.0, 1e4, 100)
     taus = np.linspace(0.0, 60.0, 100)
-    delta = 1e-7
+    p = BarrierParams()
     sub_max = -np.inf
     sup_min = np.inf
     for tau in taus:
-        lam = 0.2 * np.exp(-delta * tau)
-        sub_max = max(sub_max, float(np.max(barrier_residual_sub(phi, lam, delta))))
+        lam = p.lambda_init * np.exp(-p.delta * tau)
+        sub_max = max(sub_max, float(np.max(barrier_residual_sub(phi, lam, p.delta))))
         for lam0 in (1e-3, 0.011, 1.0):
             lam_s = lam0 * np.exp(-0.5 * tau)
             sup_min = min(sup_min, float(np.min(barrier_residual_sup(phi, lam_s))))
@@ -253,7 +251,7 @@ def crit_a9(ctx):
     t0 = time.perf_counter()
     arts, _ = ctx.canonical()
     rep = analysis.blowup_rates(arts.series, window=(5.0, 6.5))
-    target = RT2 - 1.0
+    target = SQRT2 - 1.0
     recs = [r for r in arts.series if 5.0 <= r.tau <= 6.5]
     inst = float(np.mean([-np.exp(-r.tau) * r.lambda2_sigma0 for r in recs]))
     dev = abs(rep.gauge_slope / target - 1.0)
@@ -304,7 +302,7 @@ def crit_a11(ctx):
 def crit_a12(ctx):
     t0 = time.perf_counter()
     arts, _ = ctx.canonical()
-    rep = analysis.type_one_monitor(arts.series, window=1.0)
+    rep = analysis.type_one_monitor(arts.series)
     return _result("A12", "type-I boundedness of reduced |Rm|", [
         Check("running-max growth over last tau unit", rep.growth,
               "< 1.10", rep.growth < 1.10),
@@ -340,7 +338,7 @@ def crit_a14(ctx):
         yps.append(np.interp(grid, dil.phi, dil.y))
     taus = np.array(taus)
     yps = np.array(yps)
-    params = BarrierParams(delta=1e-7, lambda0=1.0)
+    params = BarrierParams(lambda0=1.0)
     yms = np.array([barrier_y1(grid, t, params) for t in taus])
     c_bound = 10.0
     v_ok = comparison_check(taus, grid, yms, yps, c_bound)

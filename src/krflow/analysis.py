@@ -17,12 +17,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
+from .geometry import write_rows
 from .grids import derivatives
 from .soliton import fik_y_derivs
-from .states import AnchorSample, DilatedState, FlowState, SeriesRecord, SERIES_FIELDS
+from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
 __all__ = [
     "AnalysisError", "RatesReport", "TypeOneReport", "dilate",
@@ -145,12 +147,12 @@ class TypeOneReport:
     verdict: str
 
 
-def type_one_monitor(obj, window=1.0) -> TypeOneReport:
+def type_one_monitor(obj) -> TypeOneReport:
     """Reduced-|Rm| boundedness check.
 
     For a dilated state: the max of the three reduced magnitudes over the
     grid.  For a series: verdict 'bounded' if the running max over the last
-    window of tau grew by under 10%.
+    unit of tau grew by under 10%.
     """
     if isinstance(obj, DilatedState):
         from .geometry import riemann_components
@@ -162,7 +164,7 @@ def type_one_monitor(obj, window=1.0) -> TypeOneReport:
     rm = np.array([r.max_rm for r in series])
     runmax = np.maximum.accumulate(rm)
     end = taus[-1]
-    k = int(np.searchsorted(taus, end - window))
+    k = int(np.searchsorted(taus, end - 1.0))
     k = min(max(k, 0), len(series) - 2)
     growth = float(runmax[-1] / runmax[k]) if runmax[k] > 0 else np.inf
     verdict = "bounded" if growth < 1.10 else "growing"
@@ -194,51 +196,40 @@ def sigma2_crosscheck(series, anchor, tau_range=(2.0, 6.0)) -> float:
 # CSV / report files
 # ---------------------------------------------------------------------------
 
-_FMT = "%.17g"
-
-
-def _write_records(records, names, path):
+def _write_records(records, cls, path):
     """CSV of dataclass records: the integer step, then %.17g floats."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for r in records:
-            row = [getattr(r, k) for k in names]
-            w.writerow([str(row[0])] + [_FMT % v for v in row[1:]])
+    names = [f.name for f in fields(cls)]
+    write_rows(path, names, "%d" + ",%.17g" * (len(names) - 1),
+               map(attrgetter(*names), records))
+
+
+def _read_records(path, cls):
+    """Records written by _write_records; the header must name cls's fields."""
+    names = [f.name for f in fields(cls)]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or [h.strip() for h in rows[0]] != names:
+        raise AnalysisError(f"{path}: missing or wrong {cls.__name__} header")
+    return [cls(int(row[0]), *map(float, row[1:])) for row in rows[1:] if row]
 
 
 def write_series_csv(series, path):
-    _write_records(series, SERIES_FIELDS, path)
+    _write_records(series, SeriesRecord, path)
 
 
 def read_series_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [h.strip() for h in rows[0]] != SERIES_FIELDS:
-        raise AnalysisError(f"{path}: missing or wrong series header")
-    out = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        vals = [int(row[0])] + [float(v) for v in row[1:]]
-        out.append(SeriesRecord(*vals))
+    out = _read_records(path, SeriesRecord)
     if not out:
         raise AnalysisError(f"{path}: empty series")
     return out
 
 
 def write_anchor_csv(anchor, path):
-    _write_records(anchor, [f.name for f in fields(AnchorSample)], path)
+    _write_records(anchor, AnchorSample, path)
 
 
 def read_anchor_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    out = []
-    for row in rows[1:]:
-        if row:
-            out.append(AnchorSample(int(row[0]), *[float(v) for v in row[1:]]))
-    return out
+    return _read_records(path, AnchorSample)
 
 
 def write_report(report: RatesReport, path):

@@ -25,11 +25,12 @@ Together they sandwich any class-C solution and squeeze it to Y.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
+from .geometry import write_rows
 from .grids import derivatives
 from .soliton import SQRT2, fik_y, fik_y_derivs
 
@@ -140,10 +141,10 @@ def barrier_residual_sub_split(phi, lam, delta):
             - bilinear_part(phi, y, y_p, y_pp, s, s_p, s_pp))
 
 
-def fit_lambda0(d, floor=1e-3, safety=1.1) -> float:
-    """Smallest amplitude (times a safety factor) with Y + lambda0 phi^2 > y."""
+def fit_lambda0(d) -> float:
+    """Smallest amplitude with Y + lambda0 phi^2 > y, times 1.1, at least 1e-3."""
     excess = np.max((d.y - fik_y(d.phi)) / d.phi ** 2)
-    return float(max(floor, safety * excess))
+    return float(max(1e-3, 1.1 * excess))
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +168,11 @@ class SandwichMonitor:
     data, not errors: they are logged and the run continues.
     """
 
-    def __init__(self, params: BarrierParams, tau0: float, slack: float = 1e-8):
+    slack = 1e-8      # tolerance of both checks
+
+    def __init__(self, params: BarrierParams, tau0: float):
         self.params = params
         self.tau0 = float(tau0)
-        self.slack = float(slack)
         self.violations: list[ViolationRecord] = []
         self._buf = None
 
@@ -226,12 +228,9 @@ class SandwichMonitor:
 
 
 def write_violation_csv(violations, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "tau", "node_phi", "kind", "deficit"])
-        for v in violations:
-            w.writerow([v.step, "%.17g" % v.tau, "%.17g" % v.node_phi,
-                        v.kind, "%.17g" % v.deficit])
+    names = ["step", "tau", "node_phi", "kind", "deficit"]
+    write_rows(path, names, "%d,%.17g,%.17g,%s,%.17g",
+               map(attrgetter(*names), violations))
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,9 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from . import analysis
 from .barriers import (BarrierParams, SandwichMonitor, class_c_check,
                        fit_lambda0, full_operator, write_violation_csv)
-from .geometry import (KahlerClass, LogProfile, RadialProfile,
-                       endpoint_second_derivative, read_profile_csv,
-                       reduced_rm, to_radial, validate_profile,
-                       write_profile_csv)
-from .grids import (affine_interp, apply_weights, cumint_inverse_linear,
+from .geometry import (LogProfile, RadialProfile, read_profile_csv, reduced_rm,
+                       to_radial, validate_profile, write_profile_csv)
+from .grids import (affine_interp, apply_weights, check_grid, cumint_inverse_linear,
                     derivatives, hermite_boundary, hermite_cubic_coeffs,
                     interior_weights, onesided_weights, window_mesh)
 from .soliton import cao_koiso_profile, fik_y, fik_y_derivs
@@ -105,10 +103,6 @@ class FlowConfig:
     snap_taus: tuple = ()
     phi_cut: float = 50.0
     max_steps: int = 5_000_000
-
-    @property
-    def kahler_class(self) -> KahlerClass:
-        return KahlerClass(self.a0, self.b0)
 
     def validate(self):
         errs = []
@@ -306,11 +300,13 @@ def make_initial(cfg: FlowConfig) -> FlowState:
     else:
         try:
             prof = read_profile_csv(cfg.initial_path)
+            if isinstance(prof, LogProfile):
+                prof = to_radial(prof)
+            check_grid(prof.f)
+            np.asarray_chkfinite(prof.u)
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read initial profile {cfg.initial_path!r}: "
                               f"{e}") from None
-        if isinstance(prof, LogProfile):
-            prof = to_radial(prof)
         scale = np.max(prof.u)
         if (abs(prof.a - a0) > 1e-8 * max(1.0, a0) or
                 abs(prof.b - b0) > 1e-8 * max(1.0, b0)):
@@ -341,6 +337,7 @@ def make_initial(cfg: FlowConfig) -> FlowState:
 # ---------------------------------------------------------------------------
 
 _MAX_HALVINGS = 45
+_MAX_SUBSTEPS = 100_000  # steps advance_to may take to reach its target
 _MONITOR_BLOCK = 8192    # values per sandwich-monitor block (64 kB)
 _WINDOW_HI = 3.0         # y is compared with Y on the window 1 <= phi <= 3
 
@@ -458,8 +455,8 @@ class _Engine:
         self.t += dt
         self.step_count += 1
 
-    def advance_to(self, t_target, max_substeps=100000):
-        for _ in range(max_substeps):
+    def advance_to(self, t_target):
+        for _ in range(_MAX_SUBSTEPS):
             gap = t_target - self.t
             if gap <= 1e-14:
                 return
@@ -504,9 +501,9 @@ class _UnscaledEngine(_Engine):
         self.T = state.T
         self.anchor_r = state.anchor_r
         self.anchor_f = state.anchor_f
-        a, b = a0 - state.t, b0 - 3.0 * state.t
+        a, _, D = self.domain(state.t)
         super().__init__(state.t, state.step, cfl, n,
-                         (state.profile.f - a) / (b - a), state.profile.u.copy())
+                         (state.profile.f - a) / D, state.profile.u.copy())
 
     def _set_mesh(self, xi, u):
         super()._set_mesh(xi, u)
@@ -608,16 +605,11 @@ class _UnscaledEngine(_Engine):
                          t=self.t, T=self.T, anchor_r=self.anchor_r,
                          anchor_f=self.anchor_f, step=self.step_count)
 
-    def dilated_view(self):
-        phi, y = self.dilated_rows([self.t], [self.u])
-        return phi[0], y[0], -np.log(self.T - self.t)
-
     def dilated_rows(self, ts, us):
-        """(phi, y) = (f, u) / (T - t) at each time in ts for the matching
-        profile in us, all on the current mesh, one row per time."""
+        """analysis.dilate as a block: (phi, y) = (f, u) / (T - t) at each time
+        in ts for the matching profile in us, on the current mesh, one row each."""
         t = np.array(ts)
-        a = self.a0 - t
-        D = (self.b0 - 3.0 * t) - a
+        a, _, D = self.domain(t)
         Tt = (self.T - t)[:, None]
         phi = a[:, None] + self.xi * D[:, None]
         phi /= Tt
@@ -629,7 +621,8 @@ class _UnscaledEngine(_Engine):
         tau = -np.log(Tt)
         f = self.f_nodes()
         uf, uff = self._derivs(self.u, D)
-        uffa = endpoint_second_derivative(f, self.u, "left", 1.0)
+        uffa = hermite_boundary(f[1] - f[0], f[2] - f[0], self.u[0], 1.0,
+                                self.u[1], self.u[2])[2]
         lam2 = -1.0 / a - uffa
         R0 = 2.0 * (1.0 / a + lam2)
         # the dilated view: phi = f / Tt, y = u / Tt, y_p = u_f, y_pp = Tt u_ff
@@ -669,7 +662,7 @@ class _DilatedEngine(_Engine):
     Phi_out follows the true outer boundary Phi_max(tau) = b3a e^tau + 3 until
     a remesh finds it past phi_cut; from then on (or from the start, for a
     truncated window) the window is static and the outer node carries the
-    Dirichlet value outer_bc(tau), or keeps its value without outer_bc.
+    Dirichlet value outer_bc(tau); a window that can truncate needs outer_bc.
     """
 
     def __init__(self, tau, phi, y, b3a, cfl, n, truncated,
@@ -701,7 +694,7 @@ class _DilatedEngine(_Engine):
     nodes = phi_nodes
 
     def _outer_value(self, tau):
-        return float(self.outer_bc(tau) if self.outer_bc is not None else self.u[-1])
+        return float(self.outer_bc(tau))
 
     def rhs(self, y, tau, slot=0):
         """(F, y_p, y_pp) at dilated time tau, laid out as the unscaled rhs;
@@ -739,7 +732,8 @@ class _DilatedEngine(_Engine):
         phi = self.phi_nodes()
         Tt = np.exp(-self.t)
         yp, ypp = self._derivs(self.u, self.phi_outer() - 1.0)
-        ypp1 = endpoint_second_derivative(phi, self.u, "left", 1.0)
+        ypp1 = hermite_boundary(phi[1] - phi[0], phi[2] - phi[0], self.u[0], 1.0,
+                                self.u[1], self.u[2])[2]
         lam2 = (-1.0 - ypp1) / Tt
         R0 = -2.0 * ypp1 / Tt
         sup0, sup1, max_rm = self._fik_window(phi, self.u, yp, ypp)
@@ -777,34 +771,33 @@ def step_unscaled(s: FlowState, dt: float) -> FlowState:
     return eng.state()
 
 
-def step_dilated(s: DilatedState, dtau: float, outer_bc: str = "pinned_exact",
-                 outer_value=None) -> DilatedState:
-    """One explicit midpoint step of the dilated equation.
+def _dilated_engine_on(s: DilatedState, n, outer_bc=None):
+    """Dilated engine on a bare state, as _engine_on.  A state flagged
+    truncated, ending at y != 0 or given outer_bc keeps a static window, its
+    outer value held or taken from outer_bc; any other window follows Phi_max."""
+    if s.truncated or s.y[-1] != 0.0 or outer_bc is not None:
+        bc = outer_bc if outer_bc is not None else (lambda tau, v=float(s.y[-1]): v)
+        return _DilatedEngine(s.tau, s.phi, s.y, 0.0, FlowConfig.cfl, n, True,
+                              phi_cut=s.phi_max, outer_bc=bc)
+    b3a = (s.phi_max - 3.0) * np.exp(-s.tau)     # Phi_max = b3a e^tau + 3
+    return _DilatedEngine(s.tau, s.phi, s.y, b3a, FlowConfig.cfl, n, False)
 
-    outer_bc = 'pinned_exact': full domains keep y = 0 at the true moving
-    Phi_max; truncated windows hold the exact stationary value they were
-    seeded with.  outer_bc = 'from_unscaled': a truncated window takes the
-    supplied outer_value (float, or callable of tau) sampled from an
-    unscaled solution.
+
+def step_dilated(s: DilatedState, dtau: float, outer_value=None) -> DilatedState:
+    """Advance the dilated equation by dtau in explicit midpoint steps.
+
+    A full domain keeps y = 0 at the true moving Phi_max.  A truncated window
+    (flagged, or ending at y != 0) holds the outer value it was given, or,
+    with outer_value (a float, or a callable of tau, e.g. sampled from an
+    unscaled solution), takes that value as its outer Dirichlet data.
     """
     if dtau < 0:
         raise ValueError("dtau must be >= 0")
-    if outer_bc not in ("pinned_exact", "from_unscaled"):
-        raise ValueError("outer_bc must be 'pinned_exact' or 'from_unscaled'")
     if dtau == 0.0:
         return s
-    truncated = s.truncated or s.y[-1] != 0.0
-    if outer_bc == "from_unscaled":
-        if outer_value is None:
-            raise ValueError("from_unscaled needs outer_value")
-        bc = outer_value if callable(outer_value) else (lambda tau: float(outer_value))
-        truncated = True
-    else:
-        bc = (lambda tau, v=float(s.y[-1]): v) if truncated else None
-    b3a = (s.phi_max - 3.0) * np.exp(-s.tau) if not truncated else 0.0
-    eng = _DilatedEngine(s.tau, s.phi, s.y, b3a, FlowConfig.cfl, s.phi.size,
-                         truncated, phi_cut=s.phi_max if truncated else np.inf,
-                         outer_bc=bc)
+    if outer_value is not None and not callable(outer_value):
+        outer_value = (lambda tau, v=float(outer_value): v)
+    eng = _dilated_engine_on(s, s.phi.size, outer_value)
     eng.advance_to(s.tau + dtau)
     return eng.state()
 
@@ -814,15 +807,15 @@ def remesh(s, n):
     resample the state.
 
     Endpoint values (and, through the engines' stencils, the endpoint slopes)
-    are re-imposed exactly; returns (state, interpolation_error_estimate),
-    the estimate being the largest change of the old values when the new
-    profile is interpolated back onto the old nodes.
+    are re-imposed exactly, a truncated window's outer value as step_dilated
+    holds it; returns (state, interpolation_error_estimate), the estimate
+    being the largest change of the old values when the new profile is
+    interpolated back onto the old nodes.
     """
     if isinstance(s, FlowState):
         eng = _engine_on(s, n)
     elif isinstance(s, DilatedState):
-        b3a = 0.0 if s.truncated else (s.phi_max - 3.0) * np.exp(-s.tau)
-        eng = _DilatedEngine(s.tau, s.phi, s.y, b3a, FlowConfig.cfl, n, s.truncated)
+        eng = _dilated_engine_on(s, n)
     else:
         raise TypeError("remesh expects FlowState or DilatedState")
     x_old, u_old = eng.nodes(), eng.u
@@ -934,10 +927,10 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             rec = de.measure(dt_last, T)
         series.append(rec)
         if use_unscaled and use_dilated and de.truncated:
-            pu, yu, _ = ue.dilated_view()
+            du = analysis.dilate(ue.state())
             pd = de.phi_nodes()
             m = pd <= 5.0
-            diff = np.interp(pd[m], pu, yu) - de.y[m]
+            diff = np.interp(pd[m], du.phi, du.y) - de.y[m]
             mw = pd <= _WINDOW_HI
             de_err = float(np.max(np.abs(de.y[mw] - fik_y(pd[mw]))))
             cross.append((rec.tau, float(np.max(np.abs(diff))), de_err))
@@ -945,8 +938,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     def snapshot(label):
         if use_unscaled:
             st = ue.state()
-            phi, y, tau = ue.dilated_view()
-            snaps[label] = (st.profile, DilatedState(tau, phi, y))
+            snaps[label] = (st.profile, analysis.dilate(st))
         else:
             st = de.state()
             Tt = np.exp(-st.tau)
@@ -1051,8 +1043,7 @@ def write_artifacts(arts: RunArtifacts, out_dir) -> dict:
 # r-coordinate reference engine (validation of the imposed boundary motion)
 # ---------------------------------------------------------------------------
 
-def r_coordinate_reference(profile: RadialProfile, T, t_end,
-                           r_min=-11.0, r_max=10.0, n=1000, cfl=0.4):
+def r_coordinate_reference(profile: RadialProfile, T, t_end):
     """Integrate phi_t = phi_rr/phi_r + phi_r/phi - 2 on a truncated r-window.
 
     Boundary closure: the asymptotic Robin conditions d_r log phi_r = +1 at
@@ -1064,6 +1055,7 @@ def r_coordinate_reference(profile: RadialProfile, T, t_end,
 
     Returns a dict with recovered and exact endpoint values at t_end.
     """
+    r_min, r_max, n, cfl = -11.0, 10.0, 1000, 0.4
     # chart r(f) anchored mid-domain, from the exact 1/u integral
     a0, b0 = profile.f[0], profile.f[-1]
     f_int, u_int = profile.f[1:-1], profile.u[1:-1]

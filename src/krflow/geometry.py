@@ -25,15 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (GridError, check_grid, cumint_inverse_linear, derivatives,
-                    hermite_boundary)
+from .grids import GridError, check_grid, cumint_inverse_linear, derivatives
 
 __all__ = [
     "KahlerClass", "LogProfile", "RadialProfile", "CalabiAsymptotics",
     "CurvatureReport", "RiemannBound", "ValidationReport", "Violation",
     "DegenerateProfileError", "validate_profile", "to_radial", "to_log",
     "curvature", "asymptotic_eigenvalues", "riemann_components", "reduced_rm",
-    "write_profile_csv", "read_profile_csv", "write_curvature_csv",
+    "write_rows", "write_profile_csv", "read_profile_csv", "write_curvature_csv",
 ]
 
 
@@ -345,21 +344,17 @@ def riemann_components(obj) -> RiemannBound:
     return RiemannBound(rm1, rm2, rm3, float(np.max(np.maximum(rm1, np.maximum(rm2, rm3)))))
 
 
-def endpoint_second_derivative(f, u, side, slope):
-    """u_ff at an endpoint from the Hermite cubic through the exact boundary
-    data (u = 0, u_f = slope) and the two adjacent node values."""
-    if side == "left":
-        d1, d2 = f[1] - f[0], f[2] - f[0]
-        return hermite_boundary(d1, d2, u[0], slope, u[1], u[2])[2]
-    d1, d2 = f[-2] - f[-1], f[-3] - f[-1]
-    return hermite_boundary(d1, d2, u[-1], slope, u[-2], u[-3])[2]
-
-
 # ---------------------------------------------------------------------------
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-_FMT = "%.17g"
+def write_rows(path, header, fmt, rows):
+    """CSV file of the header and one line fmt % row per row (a tuple), each
+    ended by \\r\\n as csv.writer ends it.  Every krflow CSV is written here,
+    floats as %.17g, which reads back to the same double."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(fmt % row + "\r\n" for row in rows)
 
 
 def write_profile_csv(p, path):
@@ -370,11 +365,7 @@ def write_profile_csv(p, path):
         header, cols = ["r", "phi"], (p.r, p.phi)
     else:
         raise TypeError("expected RadialProfile or LogProfile")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for a, b in zip(*cols):
-            w.writerow([_FMT % a, _FMT % b])
+    write_rows(path, header, "%.17g,%.17g", zip(*cols))
 
 
 def read_profile_csv(path):
@@ -395,10 +386,7 @@ def read_profile_csv(path):
 
 
 def write_curvature_csv(report: CurvatureReport, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["f", "psi", "lambda1", "lambda2", "R", "rm1", "rm2", "rm3"])
-        cols = (report.f, report.psi, report.lambda1, report.lambda2,
-                report.scalar, report.rm1, report.rm2, report.rm3)
-        for row in zip(*cols):
-            w.writerow([_FMT % v for v in row])
+    cols = (report.f, report.psi, report.lambda1, report.lambda2,
+            report.scalar, report.rm1, report.rm2, report.rm3)
+    write_rows(path, ["f", "psi", "lambda1", "lambda2", "R", "rm1", "rm2", "rm3"],
+               ",".join(["%.17g"] * len(cols)), zip(*cols))

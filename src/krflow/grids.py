@@ -56,11 +56,11 @@ def interior_weights(x):
 def apply_weights(W, u, out=None, tmp=None):
     """Apply 3-point weights (shape (3, n-2)) to u, returning values at 1..n-2.
 
-    With out and tmp (arrays of size n-2) the sum is built in place, term by
-    term in the same order, so the result is the same to the last bit.
+    The sum W[0] u[:-2] + W[1] u[1:-1] + W[2] u[2:] is built term by term in
+    out, with tmp as scratch (arrays of size n-2, allocated when not given).
     """
     if out is None:
-        return W[0] * u[:-2] + W[1] * u[1:-1] + W[2] * u[2:]
+        out, tmp = np.empty_like(W[0]), np.empty_like(W[0])
     np.multiply(W[0], u[:-2], out=out)
     np.multiply(W[1], u[1:-1], out=tmp)
     out += tmp
@@ -221,7 +221,7 @@ def cumint_inverse_linear(x, u):
 # adapted meshes
 # ---------------------------------------------------------------------------
 
-def equidistributed_nodes(width, n, h_floor, coeff=None, probe=2000):
+def equidistributed_nodes(width, n, h_floor, coeff=None):
     """Nodes 0 = d_0 < ... < d_n = width with spacing ~ max(h_floor, sqrt(lam*c(d))).
 
     c(d) is the local diffusion coefficient (defaults to c(d) = d, the
@@ -237,8 +237,8 @@ def equidistributed_nodes(width, n, h_floor, coeff=None, probe=2000):
         return np.linspace(0.0, width, n + 1)
     if coeff is None:
         coeff = lambda d: d
-    # probe grid resolving both (possibly degenerate) ends
-    g = np.geomspace(max(width * 1e-12, h_floor * 1e-3), 0.5 * width, probe // 2)
+    # probe grid resolving both (possibly degenerate) ends, 1000 points each
+    g = np.geomspace(max(width * 1e-12, h_floor * 1e-3), 0.5 * width, 1000)
     d = np.unique(np.concatenate(([0.0, width], g, width - g)))
     c = np.clip(np.asarray(coeff(d), dtype=float), 0.0, None)
 

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 SQRT2 = float(np.sqrt(2.0))
+_EPSABS = 1e-13                  # absolute tolerance of every adaptive quadrature
+_SHOOT_WINDOW = (-12.0, 8.0)     # r-range of every shot
 
 
 class SolitonPositivityError(RuntimeError):
@@ -64,11 +66,11 @@ class SolitonSpec:
         if self.C <= 0:
             raise ValueError("C must be positive")
 
-    def canonical(self, tol=1e-9) -> bool:
+    def canonical(self) -> bool:
         """True if C satisfies the constraint of the named family."""
         if self.base == "M":
             return 0.5 < self.C < 1.0
-        return abs(self.C - SQRT2) <= tol
+        return abs(self.C - SQRT2) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,15 +98,13 @@ def fik_y(phi):
 
 def fik_y_derivs(phi):
     """(Y, Y_phi, Y_phiphi) in closed form."""
+    y = fik_y(phi)
     phi = np.asarray(phi, dtype=float)
-    if np.any(phi < 1.0 - 1e-12):
-        raise ValueError("fik_y_derivs is defined for phi >= 1")
-    y = (phi * (phi - 2.0) + SQRT2 * (phi - 1.0) + 1.0) / (SQRT2 * phi)
     yp = (phi * phi + SQRT2 - 1.0) / (SQRT2 * phi * phi)
     ypp = (SQRT2 - 2.0) / phi ** 3
-    if y.ndim:
+    if phi.ndim:
         return y, yp, ypp
-    return float(y), float(yp), float(ypp)
+    return y, float(yp), float(ypp)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +115,9 @@ def _weight(s, C):
     return (2.0 - s) * s * np.exp(-C * s)
 
 
-def weight_integral(C, upper=np.inf, epsabs=1e-13):
+def weight_integral(C, upper=np.inf):
     """Adaptive quadrature of int_1^upper (2-s) s e^{-Cs} ds."""
-    val, _ = quad(_weight, 1.0, upper, args=(C,), epsabs=epsabs, epsrel=1e-12, limit=200)
+    val, _ = quad(_weight, 1.0, upper, args=(C,), epsabs=_EPSABS, epsrel=1e-12, limit=200)
     return val
 
 
@@ -153,7 +153,7 @@ def _weight_root(lo, hi, upper=np.inf):
     c = _bisect_root(g, lo, hi, 1e-12)
     for _ in range(3):
         val = g(c)
-        dg, _ = quad(lambda s: -s * _weight(s, c), 1.0, upper, epsabs=1e-13, limit=200)
+        dg, _ = quad(lambda s: -s * _weight(s, c), 1.0, upper, epsabs=_EPSABS, limit=200)
         if dg == 0.0:
             break
         c -= val / dg
@@ -223,6 +223,15 @@ def _tail_integral_on_grid(f, C):
     return rev[:len(f)]
 
 
+def _noncompact_profile(C, f_end, n) -> SolitonProfile:
+    """The decaying solution u = -e^{Cf} T(f) / f on n nodes of [1, f_end],
+    T the tail integral; u(1) = 0 holds at a root C of the full integral."""
+    f = np.linspace(1.0, float(f_end), n)
+    u = -np.exp(C * f) * _tail_integral_on_grid(f, C) / f
+    u[0] = 0.0
+    return SolitonProfile(SolitonSpec(C, "L"), RadialProfile(f, u))
+
+
 def soliton_quadrature(C, f_end, n) -> SolitonProfile:
     """Integrating-factor solution u(1) = 0 on [1, f_end] with n nodes.
 
@@ -245,28 +254,21 @@ def soliton_quadrature(C, f_end, n) -> SolitonProfile:
             raise SolitonConstructionError(
                 f"no admissible profile with u(1)=0 for C={C:.12g}: "
                 f"int_1^inf (2-s)s e^(-Cs) ds = {i_inf:+.3e}, so u grows like e^(Cf)/f")
-        fe = 50.0 if unbounded else float(f_end)
-        f = np.linspace(1.0, fe, n)
-        tail = _tail_integral_on_grid(f, C)
-        u = -np.exp(C * f) * tail / f
-        u[0] = 0.0
-        base = "L"
-    else:
-        f = np.linspace(1.0, float(f_end), n)
-        cum = cumulative_gl5(lambda s: _weight(s, C), f)
-        scale = np.max(np.abs(cum))
-        neg = cum < -1e-10 * scale
-        if np.any(neg[1:]):
-            k = 1 + int(np.argmax(neg[1:]))
-            f_lost = float(np.interp(0.0, [cum[k], cum[k - 1]], [f[k], f[k - 1]]))
-            raise SolitonPositivityError(f"loses positivity at f = {f_lost:.8g}")
-        u = np.exp(C * f) * cum / f
-        u[0] = 0.0
-        if abs(cum[-1]) <= 1e-10 * scale:
-            u[-1] = 0.0
-            base = "M"
-        else:
-            base = "L"
+        return _noncompact_profile(C, 50.0 if unbounded else f_end, n)
+    f = np.linspace(1.0, float(f_end), n)
+    cum = cumulative_gl5(lambda s: _weight(s, C), f)
+    scale = np.max(np.abs(cum))
+    neg = cum < -1e-10 * scale
+    if np.any(neg[1:]):
+        k = 1 + int(np.argmax(neg[1:]))
+        f_lost = float(np.interp(0.0, [cum[k], cum[k - 1]], [f[k], f[k - 1]]))
+        raise SolitonPositivityError(f"loses positivity at f = {f_lost:.8g}")
+    u = np.exp(C * f) * cum / f
+    u[0] = 0.0
+    base = "L"
+    if abs(cum[-1]) <= 1e-10 * scale:
+        u[-1] = 0.0
+        base = "M"
     return SolitonProfile(SolitonSpec(C, base), RadialProfile(f, u))
 
 
@@ -280,18 +282,14 @@ def fik_profile(n, f_max=50.0) -> SolitonProfile:
     C = _fik_constant_cached()
     if f_max is None:
         return soliton_quadrature(C, None, n)
-    f = np.linspace(1.0, float(f_max), n)
-    tail = _tail_integral_on_grid(f, C)
-    u = -np.exp(C * f) * tail / f
-    u[0] = 0.0
-    return SolitonProfile(SolitonSpec(C, "L"), RadialProfile(f, u))
+    return _noncompact_profile(C, f_max, n)
 
 
 # ---------------------------------------------------------------------------
 # r-coordinate shooting cross-check
 # ---------------------------------------------------------------------------
 
-def _shoot_once(C, a1, r_window, f_cap, max_step=0.05):
+def _shoot_once(C, a1, f_cap):
     """Integrate the second-order r-ODE from a series seed at the left end.
 
     Series: phi = 1 + a1 w + a2 w^2 + a3 w^3 with w = e^r and the coefficients
@@ -300,7 +298,7 @@ def _shoot_once(C, a1, r_window, f_cap, max_step=0.05):
     Returns (r, phi, phi_r, status) where status is 'end', 'overshoot'
     (phi_r hit zero), or 'cap' (phi reached f_cap).
     """
-    r0, r1 = r_window
+    r0, r1 = _SHOOT_WINDOW
     w0 = np.exp(r0)
     a2 = 0.5 * a1 * a1 * (C - 2.0)
     a3 = (a1 ** 3 / 6.0) * ((C - 2.0) ** 2 + 1.0 + 0.5 * (2.0 * C - 3.0) * (C - 2.0))
@@ -322,7 +320,7 @@ def _shoot_once(C, a1, r_window, f_cap, max_step=0.05):
     ev_cap.direction = 1
 
     sol = solve_ivp(rhs, (r0, r1), y0, method="RK45", rtol=1e-12, atol=1e-15,
-                    max_step=max_step, events=(ev_overshoot, ev_cap), dense_output=False)
+                    max_step=0.05, events=(ev_overshoot, ev_cap), dense_output=False)
     status = "end"
     if sol.t_events[0].size:
         status = "overshoot"
@@ -333,7 +331,7 @@ def _shoot_once(C, a1, r_window, f_cap, max_step=0.05):
     return sol.t, sol.y[0], sol.y[1], status
 
 
-def soliton_shoot_r(C, r_window=(-12.0, 8.0), a1_guess=1.0, f_cap=None) -> SolitonProfile:
+def soliton_shoot_r(C, a1_guess=1.0) -> SolitonProfile:
     """Shoot the second-order r-coordinate soliton ODE and return the (f, u) profile.
 
     The seed amplitude a1 is a pure r-translation of the trajectory.  For the
@@ -341,22 +339,21 @@ def soliton_shoot_r(C, r_window=(-12.0, 8.0), a1_guess=1.0, f_cap=None) -> Solit
     (phi_r driven through zero) means the approach to the outer zero fell
     short of the window end, undershoot (phi_r still above threshold at the
     window end) means it should be pushed deeper.  For the noncompact family
-    a1 is used as given with integration capped at f_cap, the range on which
-    double precision still tracks the separatrix to ~1e-6.
+    a1 is used as given with integration capped at phi = 12, the range on
+    which double precision still tracks the separatrix to ~1e-6.
     """
     if not (0.0 < C < 3.0):
         raise ValueError("C must lie in (0, 3)")
     compact = C < 1.2
-    if f_cap is None:
-        f_cap = 3.5 if compact else 12.0
+    f_cap = 3.5 if compact else 12.0
 
     a1 = float(a1_guess)
     if compact:
         # largest seed still inside the expansion's validity at r0
-        x_cap = -r_window[0] - 4.0
+        x_cap = -_SHOOT_WINDOW[0] - 4.0
         q_target = 1e-8
         def too_far(x):
-            r_, _, v_, status = _shoot_once(C, np.exp(x), r_window, f_cap)
+            r_, _, v_, status = _shoot_once(C, np.exp(x), f_cap)
             return status == "overshoot" or v_[-1] < q_target
         lo, hi = None, None
         x = min(np.log(a1), x_cap)
@@ -372,7 +369,7 @@ def soliton_shoot_r(C, r_window=(-12.0, 8.0), a1_guess=1.0, f_cap=None) -> Solit
             if hi is None and x >= x_cap:
                 break
         a1 = np.exp(hi if hi is not None else x)
-    r, phi, phi_r, _ = _shoot_once(C, a1, r_window, f_cap)
+    r, phi, phi_r, _ = _shoot_once(C, a1, f_cap)
 
     keep = phi_r > 1e-13
     r, phi, phi_r = r[keep], phi[keep], phi_r[keep]

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import RadialProfile
 
-__all__ = ["FlowState", "DilatedState", "SeriesRecord", "AnchorSample",
-           "SERIES_FIELDS"]
+__all__ = ["FlowState", "DilatedState", "SeriesRecord", "AnchorSample"]
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,6 @@ class SeriesRecord:
     gauge_C: float
     max_rm: float
     dt: float
-
-
-SERIES_FIELDS = [f.name for f in fields(SeriesRecord)]
 
 
 @dataclass(frozen=True)

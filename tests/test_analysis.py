@@ -182,6 +182,13 @@ def test_read_series_rejects_garbage(tmp_path):
         read_series_csv(p2)
 
 
+def test_read_anchor_rejects_series_file(tmp_path):
+    p = tmp_path / "series.csv"
+    write_series_csv(synthetic_series(n=5), p)
+    with pytest.raises(AnalysisError, match="header"):
+        read_anchor_csv(p)
+
+
 # ---------------------------------------------------------------------------
 # semigroup commutation: dilate(step_unscaled) vs step_dilated
 # ---------------------------------------------------------------------------

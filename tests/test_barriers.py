@@ -185,7 +185,8 @@ def test_sandwich_monitor_flags_constructed_violation(tmp_path):
     assert v.kind == "sub" and v.step == 1 and v.node_phi == phi[k]
     path = tmp_path / "viol.csv"
     write_violation_csv(mon.violations, path)
-    assert path.read_text().splitlines()[0] == "step,tau,node_phi,kind,deficit"
+    assert path.read_bytes() == (b"step,tau,node_phi,kind,deficit\r\n"
+                                 b"1,0,5.5,sub,0.00099998999999988993\r\n")
 
 
 def _reference_violations(params, tau0, slack, step, tau, phi, y):
@@ -205,8 +206,8 @@ def test_sandwich_monitor_matches_barrier_evaluation():
     rng = np.random.default_rng(7)
     params = BarrierParams(delta=3e-7, lambda_init=0.2, lambda0=2e-3)
     tau0, slack = 0.4, 1e-8
-    mon = SandwichMonitor(params, tau0=tau0, slack=slack)
-    block = SandwichMonitor(params, tau0=tau0, slack=slack)
+    mon = SandwichMonitor(params, tau0=tau0)
+    block = SandwichMonitor(params, tau0=tau0)
     expected = []
     for n, rows in ((301, 2), (97, 1), (2048, 3), (501, 40)):
         steps, taus, phis, ys = [], [], [], []

@@ -136,3 +136,19 @@ def test_evolve_malformed_profile_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(prof) in err and "expected two columns" in err
+
+
+@pytest.mark.parametrize("rows, why", [
+    ("1.0,0.0\n5.5,2.25\n4.0,2.0\n10.0,0.0\n", "not strictly increasing"),
+    ("1.0,0.0\n5.5,nan\n10.0,0.0\n", "infs or NaNs"),
+], ids=["f_not_increasing", "u_nan"])
+def test_evolve_invalid_profile_exits_2(tmp_path, capsys, rows, why):
+    prof = tmp_path / "bad_profile.csv"
+    prof.write_text("f,u\n" + rows)
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text(f"a0 = 1.0\nb0 = 10.0\ninitial_kind = from_file\n"
+                    f"initial_path = {prof}\n")
+    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(prof) in err and why in err

@@ -155,7 +155,7 @@ def test_step_dilated_identity_and_stationarity():
                             coeff=lambda d: fik_y(1.0 + d))
     d = DilatedState(0.0, phi, fik_y(phi), truncated=True)
     assert step_dilated(d, 0.0) is d
-    d2 = step_dilated(d, 0.05, outer_bc="pinned_exact")
+    d2 = step_dilated(d, 0.05)
     assert d2.tau == pytest.approx(0.05)
     assert np.max(np.abs(d2.y - fik_y(d2.phi))) < 5e-5
 
@@ -202,6 +202,17 @@ def test_remesh_dilated_state():
     assert d2.phi.size == 400
     assert d2.y[0] == 0.0
     assert err < 1e-4
+
+
+def test_remesh_holds_outer_value_of_unflagged_cut_state():
+    # a window cut at y != 0 is truncated whether or not it is flagged:
+    # remesh holds its outer value, as step_dilated does
+    phi = np.linspace(1.0, 20.0, 300)
+    d = DilatedState(0.0, phi, fik_y(phi))
+    d2, err = remesh(d, 400)
+    assert d2.y[-1] == d.y[-1] and d2.truncated
+    assert err < 1e-4
+    assert step_dilated(d, 0.01).y[-1] == d.y[-1]
 
 
 def test_anchor_track_gauge_measurement():
@@ -322,9 +333,9 @@ def test_dilated_rows_match_per_step_view():
     phi, y = eng.dilated_rows(ts, us)
     for r, (p, yy) in enumerate(views):
         assert np.array_equal(phi[r], p) and np.array_equal(y[r], yy)
-    p, yy, tau = eng.dilated_view()
-    assert np.array_equal(p, views[-1][0]) and np.array_equal(yy, views[-1][1])
-    assert tau == -np.log(eng.T - eng.t)
+    d = analysis.dilate(eng.state())
+    assert np.array_equal(d.phi, views[-1][0]) and np.array_equal(d.y, views[-1][1])
+    assert d.tau == -np.log(eng.T - eng.t)
 
 
 def _chart_r(st, x):
@@ -458,13 +469,12 @@ def test_step_dilated_from_unscaled_callable():
     phi = np.linspace(1.0, 20.0, 400)
     d = DilatedState(0.0, phi, fik_y(phi), truncated=True)
     outer = lambda tau: float(fik_y(20.0))
-    d2 = step_dilated(d, 0.02, outer_bc="from_unscaled", outer_value=outer)
+    d2 = step_dilated(d, 0.02, outer_value=outer)
     assert d2.tau == pytest.approx(0.02)
     assert d2.y[-1] == pytest.approx(fik_y(20.0))
+    assert step_dilated(d, 0.02, outer_value=13.0).y[-1] == 13.0
     with pytest.raises(ValueError):
-        step_dilated(d, 0.02, outer_bc="from_unscaled")
-    with pytest.raises(ValueError):
-        step_dilated(d, 0.02, outer_bc="bogus")
+        step_dilated(d, -0.02, outer_value=outer)
 
 
 def test_make_initial_from_log_profile_file(tmp_path):

@@ -279,5 +279,14 @@ def test_curvature_csv(tmp_path):
     rep = curvature(parabola_profile(64))
     path = tmp_path / "c.csv"
     write_curvature_csv(rep, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "f,psi,lambda1,lambda2,R,rm1,rm2,rm3"
+    data = path.read_bytes()
+    assert data.startswith(
+        b"f,psi,lambda1,lambda2,R,rm1,rm2,rm3\r\n"
+        b"1,1,1,-0.77777777777777368,0.44444444444445264,0.44444444444445252,4,2\r\n"
+        b"1.1428571428571428,0.90873015873015872,0.79513888888888895,"
+        b"-0.51736111111111538,0.55555555555554714,0.44444444444443615,"
+        b"3.0694444444444446,1.479166666666667\r\n")
+    cols = (rep.f, rep.psi, rep.lambda1, rep.lambda2, rep.scalar,
+            rep.rm1, rep.rm2, rep.rm3)
+    rows = "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in zip(*cols))
+    assert data == ("f,psi,lambda1,lambda2,R,rm1,rm2,rm3\r\n" + rows).encode()

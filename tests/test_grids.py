@@ -53,5 +53,7 @@ def test_apply_weights_in_place_matches_temporaries():
     u = rng.standard_normal(xi.size)
     out, tmp = np.empty(xi.size - 2), np.empty(xi.size - 2)
     for W in interior_weights(xi):
-        assert np.array_equal(apply_weights(W, u, out, tmp), apply_weights(W, u))
+        want = W[0] * u[:-2] + W[1] * u[1:-1] + W[2] * u[2:]
+        assert np.array_equal(apply_weights(W, u, out, tmp), want)
+        assert np.array_equal(apply_weights(W, u), want)
 

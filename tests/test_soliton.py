@@ -172,7 +172,7 @@ def test_residual_zero_profile():
 
 @pytest.mark.slow
 def test_shoot_fik_matches_quadrature():
-    p = soliton_shoot_r(RT2, r_window=(-12.0, 8.0))
+    p = soliton_shoot_r(RT2)
     f = p.profile.f
     mask = (f > 1.0 + 1e-6) & (f < p.profile.b)
     err = np.max(np.abs(p.profile.u[mask] - fik_y(f[mask])))
@@ -182,7 +182,7 @@ def test_shoot_fik_matches_quadrature():
 
 @pytest.mark.slow
 def test_shoot_cao_koiso_reaches_outer_zero():
-    p = soliton_shoot_r(C_KC, r_window=(-12.0, 8.0))
+    p = soliton_shoot_r(C_KC)
     assert p.profile.b > 3.0 - 2e-3
     assert p.profile.u[-1] < 1e-3
     # cross-check against the quadrature construction in (f, u)
