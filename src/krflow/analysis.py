@@ -210,7 +210,15 @@ def _read_records(path, cls):
         rows = list(csv.reader(fh))
     if not rows or [h.strip() for h in rows[0]] != names:
         raise AnalysisError(f"{path}: missing or wrong {cls.__name__} header")
-    return [cls(int(row[0]), *map(float, row[1:])) for row in rows[1:] if row]
+    out = []
+    for k, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(names):
+            raise AnalysisError(f"{path}: line {k} has {len(row)} columns, "
+                                f"the header {len(names)}")
+        out.append(cls(int(row[0]), *map(float, row[1:])))
+    return out
 
 
 def write_series_csv(series, path):

@@ -42,7 +42,6 @@ import time
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import analysis
 from .barriers import (BarrierParams, SandwichMonitor, class_c_check,
@@ -51,7 +50,7 @@ from .geometry import (LogProfile, RadialProfile, read_profile_csv, reduced_rm,
                        to_radial, validate_profile, write_profile_csv)
 from .grids import (affine_interp, apply_weights, check_grid, cumint_inverse_linear,
                     derivatives, hermite_boundary, hermite_cubic_coeffs,
-                    interior_weights, onesided_weights, window_mesh)
+                    interior_weights, onesided_weights, pchip, window_mesh)
 from .soliton import cao_koiso_profile, fik_y, fik_y_derivs
 from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
@@ -181,8 +180,8 @@ def load_config(path) -> FlowConfig:
 
 
 def _resample(spl, x_old, u_old, x_new, slope_left=None, slope_right=None):
-    """Monotone cubic resample, by spl = PchipInterpolator(x_old, u_old), with
-    exact boundary data re-imposed.
+    """Monotone cubic resample, by spl = pchip(x_old, u_old), with exact
+    boundary data re-imposed.
 
     Near a degenerate endpoint the interpolant is replaced by the Hermite
     cubic through the endpoint data (value 0, known slope) and the first two
@@ -246,14 +245,21 @@ def _quintic_bridge(x0, v0, d0, dd0, x1, v1, d1, dd1):
     return p
 
 
+def _cao_koiso_spline():
+    """Cubic spline through the 4097-node compact-soliton profile.  scipy is
+    imported here, so only runs that start from Cao-Koiso data load it."""
+    from scipy.interpolate import CubicSpline
+    ref = cao_koiso_profile(4097).profile
+    return CubicSpline(ref.f, ref.u)
+
+
 def _perturbed_cao_koiso(cfg: FlowConfig):
     """Compact-soliton potential stretched near the outer section to b0 > 3,
     preserving the endpoint slope -1, interior positivity, and positive Ricci."""
     from .geometry import curvature
     from .soliton import _cao_koiso_constant_cached
 
-    ref = cao_koiso_profile(4097).profile
-    spl = CubicSpline(ref.f, ref.u)
+    spl = _cao_koiso_spline()
     b0 = cfg.b0
     # the bridge replaces the profile on [3 - w, b0], w at least 0.6
     w = min(max(0.6, 4.0 * (b0 - 3.0)), 1.5)
@@ -292,8 +298,7 @@ def make_initial(cfg: FlowConfig) -> FlowState:
     if cfg.initial_kind == "parabola":
         u_fn = lambda f: (np.asarray(f) - a0) * (b0 - np.asarray(f)) / (b0 - a0)
     elif cfg.initial_kind == "cao_koiso":
-        ref = cao_koiso_profile(4097).profile
-        spl = CubicSpline(ref.f, ref.u)
+        spl = _cao_koiso_spline()
         u_fn = lambda f: np.clip(spl(np.clip(f, 1.0, 3.0)), 0.0, None)
     elif cfg.initial_kind == "cao_koiso_perturbed":
         u_fn = _perturbed_cao_koiso(cfg)
@@ -314,7 +319,7 @@ def make_initial(cfg: FlowConfig) -> FlowState:
                               f"(a0, b0) = ({a0}, {b0})")
         if abs(prof.u[0]) > 1e-9 * scale or abs(prof.u[-1]) > 1e-9 * scale:
             raise ConfigError("profile endpoints must vanish")
-        spl = PchipInterpolator(prof.f, prof.u)
+        spl = pchip(prof.f, prof.u)
         u_fn = lambda f: np.clip(spl(np.clip(f, prof.a, prof.b)), 0.0, None)
 
     f = _mesh_for(lambda d: np.clip(u_fn(a0 + d), 0.0, None), a0, b0, T, cfg.grid_n)
@@ -468,7 +473,7 @@ class _Engine:
         """New nodes by the mesh law, values resampled by monotone cubics with
         the end data re-imposed exactly."""
         x_old = self.nodes()
-        spl = PchipInterpolator(x_old, self.u)
+        spl = pchip(x_old, self.u)
         lo, L, x_new = self._remesh_nodes(spl, x_old)
         u_new = _resample(spl, x_old, self.u, x_new, slope_left=1.0,
                           slope_right=None if self.truncated else -1.0)
@@ -820,7 +825,7 @@ def remesh(s, n):
         raise TypeError("remesh expects FlowState or DilatedState")
     x_old, u_old = eng.nodes(), eng.u
     eng.remesh()
-    err = float(np.max(np.abs(PchipInterpolator(eng.nodes(), eng.u)(x_old) - u_old)))
+    err = float(np.max(np.abs(pchip(eng.nodes(), eng.u)(x_old) - u_old)))
     return eng.state(), err
 
 

@@ -1,9 +1,12 @@
-"""Nonuniform finite-difference stencils, adapted 1D meshes, and quadrature helpers.
+"""Nonuniform finite-difference stencils, adapted 1D meshes, quadrature
+helpers, and the monotone cubic (PCHIP) interpolant that remeshing resamples
+with.
 
-Everything here works on plain numpy arrays.  Grids are strictly increasing;
-derivative formulas use exact nonuniform weights (second order on smooth
-grids), and degenerate boundaries (value 0, known slope) get Hermite-enhanced
-stencils so that accuracy does not collapse to first order there.
+Everything here works on plain numpy arrays; nothing here imports scipy.
+Grids are strictly increasing; derivative formulas use exact nonuniform
+weights (second order on smooth grids), and degenerate boundaries (value 0,
+known slope) get Hermite-enhanced stencils so that accuracy does not
+collapse to first order there.
 """
 
 from __future__ import annotations
@@ -132,6 +135,66 @@ def affine_interp(x, a, scale, xi, *fps):
         y0, y1 = float(fp[j]), float(fp[j + 1])
         out.append((y1 - y0) / dx * (x - x0) + y0)
     return tuple(out)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept shape-preserving (Moler's pchip)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x, y):
+    """Monotone piecewise-cubic Hermite interpolant of y over the grid x.
+
+    The node slopes are Fritsch & Butland's weighted harmonic means (SIAM J.
+    Sci. Stat. Comput. 5 (1984) 300), zero at a local extremum or flat
+    segment, with shape-preserving one-sided end slopes; two nodes give the
+    line.  Returns a callable that evaluates the cubic of the interval
+    holding each query point, the end intervals extrapolating.  The
+    arithmetic is scipy's PchipInterpolator's (1.17), operation for
+    operation, so the two agree bit for bit.  x must be strictly increasing
+    and y finite (GridError otherwise).
+    """
+    x = check_grid(x)
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise GridError("pchip values must be finite")
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    if x.size == 2:
+        dk = np.array([mk[0], mk[0]])
+    else:
+        smk = np.sign(mk)
+        flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+        w1 = 2 * hk[1:] + hk[:-1]
+        w2 = hk[1:] + 2 * hk[:-1]
+        dk = np.empty_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+            dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
+        dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    c0, c1, c2, c3 = t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]
+    last = x.size - 2
+
+    def spl(xn):
+        xn = np.asarray(xn, dtype=float)
+        i = np.clip(np.searchsorted(x, xn, side="right") - 1, 0, last)
+        s = xn - x[i]
+        # scipy's power sum, not Horner's rule, so the rounding is the same
+        res = 0.0 + c3[i]
+        res += c2[i] * s
+        z = s * s
+        res += c1[i] * z
+        z *= s
+        res += c0[i] * z
+        return res
+    return spl
 
 
 def derivatives(x, u, slope_left=None, slope_right=None):

@@ -20,6 +20,14 @@ Two distinguished values of C:
 
 Constant finding uses adaptive quadrature as the primary path and the
 closed-form antiderivative only as an independent cross-check.
+
+scipy's quad and solve_ivp are imported inside the three functions that
+call them (weight_integral, _weight_root, _shoot_once): importing scipy
+takes most of krflow's import time and about 50 MB of memory, and a run
+from parabola data never builds a soliton, so only the soliton
+constructors, the Cao-Koiso initial data and the checks that use them pay
+for it, on first use.  fik_y and fik_y_derivs, which every run calls, are
+closed forms.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .geometry import RadialProfile, to_radial, LogProfile
 from .grids import cumulative_gl5, derivatives, interval_gl5
@@ -117,6 +124,7 @@ def _weight(s, C):
 
 def weight_integral(C, upper=np.inf):
     """Adaptive quadrature of int_1^upper (2-s) s e^{-Cs} ds."""
+    from scipy.integrate import quad
     val, _ = quad(_weight, 1.0, upper, args=(C,), epsabs=_EPSABS, epsrel=1e-12, limit=200)
     return val
 
@@ -149,6 +157,7 @@ def _bisect_root(g, lo, hi, xtol):
 def _weight_root(lo, hi, upper=np.inf):
     """Root C in [lo, hi] of int_1^upper (2-s) s e^{-Cs} ds = 0: bisection on
     adaptive quadrature to 1e-12, then a few Newton polish steps."""
+    from scipy.integrate import quad
     g = lambda C: weight_integral(C, upper=upper)
     c = _bisect_root(g, lo, hi, 1e-12)
     for _ in range(3):
@@ -298,6 +307,7 @@ def _shoot_once(C, a1, f_cap):
     Returns (r, phi, phi_r, status) where status is 'end', 'overshoot'
     (phi_r hit zero), or 'cap' (phi reached f_cap).
     """
+    from scipy.integrate import solve_ivp
     r0, r1 = _SHOOT_WINDOW
     w0 = np.exp(r0)
     a2 = 0.5 * a1 * a1 * (C - 2.0)

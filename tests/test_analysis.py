@@ -182,6 +182,18 @@ def test_read_series_rejects_garbage(tmp_path):
         read_series_csv(p2)
 
 
+@pytest.mark.parametrize("cut", [-1, 1], ids=["short_row", "long_row"])
+def test_read_series_rejects_wrong_column_count(tmp_path, cut):
+    p = tmp_path / "series.csv"
+    write_series_csv(synthetic_series(n=5), p)
+    lines = p.read_text().splitlines()
+    cells = lines[-1].split(",")
+    lines[-1] = ",".join(cells[:cut] if cut < 0 else cells + ["0.5"])
+    p.write_text("\r\n".join(lines) + "\r\n")
+    with pytest.raises(AnalysisError, match=f"{p}: line 6 has"):
+        read_series_csv(p)
+
+
 def test_read_anchor_rejects_series_file(tmp_path):
     p = tmp_path / "series.csv"
     write_series_csv(synthetic_series(n=5), p)

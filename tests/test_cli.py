@@ -118,6 +118,26 @@ def test_analyze_empty_series_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_analyze_short_row_exits_3(tmp_path, capsys):
+    p = tmp_path / "series.csv"
+    p.write_text("step,t,tau,a,b,R_sigma0,lambda2_sigma0,sup_err_c0,sup_err_c1,"
+                 "max_F,min_yphi,max_yphi,gauge_C,max_rm,dt\r\n26,0.1,0.2\r\n")
+    rc = main(["analyze", "--series", str(p), "--report", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert f"{p}: line 2 has 3 columns" in capsys.readouterr().err
+
+
+def test_evolve_two_row_profile_exits_2(tmp_path, capsys):
+    prof = tmp_path / "two_rows.csv"
+    prof.write_text("f,u\n1,0\n10,0\n")
+    cfgp = tmp_path / "two.cfg"
+    cfgp.write_text(f"a0 = 1.0\nb0 = 10.0\ninitial_kind = from_file\n"
+                    f"initial_path = {prof}\n")
+    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "not positive on the interior" in capsys.readouterr().err
+
+
 def test_evolve_from_file_without_path_exits_2(tmp_path, capsys):
     cfgp = tmp_path / "nofile.cfg"
     cfgp.write_text("a0 = 1.0\nb0 = 10.0\ninitial_kind = from_file\n")

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -398,7 +403,6 @@ def test_run_flow_deterministic(tmp_path, short_run):
     assert (d1 / "anchor.csv").read_bytes() == (d2 / "anchor.csv").read_bytes()
     assert (d1 / "snap_tau0.5_radial.csv").exists()
     assert (d1 / "snap_tau0.5_dilated.csv").exists()
-    import json
     man = json.loads((d1 / "manifest.json").read_text())
     assert man["status"] == "completed"
     assert "series.csv" in man["artifacts"]
@@ -425,6 +429,50 @@ def test_dilated_only_engine_runs():
     r = arts.series[-1]
     assert r.tau == pytest.approx(0.7, abs=1e-9)
     assert r.sup_err_c0 < arts.series[0].sup_err_c0   # converging toward Y
+
+
+# ---------------------------------------------------------------------------
+# scipy is loaded only by runs that build a soliton
+# ---------------------------------------------------------------------------
+
+_SCIPY_PROBE = """
+import json, sys, tempfile
+import krflow, krflow.cli
+from krflow import flow
+remeshed = []
+_pchip = flow.pchip
+flow.pchip = lambda x, y: (remeshed.append(len(x)), _pchip(x, y))[1]
+arts = flow.run_flow(flow.FlowConfig(**json.loads(sys.argv[1])))
+with tempfile.TemporaryDirectory() as out:
+    flow.write_artifacts(arts, out)
+print(json.dumps({"status": arts.status, "pchip_calls": len(remeshed),
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def _probe_scipy(**cfg):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(cfg)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_parabola_run_never_imports_scipy():
+    out = _probe_scipy(a0=1.0, b0=9.93, grid_n=128, stop_tau=0.1, record_every=25,
+                       remesh_interval=50, engine="both", phi_cut=10.5)
+    assert out["status"] == "completed"
+    assert out["pchip_calls"] >= 1      # the run remeshed
+    assert out["scipy"] == []
+
+
+def test_cao_koiso_run_imports_scipy_on_demand():
+    out = _probe_scipy(a0=1.0, b0=3.0, initial_kind="cao_koiso", grid_n=128,
+                       stop_tau=0.05, record_every=25, remesh_interval=50)
+    assert out["status"] == "completed"
+    assert "scipy.integrate" in out["scipy"]
+    assert "scipy.interpolate" in out["scipy"]
 
 
 # ---------------------------------------------------------------------------

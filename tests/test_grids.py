@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
-from krflow.grids import (affine_interp, apply_weights, hermite_boundary,
-                          interior_weights)
+from krflow.grids import (GridError, affine_interp, apply_weights, hermite_boundary,
+                          interior_weights, pchip)
 
 
 def _mesh(rng, n):
@@ -57,3 +58,40 @@ def test_apply_weights_in_place_matches_temporaries():
         assert np.array_equal(apply_weights(W, u, out, tmp), want)
         assert np.array_equal(apply_weights(W, u), want)
 
+
+def test_pchip_matches_scipy_bit_for_bit():
+    from scipy.interpolate import PchipInterpolator
+    rng = np.random.default_rng(17)
+    sizes = [2, 3] * 20 + list(rng.integers(4, 3000, 160))
+    for k, n in enumerate(sizes):
+        x = np.cumsum(rng.exponential(1.0, n) ** rng.uniform(0.5, 3.0)) - rng.uniform(0, 20)
+        x = np.unique(x)
+        kind = k % 4
+        if kind == 0:                       # noise: a sign change at every other node
+            y = rng.standard_normal(x.size)
+        elif kind == 1:                     # rounded: flat runs, repeated zeros
+            y = np.round(2.0 * rng.standard_normal(x.size)) * 0.5
+            y[::3] = -0.0
+        elif kind == 2:                     # smooth, large
+            y = 1e3 * np.sin(x)
+        else:                               # a flow profile: positive, zero ends
+            y = (x - x[0]) * (x[-1] - x) * rng.uniform(0.5, 1.5, x.size)
+        w = x[-1] - x[0]
+        q = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                            rng.uniform(x[0] - 0.3 * w, x[-1] + 0.3 * w, 300),
+                            np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+        want = PchipInterpolator(x, y)(q)
+        got = pchip(x, y)(q)
+        assert np.array_equal(got, want), (n, kind)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (n, kind)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
+    ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]),
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+    ([0.0, 1.0, 2.0], [0.0, np.inf, 1.0]),
+], ids=["x_repeated", "x_decreasing", "y_nan", "y_inf"])
+def test_pchip_rejects_bad_input(x, y):
+    with pytest.raises(GridError):
+        pchip(x, y)
