@@ -5,10 +5,12 @@ caches the expensive runs (the canonical singularity run, the coupled
 two-engine runs, the compact-soliton self-similar run), so the suite can be
 driven either from pytest or from the command line with one set of artifacts.
 
-Tolerances are fixed here; nothing is calibrated at run time.  level='quick'
-runs A1-A3, A8, A11 and A14, with a reduced-scale stand-in for the canonical
-run in the two that only need *a* class-member run (A8's monitor clause,
-A14's flow-history pair); every quantitative limit is checked at full scale.
+Tolerances are fixed here; nothing is calibrated at run time.
+run_acceptance(ctx) runs the criteria of ctx.level and prints each result
+line as it completes.  level='quick' runs A1-A3, A8, A11 and A14, with a
+reduced-scale stand-in for the canonical run in the two that only need *a*
+class-member run (A8's monitor clause, A14's flow-history pair); every
+quantitative limit is checked at full scale.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .geometry import curvature
 from .soliton import (SQRT2, closed_form_weight_integral, fik_y, fik_y_derivs,
                       find_cao_koiso_constant, find_fik_constant,
                       weight_integral, _bisect_root)
+from .states import DilatedState
 
 __all__ = ["AcceptanceContext", "CriterionResult", "Check", "CRITERIA",
-           "run_acceptance", "format_results", "QUICK_IDS"]
+           "run_acceptance", "QUICK_IDS"]
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def crit_a2(ctx):
 
 
 def crit_a3(ctx):
-    from .flow import _DilatedEngine, _mesh_for
+    from .flow import _dilated_engine_on, _mesh_for
     t0 = time.perf_counter()
     phi = np.geomspace(1.0, 100.0, 20001)
     y, yp, ypp = fik_y_derivs(phi)
@@ -150,9 +153,7 @@ def crit_a3(ctx):
 
     n = 1024
     grid = _mesh_for(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, n)
-    eng = _DilatedEngine(0.0, grid, fik_y(grid), b3a=0.0, cfl=FlowConfig.cfl,
-                         n=n, truncated=True,
-                         phi_cut=grid[-1], outer_bc=lambda tau: fik_y(grid[-1]))
+    eng = _dilated_engine_on(DilatedState(0.0, grid, fik_y(grid), truncated=True), n)
     k = 0
     while eng.tau < 1.0:
         eng.step(1.0 - eng.tau)
@@ -382,24 +383,13 @@ CRITERIA = [
 QUICK_IDS = ("A1", "A2", "A3", "A8", "A11", "A14")
 
 
-def run_acceptance(level="full", ids=None, ctx=None, verbose=False):
-    """Run the requested criteria; returns the list of CriterionResult."""
-    if ctx is None:
-        ctx = AcceptanceContext(level=level)
-    if ids is None:
-        ids = QUICK_IDS if level == "quick" else [cid for cid, _ in CRITERIA]
-    out = []
+def run_acceptance(ctx):
+    """Run the criteria of ctx.level (QUICK_IDS for 'quick', all for 'full'),
+    printing each result line as it completes; returns the CriterionResults."""
     table = dict(CRITERIA)
+    ids = QUICK_IDS if ctx.level == "quick" else table
+    out = []
     for cid in ids:
-        res = table[cid](ctx)
-        out.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        out.append(table[cid](ctx))
+        print(out[-1].line(), flush=True)
     return out
-
-
-def format_results(results) -> str:
-    lines = [r.line() for r in results]
-    n_pass = sum(r.passed for r in results)
-    lines.append(f"{n_pass}/{len(results)} criteria passed")
-    return "\n".join(lines)

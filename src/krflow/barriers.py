@@ -176,16 +176,12 @@ class SandwichMonitor:
         self.violations: list[ViolationRecord] = []
         self._buf = None
 
-    def check(self, step, tau, phi, y):
-        """Log the worst sub- and super-deficit of finite (phi, y) on phi >= 1."""
-        self.check_rows((step,), (tau,), np.asarray(phi, dtype=float)[None],
-                        np.asarray(y, dtype=float)[None])
+    def check(self, steps, taus, phi, y):
+        """Log the worst sub- and super-deficit of each row r of the (K, n)
+        block (phi, y), at step steps[r] and dilated time taus[r], in order.
 
-    def check_rows(self, steps, taus, phi, y):
-        """check(steps[r], taus[r], phi[r], y[r]) for each row r, in order.
-
-        One pass over the (K, n) block in scratch buffers, so that per-call
-        overhead is paid once per block, with the arithmetic of barrier_y1 and
+        One pass over the block in scratch buffers, so that per-call overhead
+        is paid once per block, with the arithmetic of barrier_y1 and
         barrier_y2 in the same order: the deficits equal
         barrier_y1(phi, tau - tau0) - y - slack and
         y - barrier_y2(phi, tau - tau0) - slack to the last bit.

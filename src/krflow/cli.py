@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import analysis
-from .acceptance import AcceptanceContext, format_results, run_acceptance
+from .acceptance import AcceptanceContext, run_acceptance
 from .flow import ConfigError, FlowPositivityError, FlowSetupError, load_config, \
     run_flow, write_artifacts
 from .geometry import write_profile_csv
@@ -23,10 +23,12 @@ def cmd_soliton(args) -> int:
     if args.n < 64:
         print(f"error: node count {args.n} below minimum 64", file=sys.stderr)
         return USAGE_ERROR
-    if args.family == "fik":
-        prof = fik_profile(args.n, f_max=args.f_max)
-    else:
-        prof = cao_koiso_profile(args.n)
+    try:
+        prof = (fik_profile(args.n, f_max=args.f_max) if args.family == "fik"
+                else cao_koiso_profile(args.n))
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return USAGE_ERROR
     residual = soliton_ode_residual(prof)
     write_profile_csv(prof.profile, args.out)
     write_soliton_metadata(prof, args.out + ".meta", residual=residual)
@@ -56,8 +58,8 @@ def cmd_evolve(args) -> int:
     print(f"wall_time_s = {manifest['wall_time_s']:.2f}")
     print(f"wrote artifacts to {args.out_dir}")
     if arts.status != "completed":
-        print(f"run did not complete: {arts.status} at step {arts.failing_step}",
-              file=sys.stderr)
+        step = manifest["steps"] if arts.failing_step is None else arts.failing_step
+        print(f"run did not complete: {arts.status} at step {step}", file=sys.stderr)
         return RUNTIME_ERROR
     return 0
 
@@ -82,10 +84,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ctx = AcceptanceContext(level=args.level)
-    results = run_acceptance(level=args.level, ctx=ctx, verbose=True)
-    print(format_results(results).splitlines()[-1])
-    return 0 if all(r.passed for r in results) else RUNTIME_ERROR
+    results = run_acceptance(AcceptanceContext(level=args.level))
+    n_pass = sum(r.passed for r in results)
+    print(f"{n_pass}/{len(results)} criteria passed")
+    return 0 if n_pass == len(results) else RUNTIME_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:

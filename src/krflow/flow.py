@@ -31,6 +31,9 @@ fixed next to _mesh_for, and the [1, 3] window on which runs are compared
 with Y next to _Engine.  A frame (_UnscaledEngine, _DilatedEngine) supplies
 only its domain and velocity, rhs, CFL advection term, outer boundary data,
 remesh window and measurements.
+
+The sandwich monitor checks every accepted step of the run's primary engine
+in either frame, on its dilated view (phi, y), a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -103,8 +106,15 @@ class FlowConfig:
     phi_cut: float = 50.0
     max_steps: int = 5_000_000
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        errs = []
+        errs = [f"{k} must be finite, got {getattr(self, k)}"
+                for k in ("a0", "b0", "stop_tau", "phi_cut")
+                if not math.isfinite(getattr(self, k))]
+        if not all(map(math.isfinite, self.snap_taus)):
+            errs.append(f"snap_taus must be finite, got {self.snap_taus}")
         if self.a0 <= 0 or self.b0 <= self.a0:
             errs.append(f"need 0 < a0 < b0, got a0={self.a0}, b0={self.b0}")
         if self.initial_kind not in _INITIAL_KINDS:
@@ -141,7 +151,6 @@ class FlowConfig:
             errs.append("phi_cut must exceed 3")
         if errs:
             raise ConfigError("; ".join(errs))
-        return self
 
 
 _PARSERS = {"float": float, "int": int, "str": str,
@@ -171,7 +180,7 @@ def parse_config_text(text) -> FlowConfig:
     for req in ("a0", "b0"):
         if req not in kv:
             raise ConfigError(f"missing required config key: {req!r}")
-    return FlowConfig(**kv).validate()
+    return FlowConfig(**kv)
 
 
 def load_config(path) -> FlowConfig:
@@ -291,7 +300,6 @@ def make_initial(cfg: FlowConfig) -> FlowState:
     The construction fails (FlowSetupError) if the result is not strictly
     above the membership barrier Y - phi^2/5 in the dilated view.
     """
-    cfg.validate()
     a0, b0 = cfg.a0, cfg.b0
     T = a0
 
@@ -516,6 +524,10 @@ class _UnscaledEngine(_Engine):
         self._vframe = -1.0 - 2.0 * self._xii
         self._fi = np.empty(xi.size - 2)
 
+    @property
+    def tau(self):
+        return -np.log(self.T - self.t)
+
     def domain(self, t=None):
         t = self.t if t is None else t
         a = self.a0 - t
@@ -623,7 +635,7 @@ class _UnscaledEngine(_Engine):
     def measure(self, dt_last):
         a, b, D = self.domain()
         Tt = self.T - self.t
-        tau = -np.log(Tt)
+        tau = self.tau
         f = self.f_nodes()
         uf, uff = self._derivs(self.u, D)
         uffa = hermite_boundary(f[1] - f[0], f[2] - f[0], self.u[0], 1.0,
@@ -733,6 +745,11 @@ class _DilatedEngine(_Engine):
         return DilatedState(self.t, self.phi_nodes(), self.u.copy(),
                             truncated=self.truncated)
 
+    def dilated_rows(self, taus, ys):
+        """(phi, y) at each tau in taus for the matching profile in ys, on the
+        current mesh, one row each, as the unscaled engine's dilated_rows."""
+        return np.stack([self.phi_nodes(tau) for tau in taus]), np.stack(ys)
+
     def measure(self, dtau_last, t_origin_T):
         phi = self.phi_nodes()
         Tt = np.exp(-self.t)
@@ -776,12 +793,14 @@ def step_unscaled(s: FlowState, dt: float) -> FlowState:
     return eng.state()
 
 
-def _dilated_engine_on(s: DilatedState, n, outer_bc=None):
+def _dilated_engine_on(s: DilatedState, n, outer_value=None):
     """Dilated engine on a bare state, as _engine_on.  A state flagged
-    truncated, ending at y != 0 or given outer_bc keeps a static window, its
-    outer value held or taken from outer_bc; any other window follows Phi_max."""
-    if s.truncated or s.y[-1] != 0.0 or outer_bc is not None:
-        bc = outer_bc if outer_bc is not None else (lambda tau, v=float(s.y[-1]): v)
+    truncated, ending at y != 0 or given outer_value (a float or a callable of
+    tau) keeps a static window, its outer value held or taken from outer_value;
+    any other window follows Phi_max."""
+    if s.truncated or s.y[-1] != 0.0 or outer_value is not None:
+        v = float(s.y[-1]) if outer_value is None else outer_value
+        bc = v if callable(v) else (lambda tau, v=float(v): v)
         return _DilatedEngine(s.tau, s.phi, s.y, 0.0, FlowConfig.cfl, n, True,
                               phi_cut=s.phi_max, outer_bc=bc)
     b3a = (s.phi_max - 3.0) * np.exp(-s.tau)     # Phi_max = b3a e^tau + 3
@@ -800,8 +819,6 @@ def step_dilated(s: DilatedState, dtau: float, outer_value=None) -> DilatedState
         raise ValueError("dtau must be >= 0")
     if dtau == 0.0:
         return s
-    if outer_value is not None and not callable(outer_value):
-        outer_value = (lambda tau, v=float(outer_value): v)
     eng = _dilated_engine_on(s, s.phi.size, outer_value)
     eng.advance_to(s.tau + dtau)
     return eng.state()
@@ -884,7 +901,6 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     violation log, and (for engine='both') the cross-engine sup-differences.
     Deterministic for a fixed config.
     """
-    cfg.validate()
     t_start = time.perf_counter()
     state0 = make_initial(cfg)
     T = state0.T
@@ -949,38 +965,36 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             Tt = np.exp(-st.tau)
             snaps[label] = (RadialProfile(st.phi * Tt, st.y * Tt), st)
 
-    # Unscaled steps reach the monitor a block at a time, so its per-call
-    # overhead is paid once per block.  Nothing in the loop reads the log,
-    # and the engine never writes into a u array it has replaced, so the
-    # queue holds references; it is drained before the mesh changes.
+    # Steps reach the monitor a block at a time, so its per-call overhead
+    # is paid once per block.  Nothing in the loop reads the log, and an
+    # engine replaces u on every accepted step and never writes into a u
+    # array it has replaced, so the queue holds references; it is drained
+    # before a remesh changes the mesh (and the dilated window's end).
     unchecked = []
-    block = max(1, _MONITOR_BLOCK // ue.xi.size) if use_unscaled else 1
+    block = max(1, _MONITOR_BLOCK // primary.xi.size)
 
     def check_unchecked():
         if unchecked:
             steps, taus, ts, us = zip(*unchecked)
-            monitor.check_rows(steps, taus, *ue.dilated_rows(ts, us))
+            monitor.check(steps, taus, *primary.dilated_rows(ts, us))
             unchecked.clear()
 
     record()
-    tau_now = -np.log(T - ue.t) if use_unscaled else de.tau
+    tau_now = primary.tau
     try:
         while tau_now < cfg.stop_tau - 1e-12:
             if primary.step_count >= cfg.max_steps:
                 status = "max_steps"
                 break
             dt_last = primary.step(t_end - primary.t)
-            tau_now = -np.log(T - ue.t) if use_unscaled else de.tau
+            tau_now = primary.tau
             if use_unscaled and use_dilated:
                 de.advance_to(tau_now)
             k = primary.step_count
             remesh_now = k % cfg.remesh_interval == 0
-            if use_unscaled:
-                unchecked.append((k, tau_now, ue.t, ue.u))
-                if remesh_now or len(unchecked) >= block:
-                    check_unchecked()
-            else:
-                monitor.check(k, tau_now, de.phi_nodes(), de.y)
+            unchecked.append((k, tau_now, primary.t, primary.u))
+            if remesh_now or len(unchecked) >= block:
+                check_unchecked()
             if remesh_now:
                 for eng in filter(None, (ue, de)):
                     eng.remesh()

@@ -215,14 +215,14 @@ def validate_profile(p) -> ValidationReport:
                                  f"{cnt} nonpositive interior values, first at f = {f[k]:.6g}"))
         if u[0] == 0.0:
             h = f[1] - f[0]
-            s = (u[1] - u[0]) / h
-            if abs(s - 1.0) > _slope_tolerance(h):
-                out.append(Violation("u_f(a) != +1", 0, f"slope {s:.6g}, tol {10 * h:.3g}"))
+            s, tol = (u[1] - u[0]) / h, _slope_tolerance(h)
+            if abs(s - 1.0) > tol:
+                out.append(Violation("u_f(a) != +1", 0, f"slope {s:.6g}, tol {tol:.3g}"))
         if u[-1] == 0.0:
             h = f[-1] - f[-2]
-            s = (u[-1] - u[-2]) / h
-            if abs(s + 1.0) > _slope_tolerance(h):
-                out.append(Violation("u_f(b) != -1", p.n - 1, f"slope {s:.6g}, tol {10 * h:.3g}"))
+            s, tol = (u[-1] - u[-2]) / h, _slope_tolerance(h)
+            if abs(s + 1.0) > tol:
+                out.append(Violation("u_f(b) != -1", p.n - 1, f"slope {s:.6g}, tol {tol:.3g}"))
     elif isinstance(p, LogProfile):
         check_grid(p.r, min_nodes=8)
         if np.any(p.phi <= 0.0):

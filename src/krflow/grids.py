@@ -284,13 +284,12 @@ def cumint_inverse_linear(x, u):
 # adapted meshes
 # ---------------------------------------------------------------------------
 
-def equidistributed_nodes(width, n, h_floor, coeff=None):
+def equidistributed_nodes(width, n, h_floor, coeff):
     """Nodes 0 = d_0 < ... < d_n = width with spacing ~ max(h_floor, sqrt(lam*c(d))).
 
-    c(d) is the local diffusion coefficient (defaults to c(d) = d, the
-    degenerate-boundary proxy); lam is solved so the node budget is met.  This
-    equidistributes the explicit diffusion limit h^2 / c while the floor keeps
-    the first cells from collapsing.
+    c(d) = coeff(d) is the local diffusion coefficient; lam is solved so the
+    node budget is met.  This equidistributes the explicit diffusion limit
+    h^2 / c while the floor keeps the first cells from collapsing.
     """
     if n < 1:
         raise GridError("need at least one interval")
@@ -298,8 +297,6 @@ def equidistributed_nodes(width, n, h_floor, coeff=None):
         raise ValueError("h_floor must be positive")
     if n * h_floor >= width:
         return np.linspace(0.0, width, n + 1)
-    if coeff is None:
-        coeff = lambda d: d
     # probe grid resolving both (possibly degenerate) ends, 1000 points each
     g = np.geomspace(max(width * 1e-12, h_floor * 1e-3), 0.5 * width, 1000)
     d = np.unique(np.concatenate(([0.0, width], g, width - g)))
@@ -368,7 +365,7 @@ def stretched_tail(start, end, n, h0, p):
     return nodes
 
 
-def window_mesh(domain, n, window, h_floor, p_outer, coeff=None, min_fraction=0.25):
+def window_mesh(domain, n, window, h_floor, p_outer, coeff, min_fraction=0.25):
     """Composite mesh on [0, domain] clustered toward the degenerate inner end.
 
     The inner window [0, min(window, domain)] must hold at least min_fraction

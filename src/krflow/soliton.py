@@ -287,11 +287,11 @@ def cao_koiso_profile(n) -> SolitonProfile:
 
 
 def fik_profile(n, f_max=50.0) -> SolitonProfile:
-    """Noncompact-soliton profile truncated at f_max (representation choice)."""
-    C = _fik_constant_cached()
-    if f_max is None:
-        return soliton_quadrature(C, None, n)
-    return _noncompact_profile(C, f_max, n)
+    """Noncompact-soliton profile truncated at a finite f_max > 1
+    (representation choice)."""
+    if not (np.isfinite(f_max) and f_max > 1.0):
+        raise ValueError(f"f_max must be finite and above 1, got {f_max}")
+    return _noncompact_profile(_fik_constant_cached(), f_max, n)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +396,8 @@ def soliton_shoot_r(C, a1_guess=1.0) -> SolitonProfile:
 # metadata block
 # ---------------------------------------------------------------------------
 
-def write_soliton_metadata(p: SolitonProfile, path, residual=None):
+def write_soliton_metadata(p: SolitonProfile, path, residual):
     """Flat key=value block: family=, C=, residual=, f_max=."""
-    if residual is None:
-        residual = soliton_ode_residual(p)
     family = "fik" if p.spec.base == "L" else "cao-koiso"
     with open(path, "w") as fh:
         fh.write(f"family={family}\n")

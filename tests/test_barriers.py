@@ -174,12 +174,12 @@ def test_sandwich_monitor_flags_constructed_violation(tmp_path):
     params = BarrierParams(delta=1e-7, lambda0=1.0)
     mon = SandwichMonitor(params, tau0=0.0)
     y = fik_y(phi)
-    mon.check(0, 0.0, phi, y)
+    mon.check((0,), (0.0,), phi[None], y[None])
     assert not mon.violations           # stationary profile is inside the sandwich
     bad = y.copy()
     k = 250
     bad[k] = barrier_y1(phi[k], 0.0, params) - 1e-3
-    mon.check(1, 0.0, phi, bad)
+    mon.check((1,), (0.0,), phi[None], bad[None])
     assert len(mon.violations) == 1
     v = mon.violations[0]
     assert v.kind == "sub" and v.step == 1 and v.node_phi == phi[k]
@@ -226,14 +226,14 @@ def test_sandwich_monitor_matches_barrier_evaluation():
                 y = np.minimum(y, y2)                             # sub side only
             for yy in (y, 0.5 * (y1 + y2)):
                 step = len(steps)
-                mon.check(step, tau, phi, yy)
+                mon.check((step,), (tau,), phi[None], yy[None])
                 expected += _reference_violations(params, tau0, slack, step, tau,
                                                   phi, yy)
                 steps.append(step)
                 taus.append(tau)
                 phis.append(phi)
                 ys.append(yy)
-        block.check_rows(steps, taus, np.array(phis), np.array(ys))
+        block.check(steps, taus, np.array(phis), np.array(ys))
     assert {v.kind for v in expected} == {"sub", "super"}
     assert mon.violations == expected    # exact: same node, same deficit bits
     assert block.violations == expected  # a block checks as its rows one by one

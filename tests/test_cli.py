@@ -172,3 +172,31 @@ def test_evolve_invalid_profile_exits_2(tmp_path, capsys, rows, why):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(prof) in err and why in err
+
+
+@pytest.mark.parametrize("f_max", ["0.5", "1.0", "nan", "inf"])
+def test_soliton_fik_f_max_not_above_one_or_not_finite_exits_2(tmp_path, capsys, f_max):
+    out = tmp_path / "fik.csv"
+    rc = main(["soliton", "--family", "fik", "--n", "64", "--f-max", f_max,
+               "--out", str(out)])
+    assert rc == 2
+    assert "f_max must be finite and above 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_non_finite_value_exits_2(tmp_path, capsys):
+    cfgp = tmp_path / "nan.cfg"
+    cfgp.write_text("a0 = 1.0\nb0 = 10.0\nstop_tau = nan\n")
+    outd = tmp_path / "o"
+    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(outd)])
+    assert rc == 2
+    assert "stop_tau must be finite" in capsys.readouterr().err
+    assert not outd.exists()
+
+
+def test_evolve_max_steps_reports_step_count(tmp_path, capsys):
+    cfgp = tmp_path / "short.cfg"
+    cfgp.write_text("a0 = 1.0\nb0 = 10.0\ngrid_n = 128\nmax_steps = 7\n")
+    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(tmp_path / "o")])
+    assert rc == 3
+    assert "run did not complete: max_steps at step 7\n" in capsys.readouterr().err

@@ -2,16 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from krflow import analysis
+from krflow.barriers import SandwichMonitor
 from krflow.flow import (ConfigError, FlowConfig, FlowSetupError,
                          anchor_track, load_config, make_initial,
                          parse_config_text, r_coordinate_reference, remesh,
                          run_flow, step_dilated, step_unscaled, write_artifacts,
-                         _DilatedEngine, _UnscaledEngine)
+                         _DilatedEngine, _UnscaledEngine, _dilated_engine_on)
 from krflow.geometry import RadialProfile, curvature, validate_profile
 from krflow.grids import (apply_weights, hermite_boundary, interior_weights,
                           window_mesh)
@@ -39,6 +41,8 @@ def test_config_validation():
     FlowConfig(a0=1.0, b0=3.0, initial_kind="cao_koiso").validate()
     with pytest.raises(ConfigError):
         FlowConfig(a0=1.0, b0=10.0, cfl=0.9).validate()
+    with pytest.raises(ConfigError, match="cfl"):    # validated where it is built
+        replace(FlowConfig(a0=1.0, b0=10.0), cfl=0.9)
     for key in ("grading", "barrier_delta", "perturbation_eps", "anchor_f_ref",
                 "window_hi", "lambda0_floor", "inner_res"):
         with pytest.raises(ConfigError, match=f"unknown config key: '{key}'"):
@@ -50,6 +54,15 @@ def test_config_validation():
     for snaps in ((0.02, 3.0), (-1.0,), (0.0,)):
         with pytest.raises(ConfigError, match="snap_taus"):
             FlowConfig(a0=1.0, b0=10.0, stop_tau=0.05, snap_taus=snaps).validate()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["a0", "b0", "stop_tau", "phi_cut", "snap_taus"])
+def test_config_rejects_non_finite_values(key, value):
+    kv = {"a0": "1.0", "b0": "10.0", key: value}
+    text = "".join(f"{k} = {v}\n" for k, v in kv.items())
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config_text(text)
 
 
 def test_config_file_parsing(tmp_path):
@@ -340,7 +353,41 @@ def test_dilated_rows_match_per_step_view():
         assert np.array_equal(phi[r], p) and np.array_equal(y[r], yy)
     d = analysis.dilate(eng.state())
     assert np.array_equal(d.phi, views[-1][0]) and np.array_equal(d.y, views[-1][1])
-    assert d.tau == -np.log(eng.T - eng.t)
+    assert d.tau == -np.log(eng.T - eng.t) == eng.tau
+
+    # the dilated engine: its own nodes on the moving window, per step
+    eng = _dilated_engine_on(analysis.dilate(make_initial(small_cfg())), 256)
+    taus, ys, views = [], [], []
+    for _ in range(5):
+        eng.step(1.0)
+        taus.append(eng.tau)
+        ys.append(eng.y)
+        views.append((eng.phi_nodes(), eng.y.copy()))
+    phi, y = eng.dilated_rows(taus, ys)
+    assert len({p[-1] for p, _ in views}) == 5          # the window grew each step
+    for r, (p, yy) in enumerate(views):
+        assert np.array_equal(phi[r], p) and np.array_equal(y[r], yy)
+
+
+@pytest.mark.parametrize("engine", ["unscaled", "dilated", "both"])
+def test_monitor_sees_every_accepted_step_once(monkeypatch, engine):
+    # 254 steps at 128 nodes: monitor blocks of 8192 // 128 = 64 rows, and
+    # remeshes at steps 100 and 200, which drain a partial block each
+    seen, calls = [], []
+    check = SandwichMonitor.check
+
+    def spy(self, steps, taus, phi, y):
+        assert phi.shape == y.shape == (len(steps), 128)
+        seen.extend(steps)
+        calls.append(len(steps))
+        return check(self, steps, taus, phi, y)
+
+    monkeypatch.setattr(SandwichMonitor, "check", spy)
+    arts = run_flow(small_cfg(grid_n=128, engine=engine, stop_tau=0.05,
+                              remesh_interval=100))
+    n = arts.manifest["steps"]
+    assert n > 200 and max(calls) == 64 and len(calls) > 4
+    assert seen == list(range(1, n + 1))
 
 
 def _chart_r(st, x):
