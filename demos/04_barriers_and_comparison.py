@@ -9,7 +9,7 @@ squeezes every class member onto the stationary profile.
 
 import numpy as np
 
-from krflow.barriers import (BarrierParams, barrier_residual_sub,
+from krflow.barriers import (BARRIER_DELTA, LAMBDA_INIT, barrier_residual_sub,
                              barrier_residual_sup, barrier_y1, barrier_y2,
                              class_c_check, comparison_check, fit_lambda0,
                              full_operator)
@@ -33,16 +33,16 @@ print(f"membership barrier peaks at {np.max(barrier):.4f} "
       f"near phi = {grid[np.argmax(barrier)]:.2f}  (below 0.06)")
 
 print("\n= residual certificates =")
-sub = barrier_residual_sub(phi, 0.2, 1e-7)
+sub = barrier_residual_sub(phi, LAMBDA_INIT, BARRIER_DELTA)
 sup = barrier_residual_sup(phi, 0.011)
 print(f"subsolution residual:  max = {np.max(sub):.4f}  (negative everywhere)")
 print(f"supersolution residual: min = {np.min(sup):.4e}  (positive everywhere)")
 
 print("\n= the sandwich squeezes =")
-p = BarrierParams(delta=1e-7, lambda0=fit_lambda0(DilatedState(0.0, grid, y0)))
+lambda0 = fit_lambda0(DilatedState(0.0, grid, y0))
 for tau in (0.0, 2.0, 6.0):
-    lo = float(barrier_y1(2.0, tau, p))
-    hi = float(barrier_y2(2.0, tau, p))
+    lo = float(barrier_y1(2.0, tau))
+    hi = float(barrier_y2(2.0, tau, lambda0))
     print(f"tau = {tau:3.0f}: barriers at phi = 2 are [{lo:+.4f}, {hi:+.4f}], "
           f"Y(2) = {fik_y(2.0):+.4f}")
 

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .barriers import (barrier_residual_sub, barrier_residual_sup, barrier_y1,
-                       BarrierParams, class_c_check, comparison_check,
-                       full_operator)
+from .barriers import (BARRIER_DELTA, LAMBDA_INIT, barrier_residual_sub,
+                       barrier_residual_sup, barrier_y1, class_c_check,
+                       comparison_check, full_operator)
 from .flow import FlowConfig, make_initial, run_flow
 from .geometry import curvature
+from .grids import window_mesh
 from .soliton import (SQRT2, closed_form_weight_integral, fik_y, fik_y_derivs,
                       find_cao_koiso_constant, find_fik_constant,
                       weight_integral, _bisect_root)
@@ -145,20 +146,20 @@ def crit_a2(ctx):
 
 
 def crit_a3(ctx):
-    from .flow import _dilated_engine_on, _mesh_for
+    from .flow import _REMESH_INTERVAL, _dilated_engine_on
     t0 = time.perf_counter()
     phi = np.geomspace(1.0, 100.0, 20001)
     y, yp, ypp = fik_y_derivs(phi)
     resid = float(np.max(np.abs(full_operator(phi, y, yp, ypp))))
 
     n = 1024
-    grid = _mesh_for(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, n)
+    grid = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, n)
     eng = _dilated_engine_on(DilatedState(0.0, grid, fik_y(grid), truncated=True), n)
     k = 0
     while eng.tau < 1.0:
         eng.step(1.0 - eng.tau)
         k += 1
-        if k % 200 == 0:
+        if k % _REMESH_INTERVAL == 0:
             eng.remesh()
     drift = float(np.max(np.abs(eng.y - fik_y(eng.phi_nodes()))))
     dt = time.perf_counter() - t0
@@ -235,12 +236,12 @@ def crit_a8(ctx):
     t0 = time.perf_counter()
     phi = np.geomspace(1.0, 1e4, 100)
     taus = np.linspace(0.0, 60.0, 100)
-    p = BarrierParams()
     sub_max = -np.inf
     sup_min = np.inf
     for tau in taus:
-        lam = p.lambda_init * np.exp(-p.delta * tau)
-        sub_max = max(sub_max, float(np.max(barrier_residual_sub(phi, lam, p.delta))))
+        lam = LAMBDA_INIT * np.exp(-BARRIER_DELTA * tau)
+        sub_max = max(sub_max,
+                      float(np.max(barrier_residual_sub(phi, lam, BARRIER_DELTA))))
         for lam0 in (1e-3, 0.011, 1.0):
             lam_s = lam0 * np.exp(-0.5 * tau)
             sup_min = min(sup_min, float(np.min(barrier_residual_sup(phi, lam_s))))
@@ -344,8 +345,7 @@ def crit_a14(ctx):
         yps.append(np.interp(grid, dil.phi, dil.y))
     taus = np.array(taus)
     yps = np.array(yps)
-    params = BarrierParams(lambda0=1.0)
-    yms = np.array([barrier_y1(grid, t, params) for t in taus])
+    yms = np.array([barrier_y1(grid, t) for t in taus])
     c_bound = 10.0
     v_ok = comparison_check(taus, grid, yms, yps, c_bound)
     checks = [Check("flow above subsolution barrier", 1.0 if v_ok.ordered else 0.0,

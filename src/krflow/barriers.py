@@ -20,7 +20,10 @@ yields closed-form residuals:
                                      - 2(2 - sqrt2) phi + 3(2 - sqrt2)/phi)
         with lam = lam0 e^{-tau/2}  (supersolution, positive for phi >= 1)
 
-Together they sandwich any class-C solution and squeeze it to Y.
+Together they sandwich any class-C solution and squeeze it to Y.  The
+runs use the subsolution with lam(tau0) = LAMBDA_INIT = 1/5, the class-C
+amplitude, and delta = BARRIER_DELTA = 1e-7; the supersolution amplitude
+lam0 is fitted to the initial data (fit_lambda0).
 """
 
 from __future__ import annotations
@@ -35,27 +38,16 @@ from .grids import derivatives
 from .soliton import SQRT2, fik_y, fik_y_derivs
 
 __all__ = [
-    "BarrierParams", "ClassCResult", "ViolationRecord", "SandwichMonitor",
-    "ComparisonVerdict", "linear_part", "quadratic_part", "bilinear_part",
-    "full_operator", "class_c_check", "barrier_y1", "barrier_y2",
+    "BARRIER_DELTA", "LAMBDA_INIT", "ClassCResult", "ViolationRecord",
+    "SandwichMonitor", "ComparisonVerdict", "linear_part", "quadratic_part",
+    "bilinear_part", "full_operator", "class_c_check", "barrier_y1", "barrier_y2",
     "barrier_residual_sub", "barrier_residual_sup", "fit_lambda0",
     "comparison_check", "write_violation_csv",
 ]
 
 
-@dataclass(frozen=True)
-class BarrierParams:
-    """delta: subsolution decay rate; lambda_init: initial subsolution
-    amplitude (1/5 defines class membership); lambda0: supersolution amplitude."""
-    delta: float = 1e-7
-    lambda_init: float = 0.2
-    lambda0: float = 1e-3
-
-    def __post_init__(self):
-        if not (0.0 < self.delta <= 1e-6):
-            raise ValueError("delta must lie in (0, 1e-6]")
-        if self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive")
+BARRIER_DELTA = 1e-7     # subsolution decay rate (any delta <= 1e-6 certifies)
+LAMBDA_INIT = 0.2        # initial subsolution amplitude: class C is y > Y - phi^2/5
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +94,16 @@ def class_c_check(d) -> ClassCResult:
     return ClassCResult(margin > 0.0, margin)
 
 
-def barrier_y1(phi, tau, p: BarrierParams):
-    """Subsolution Y - lambda_init e^{-delta tau} phi^2."""
+def barrier_y1(phi, tau):
+    """Subsolution Y - LAMBDA_INIT e^{-BARRIER_DELTA tau} phi^2."""
     phi = np.asarray(phi, dtype=float)
-    return fik_y(phi) - p.lambda_init * np.exp(-p.delta * tau) * phi ** 2
+    return fik_y(phi) - LAMBDA_INIT * np.exp(-BARRIER_DELTA * tau) * phi ** 2
 
 
-def barrier_y2(phi, tau, p: BarrierParams):
+def barrier_y2(phi, tau, lambda0):
     """Supersolution Y + lambda0 e^{-tau/2} phi^2."""
     phi = np.asarray(phi, dtype=float)
-    return fik_y(phi) + p.lambda0 * np.exp(-0.5 * tau) * phi ** 2
+    return fik_y(phi) + lambda0 * np.exp(-0.5 * tau) * phi ** 2
 
 
 def barrier_residual_sub(phi, lam, delta):
@@ -164,14 +156,17 @@ class SandwichMonitor:
     """Checks y1 <= y + slack and y <= y2 + slack nodewise at every accepted step.
 
     The barrier clock starts at tau0 (the run's initial dilated time), so the
-    subsolution amplitude is exactly lambda_init at the start.  Violations are
-    data, not errors: they are logged and the run continues.
+    subsolution amplitude is exactly LAMBDA_INIT at the start; lambda0 is the
+    supersolution amplitude.  Violations are data, not errors: they are
+    logged and the run continues.
     """
 
     slack = 1e-8      # tolerance of both checks
 
-    def __init__(self, params: BarrierParams, tau0: float):
-        self.params = params
+    def __init__(self, lambda0: float, tau0: float):
+        if not lambda0 > 0:
+            raise ValueError("lambda0 must be positive")
+        self.lambda0 = lambda0
         self.tau0 = float(tau0)
         self.violations: list[ViolationRecord] = []
         self._buf = None
@@ -184,15 +179,15 @@ class SandwichMonitor:
         is paid once per block, with the arithmetic of barrier_y1 and
         barrier_y2 in the same order: the deficits equal
         barrier_y1(phi, tau - tau0) - y - slack and
-        y - barrier_y2(phi, tau - tau0) - slack to the last bit.
+        y - barrier_y2(phi, tau - tau0, lambda0) - slack to the last bit.
         """
         K, n = phi.shape
         if self._buf is None or self._buf.shape[1] < K or self._buf.shape[2] != n:
             self._buf = np.empty((4, K, n))
         yfik, phi2, gap_lo, gap_hi = self._buf[:, :K]
-        p = self.params
-        amp_lo = [p.lambda_init * np.exp(-p.delta * (tau - self.tau0)) for tau in taus]
-        amp_hi = [p.lambda0 * np.exp(-0.5 * (tau - self.tau0)) for tau in taus]
+        amp_lo = [LAMBDA_INIT * np.exp(-BARRIER_DELTA * (tau - self.tau0))
+                  for tau in taus]
+        amp_hi = [self.lambda0 * np.exp(-0.5 * (tau - self.tau0)) for tau in taus]
         # fik_y: (phi (phi - 2) + sqrt2 (phi - 1) + 1) / (sqrt2 phi)
         np.subtract(phi, 2.0, out=yfik)
         yfik *= phi
@@ -240,7 +235,6 @@ class ComparisonVerdict:
     failed_hypotheses: tuple
     first_crossing: tuple | None     # (tau, phi, deficit)
     lambda_used: float
-    alphas: tuple
 
 
 def comparison_check(taus, phi, y_minus, y_plus, c_bound,
@@ -292,4 +286,4 @@ def comparison_check(taus, phi, y_minus, y_plus, c_bound,
             first_crossing = (float(taus[k]), float(phi[i]), float(diff[k, i]))
             break
     return ComparisonVerdict(ordered, not failed, tuple(failed),
-                             first_crossing, lam, tuple(alphas))
+                             first_crossing, lam)

@@ -10,8 +10,7 @@ import sys
 
 from . import analysis
 from .acceptance import AcceptanceContext, run_acceptance
-from .flow import ConfigError, FlowPositivityError, FlowSetupError, load_config, \
-    run_flow, write_artifacts
+from .flow import ConfigError, FlowSetupError, load_config, run_flow, write_artifacts
 from .geometry import write_profile_csv
 from .soliton import (cao_koiso_profile, fik_profile, soliton_ode_residual,
                       write_soliton_metadata)
@@ -23,9 +22,16 @@ def cmd_soliton(args) -> int:
     if args.n < 64:
         print(f"error: node count {args.n} below minimum 64", file=sys.stderr)
         return USAGE_ERROR
+    if args.family == "cao-koiso" and args.f_max is not None:
+        print("error: --f-max applies only to --family fik", file=sys.stderr)
+        return USAGE_ERROR
     try:
-        prof = (fik_profile(args.n, f_max=args.f_max) if args.family == "fik"
-                else cao_koiso_profile(args.n))
+        if args.family == "cao-koiso":
+            prof = cao_koiso_profile(args.n)
+        elif args.f_max is None:
+            prof = fik_profile(args.n)
+        else:
+            prof = fik_profile(args.n, f_max=args.f_max)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
@@ -98,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("soliton", help="construct a shrinking-soliton profile")
     s.add_argument("--family", choices=("fik", "cao-koiso"), required=True)
     s.add_argument("--n", type=int, default=2048)
-    s.add_argument("--f-max", type=float, default=50.0)
+    s.add_argument("--f-max", type=float,
+                   help="outer end of the fik profile (default 50); fik only")
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_soliton)
 

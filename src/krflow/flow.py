@@ -24,13 +24,14 @@ exact slopes +1 / -1 feeding Hermite stencils at the boundary-adjacent
 nodes, explicit RK2 (midpoint) with a local CFL-limited step and
 rejection-halving on interior positivity loss, and remeshing.  Meshes
 cluster in the inner window [a, a + K (T - t)] on a CFL-equidistributed
-spacing law with a resolution floor, and are rebuilt every remesh_interval
-steps by monotone cubic interpolation.  The mesh law's constants (K, the
-window's least share of the nodes, the floor and the outer grading) are
-fixed next to _mesh_for, and the [1, 3] window on which runs are compared
-with Y next to _Engine.  A frame (_UnscaledEngine, _DilatedEngine) supplies
-only its domain and velocity, rhs, CFL advection term, outer boundary data,
-remesh window and measurements.
+spacing law with a resolution floor, and are rebuilt every _REMESH_INTERVAL
+(200) accepted steps by monotone cubic interpolation.  The mesh law, with
+its constants (K, the window's least share of the nodes, the floor and the
+outer grading), is grids.window_mesh; the remesh interval and the [1, 3]
+window on which runs are compared with Y are fixed next to _Engine.  A frame
+(_UnscaledEngine, _DilatedEngine) supplies only its domain and velocity,
+rhs, CFL advection term, outer boundary data, remesh window and
+measurements.
 
 The sandwich monitor checks every accepted step of the run's primary engine
 in either frame, on its dilated view (phi, y), a block of steps at a time.
@@ -47,7 +48,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import analysis
-from .barriers import (BarrierParams, SandwichMonitor, class_c_check,
+from .barriers import (BARRIER_DELTA, LAMBDA_INIT, SandwichMonitor, class_c_check,
                        fit_lambda0, full_operator, write_violation_csv)
 from .geometry import (LogProfile, RadialProfile, read_profile_csv, reduced_rm,
                        to_radial, validate_profile, write_profile_csv)
@@ -100,7 +101,6 @@ class FlowConfig:
     cfl: float = 0.4
     stop_tau: float = 6.5
     engine: str = "unscaled"
-    remesh_interval: int = 200
     record_every: int = 25
     snap_taus: tuple = ()
     phi_cut: float = 50.0
@@ -128,7 +128,11 @@ class FlowConfig:
             errs.append("cao_koiso_perturbed requires a0 = 1")
         if self.initial_kind == "from_file" and not self.initial_path:
             errs.append("from_file initial data needs initial_path")
-        if self.grid_n < 128:
+        for k in ("grid_n", "record_every", "max_steps"):
+            v = getattr(self, k)
+            if not isinstance(v, int) or isinstance(v, bool):
+                errs.append(f"{k} must be an integer, got {v!r}")
+        if isinstance(self.grid_n, int) and self.grid_n < 128:
             errs.append("grid_n must be >= 128")
         if not (0.0 < self.cfl <= 0.5):
             errs.append("cfl must lie in (0, 0.5]")
@@ -143,8 +147,8 @@ class FlowConfig:
             if outside:
                 errs.append(f"snap_taus {', '.join(outside)} outside the run's "
                             f"(tau0, stop_tau] = ({tau0:.6g}, {self.stop_tau:g}]")
-        if self.remesh_interval < 1 or self.record_every < 1:
-            errs.append("remesh_interval and record_every must be >= 1")
+        if isinstance(self.record_every, int) and self.record_every < 1:
+            errs.append("record_every must be >= 1")
         if self.engine not in _ENGINES:
             errs.append(f"engine must be one of {_ENGINES}")
         if self.phi_cut <= 3.0:
@@ -188,9 +192,10 @@ def load_config(path) -> FlowConfig:
         return parse_config_text(fh.read())
 
 
-def _resample(spl, x_old, u_old, x_new, slope_left=None, slope_right=None):
+def _resample(spl, x_old, u_old, x_new, slope_right=None):
     """Monotone cubic resample, by spl = pchip(x_old, u_old), with exact
-    boundary data re-imposed.
+    boundary data re-imposed: slope +1 at the inner end, slope_right (unless
+    None) at the outer one.
 
     Near a degenerate endpoint the interpolant is replaced by the Hermite
     cubic through the endpoint data (value 0, known slope) and the first two
@@ -198,7 +203,7 @@ def _resample(spl, x_old, u_old, x_new, slope_left=None, slope_right=None):
     endpoint stencil denominators, would corrupt curvature diagnostics.
     """
     u_new = np.asarray(spl(x_new), dtype=float)
-    for slope, (i0, i1, i2) in ((slope_left, (0, 1, 2)), (slope_right, (-1, -2, -3))):
+    for slope, (i0, i1, i2) in ((1.0, (0, 1, 2)), (slope_right, (-1, -2, -3))):
         if slope is None:
             continue
         d1, d2 = x_old[i1] - x_old[i0], x_old[i2] - x_old[i0]
@@ -215,26 +220,6 @@ def _resample(spl, x_old, u_old, x_new, slope_left=None, slope_right=None):
 # ---------------------------------------------------------------------------
 # initial data
 # ---------------------------------------------------------------------------
-
-# The mesh law, in units of the time left t_left = T - t: the inner window
-# [a, a + _INNER_WINDOW_K t_left] holds at least _MIN_INNER_FRACTION of the
-# nodes, spaced no finer than _INNER_RES t_left; the rest stretch outward
-# with exponent _GRADING.
-_INNER_WINDOW_K = 10.0
-_MIN_INNER_FRACTION = 0.25
-_INNER_RES = 3e-4
-_GRADING = 3.0
-
-
-def _mesh_for(u_of_delta, a, b, t_left, n):
-    """n-node f-grid on [a, b] by the mesh law, with u_of_delta = u(a + d)."""
-    D = b - a
-    W = min(_INNER_WINDOW_K * t_left, D)
-    h0 = max(_INNER_RES * t_left, 1e-12 * D)
-    delta = window_mesh(D, n - 1, W, h0, _GRADING,
-                        coeff=u_of_delta, min_fraction=_MIN_INNER_FRACTION)
-    return a + delta
-
 
 def _quintic_bridge(x0, v0, d0, dd0, x1, v1, d1, dd1):
     """Two-point quintic Hermite (value, slope, curvature at both ends)."""
@@ -330,7 +315,7 @@ def make_initial(cfg: FlowConfig) -> FlowState:
         spl = pchip(prof.f, prof.u)
         u_fn = lambda f: np.clip(spl(np.clip(f, prof.a, prof.b)), 0.0, None)
 
-    f = _mesh_for(lambda d: np.clip(u_fn(a0 + d), 0.0, None), a0, b0, T, cfg.grid_n)
+    f = window_mesh(lambda d: np.clip(u_fn(a0 + d), 0.0, None), a0, b0, T, cfg.grid_n)
     u = np.asarray(u_fn(f), dtype=float)
     u[0] = u[-1] = 0.0
     if np.any(u[1:-1] <= 0.0):
@@ -352,6 +337,7 @@ def make_initial(cfg: FlowConfig) -> FlowState:
 _MAX_HALVINGS = 45
 _MAX_SUBSTEPS = 100_000  # steps advance_to may take to reach its target
 _MONITOR_BLOCK = 8192    # values per sandwich-monitor block (64 kB)
+_REMESH_INTERVAL = 200   # accepted steps between remeshes
 _WINDOW_HI = 3.0         # y is compared with Y on the window 1 <= phi <= 3
 
 
@@ -483,7 +469,7 @@ class _Engine:
         x_old = self.nodes()
         spl = pchip(x_old, self.u)
         lo, L, x_new = self._remesh_nodes(spl, x_old)
-        u_new = _resample(spl, x_old, self.u, x_new, slope_left=1.0,
+        u_new = _resample(spl, x_old, self.u, x_new,
                           slope_right=None if self.truncated else -1.0)
         u_new[0] = 0.0
         u_new[-1] = self._outer_value(self.t) if self.truncated else 0.0
@@ -599,7 +585,7 @@ class _UnscaledEngine(_Engine):
     def _remesh_nodes(self, spl, f_old):
         a, b, D = self.domain()
         u_of = lambda d: np.clip(spl(a + np.clip(d, 0.0, D)), 0.0, None)
-        return a, D, _mesh_for(u_of, a, b, self.T - self.t, self.n)
+        return a, D, window_mesh(u_of, a, b, self.T - self.t, self.n)
 
     def r_of(self, x):
         """r-coordinate of an interior point, via r = anchor_r + int df/u."""
@@ -738,7 +724,7 @@ class _DilatedEngine(_Engine):
             self._static_out = phi_out = self.phi_cut
         u_of = lambda d: np.clip(spl(np.clip(1.0 + d, phi_old[0], phi_old[-1])), 0.0, None)
         # the blow-up frame is the unscaled one at T - t = 1
-        phi_new = _mesh_for(u_of, 1.0, phi_out, 1.0, self.n)
+        phi_new = window_mesh(u_of, 1.0, phi_out, 1.0, self.n)
         return 1.0, phi_out - 1.0, np.minimum(phi_new, phi_old[-1])
 
     def state(self) -> DilatedState:
@@ -870,7 +856,6 @@ def anchor_track(s: FlowState, dt: float = 0.0) -> tuple:
 
 @dataclass
 class RunArtifacts:
-    config: FlowConfig
     series: list
     anchor: list
     violations: list
@@ -908,8 +893,8 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     t_stop = T - np.exp(-cfg.stop_tau)
 
     d0 = analysis.dilate(state0)
-    params = BarrierParams(lambda0=fit_lambda0(d0))
-    monitor = SandwichMonitor(params, tau0)
+    lambda0 = fit_lambda0(d0)
+    monitor = SandwichMonitor(lambda0, tau0)
 
     use_unscaled = cfg.engine in ("unscaled", "both")
     use_dilated = cfg.engine in ("dilated", "both")
@@ -991,7 +976,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             if use_unscaled and use_dilated:
                 de.advance_to(tau_now)
             k = primary.step_count
-            remesh_now = k % cfg.remesh_interval == 0
+            remesh_now = k % _REMESH_INTERVAL == 0
             unchecked.append((k, tau_now, primary.t, primary.u))
             if remesh_now or len(unchecked) >= block:
                 check_unchecked()
@@ -1022,16 +1007,16 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
         "violations": len(monitor.violations),
         "cross_engine_supdiff_max": (max(c[1] for c in cross) if cross else None),
         "cross_engine_supdiff_final": (cross[-1][1] if cross else None),
-        "lambda0": params.lambda0,
+        "lambda0": lambda0,
         "tolerances": {
             "monitor_slack": monitor.slack,
             "max_halvings": _MAX_HALVINGS,
-            "barrier_delta": params.delta,
-            "lambda_init": params.lambda_init,
+            "barrier_delta": BARRIER_DELTA,
+            "lambda_init": LAMBDA_INIT,
         },
         "artifacts": [],
     }
-    return RunArtifacts(cfg, series, anchors, monitor.violations, snaps, cross,
+    return RunArtifacts(series, anchors, monitor.violations, snaps, cross,
                         manifest, status, failing, wall)
 
 
@@ -1062,7 +1047,7 @@ def write_artifacts(arts: RunArtifacts, out_dir) -> dict:
 # r-coordinate reference engine (validation of the imposed boundary motion)
 # ---------------------------------------------------------------------------
 
-def r_coordinate_reference(profile: RadialProfile, T, t_end):
+def r_coordinate_reference(profile: RadialProfile, t_end):
     """Integrate phi_t = phi_rr/phi_r + phi_r/phi - 2 on a truncated r-window.
 
     Boundary closure: the asymptotic Robin conditions d_r log phi_r = +1 at

@@ -331,19 +331,21 @@ def equidistributed_nodes(width, n, h_floor, coeff):
     return nodes
 
 
-def stretched_tail(start, end, n, h0, p):
-    """n intervals from start to end, first spacing ~ h0, power-p growth.
+def stretched_tail(start, end, n, h0):
+    """n intervals from start to end, first spacing ~ h0, growth exponent _GRADING.
 
-    Positions follow d(s) = start + L * ((s+eps)^p - eps^p)/((1+eps)^p - eps^p)
-    with eps solved so the junction spacing matches h0 (capped at uniform).
+    Positions follow d(s) = start + L * ((s+eps)^p - eps^p)/((1+eps)^p - eps^p),
+    p = _GRADING, with eps solved so the junction spacing matches h0 (capped
+    at uniform).
     """
     L = end - start
     if n < 1 or L <= 0:
         raise GridError("empty tail")
-    if n * h0 >= L or p <= 1.0:
+    if n * h0 >= L:
         return np.linspace(start, end, n + 1)
 
     s = np.arange(n + 1) / n
+    p = _GRADING
 
     def first_spacing(eps):
         g = ((s + eps) ** p - eps ** p) / ((1 + eps) ** p - eps ** p)
@@ -365,24 +367,33 @@ def stretched_tail(start, end, n, h0, p):
     return nodes
 
 
-def window_mesh(domain, n, window, h_floor, p_outer, coeff, min_fraction=0.25):
-    """Composite mesh on [0, domain] clustered toward the degenerate inner end.
+# The mesh law, in units of the time left t_left = T - t: the inner window
+# [a, a + _INNER_WINDOW_K t_left] holds at least _MIN_INNER_FRACTION of the
+# nodes, spaced no finer than _INNER_RES t_left; the rest stretch outward
+# with exponent _GRADING.
+_INNER_WINDOW_K = 10.0
+_MIN_INNER_FRACTION = 0.25
+_INNER_RES = 3e-4
+_GRADING = 3.0
 
-    The inner window [0, min(window, domain)] must hold at least min_fraction
-    of the nodes.  A single CFL-equidistributed grid is used whenever it
-    already satisfies that floor; otherwise the window gets its node quota on
-    an equidistributed grid (floor spacing h_floor) and the remainder
-    stretches to the outer boundary with growth exponent p_outer,
+
+def window_mesh(u_of_delta, a, b, t_left, n):
+    """n-node grid on [a, b] by the mesh law, clustered toward the degenerate
+    inner end a; u_of_delta(d) = u(a + d) is the local diffusion coefficient.
+
+    A single CFL-equidistributed grid is used whenever it already puts the
+    inner window's share of the nodes there; otherwise the window gets that
+    quota on an equidistributed grid and the remainder stretches to b,
     spacing-matched at the junction.
     """
-    nodes = equidistributed_nodes(domain, n, h_floor, coeff)
-    if window >= domain:
-        return nodes
-    if np.searchsorted(nodes, window) >= min_fraction * n:
-        return nodes
-    m = max(int(np.ceil(min_fraction * n)), 8)
-    m = min(m, n - 4)
-    inner = equidistributed_nodes(window, m, h_floor, coeff)
-    h_j = inner[-1] - inner[-2]
-    outer = stretched_tail(window, domain, n - m, h_j, p_outer)
-    return np.concatenate([inner, outer[1:]])
+    D = b - a
+    W = min(_INNER_WINDOW_K * t_left, D)
+    h0 = max(_INNER_RES * t_left, 1e-12 * D)
+    m = n - 1                                   # intervals
+    delta = equidistributed_nodes(D, m, h0, u_of_delta)
+    if W < D and np.searchsorted(delta, W) < _MIN_INNER_FRACTION * m:
+        k = min(max(int(np.ceil(_MIN_INNER_FRACTION * m)), 8), m - 4)
+        inner = equidistributed_nodes(W, k, h0, u_of_delta)
+        outer = stretched_tail(W, D, m - k, inner[-1] - inner[-2])
+        delta = np.concatenate([inner, outer[1:]])
+    return a + delta

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from krflow.barriers import (BarrierParams, SandwichMonitor, barrier_residual_sub,
+from krflow.barriers import (BARRIER_DELTA, LAMBDA_INIT, SandwichMonitor,
+                             barrier_residual_sub,
                              barrier_residual_sub_split, barrier_residual_sup,
                              barrier_y1, barrier_y2, bilinear_part,
                              class_c_check, comparison_check, fit_lambda0,
@@ -101,13 +102,13 @@ def test_class_c_parabola_and_barrier_peak():
 # ---------------------------------------------------------------------------
 
 def test_barrier_values():
-    p = BarrierParams(delta=1e-7, lambda0=1.0)
-    assert barrier_y1(1.0, 0.0, p) == pytest.approx(-0.2, abs=1e-15)
-    assert barrier_y2(1.0, 0.0, p) == pytest.approx(1.0, abs=1e-15)
+    assert (BARRIER_DELTA, LAMBDA_INIT) == (1e-7, 0.2)
+    assert barrier_y1(1.0, 0.0) == pytest.approx(-0.2, abs=1e-15)
+    assert barrier_y2(1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
     # squeeze monotonically to the stationary profile on fixed phi
     taus = np.array([0.0, 5.0, 50.0, 500.0])
-    y1 = np.array([float(barrier_y1(2.0, t, p)) for t in taus])
-    y2 = np.array([float(barrier_y2(2.0, t, p)) for t in taus])
+    y1 = np.array([float(barrier_y1(2.0, t)) for t in taus])
+    y2 = np.array([float(barrier_y2(2.0, t, 1.0)) for t in taus])
     assert np.all(np.diff(y1) > 0) and np.all(np.diff(y2) < 0)
     assert abs(y2[-1] - fik_y(2.0)) < 1e-15
     assert y1[-1] < fik_y(2.0)
@@ -147,11 +148,10 @@ def test_supersolution_certificate():
 
 
 def test_boundary_admissibility_of_subsolution():
-    p = BarrierParams(delta=1e-7, lambda0=1.0)
     for a0, b0 in ((1.0, 10.0), (1.0, 3.1)):
         taus = np.linspace(0.0, 60.0, 601)
         phi_b = (b0 - 3.0 * a0) * np.exp(taus) + 3.0
-        vals = np.array([float(barrier_y1(pb, t, p)) for pb, t in zip(phi_b, taus)])
+        vals = np.array([float(barrier_y1(pb, t)) for pb, t in zip(phi_b, taus)])
         assert np.all(vals < 0)
 
 
@@ -171,14 +171,13 @@ def test_fit_lambda0_floor_and_construction():
 
 def test_sandwich_monitor_flags_constructed_violation(tmp_path):
     phi = np.linspace(1.0, 10.0, 501)
-    params = BarrierParams(delta=1e-7, lambda0=1.0)
-    mon = SandwichMonitor(params, tau0=0.0)
+    mon = SandwichMonitor(1.0, tau0=0.0)
     y = fik_y(phi)
     mon.check((0,), (0.0,), phi[None], y[None])
     assert not mon.violations           # stationary profile is inside the sandwich
     bad = y.copy()
     k = 250
-    bad[k] = barrier_y1(phi[k], 0.0, params) - 1e-3
+    bad[k] = barrier_y1(phi[k], 0.0) - 1e-3
     mon.check((1,), (0.0,), phi[None], bad[None])
     assert len(mon.violations) == 1
     v = mon.violations[0]
@@ -189,12 +188,18 @@ def test_sandwich_monitor_flags_constructed_violation(tmp_path):
                                  b"1,0,5.5,sub,0.00099998999999988993\r\n")
 
 
-def _reference_violations(params, tau0, slack, step, tau, phi, y):
+@pytest.mark.parametrize("lambda0", [0.0, -1e-3, float("nan")])
+def test_sandwich_monitor_rejects_non_positive_amplitude(lambda0):
+    with pytest.raises(ValueError, match="lambda0 must be positive"):
+        SandwichMonitor(lambda0, tau0=0.0)
+
+
+def _reference_violations(lambda0, tau0, slack, step, tau, phi, y):
     """The monitor's verdict evaluated through barrier_y1 / barrier_y2."""
     s = tau - tau0
     out = []
-    for kind, deficit in (("sub", barrier_y1(phi, s, params) - y - slack),
-                          ("super", y - barrier_y2(phi, s, params) - slack)):
+    for kind, deficit in (("sub", barrier_y1(phi, s) - y - slack),
+                          ("super", y - barrier_y2(phi, s, lambda0) - slack)):
         if np.any(deficit > 0):
             k = int(np.argmax(deficit))
             out.append(ViolationRecord(step, float(tau), float(phi[k]), kind,
@@ -204,10 +209,9 @@ def _reference_violations(params, tau0, slack, step, tau, phi, y):
 
 def test_sandwich_monitor_matches_barrier_evaluation():
     rng = np.random.default_rng(7)
-    params = BarrierParams(delta=3e-7, lambda_init=0.2, lambda0=2e-3)
-    tau0, slack = 0.4, 1e-8
-    mon = SandwichMonitor(params, tau0=tau0)
-    block = SandwichMonitor(params, tau0=tau0)
+    lambda0, tau0, slack = 2e-3, 0.4, 1e-8
+    mon = SandwichMonitor(lambda0, tau0=tau0)
+    block = SandwichMonitor(lambda0, tau0=tau0)
     expected = []
     for n, rows in ((301, 2), (97, 1), (2048, 3), (501, 40)):
         steps, taus, phis, ys = [], [], [], []
@@ -216,7 +220,7 @@ def test_sandwich_monitor_matches_barrier_evaluation():
             phi[0] = 1.0
             tau = tau0 + rng.uniform(0.0, 7.0)
             s = tau - tau0
-            y1, y2 = barrier_y1(phi, s, params), barrier_y2(phi, s, params)
+            y1, y2 = barrier_y1(phi, s), barrier_y2(phi, s, lambda0)
             y = y1 + rng.uniform(0.0, 1.0, n) * (y2 - y1)      # inside the sandwich
             for k in rng.choice(n, 3, replace=False):
                 y[k] = y1[k] - rng.uniform(1e-9, 1e-2)            # below y1
@@ -227,7 +231,7 @@ def test_sandwich_monitor_matches_barrier_evaluation():
             for yy in (y, 0.5 * (y1 + y2)):
                 step = len(steps)
                 mon.check((step,), (tau,), phi[None], yy[None])
-                expected += _reference_violations(params, tau0, slack, step, tau,
+                expected += _reference_violations(lambda0, tau0, slack, step, tau,
                                                   phi, yy)
                 steps.append(step)
                 taus.append(tau)

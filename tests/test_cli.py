@@ -19,6 +19,21 @@ def test_soliton_fik(tmp_path, capsys):
     assert "f_max=50" in meta
 
 
+def test_soliton_fik_f_max_defaults_to_50(tmp_path):
+    out = tmp_path / "fik.csv"
+    assert main(["soliton", "--family", "fik", "--n", "256", "--out", str(out)]) == 0
+    assert "f_max=50\n" in (tmp_path / "fik.csv.meta").read_text()
+
+
+def test_soliton_cao_koiso_rejects_f_max(tmp_path, capsys):
+    out = tmp_path / "kc.csv"
+    rc = main(["soliton", "--family", "cao-koiso", "--n", "256", "--f-max", "0.5",
+               "--out", str(out)])
+    assert rc == 2
+    assert "--f-max applies only to --family fik" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_soliton_cao_koiso(tmp_path, capsys):
     out = tmp_path / "kc.csv"
     rc = main(["soliton", "--family", "cao-koiso", "--n", "1024", "--out", str(out)])
@@ -69,6 +84,19 @@ def test_readme_lists_every_config_key():
         else:
             text = "" if doc == "empty" else doc.strip("`")
             assert _FIELD_PARSERS[key](text) == f.default, key
+
+
+def test_readme_example_config_parses():
+    # the README's example config is a valid config file
+    import os
+    import re
+    from krflow.flow import parse_config_text
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        example = re.search(r"^Example:\n\n```\n(.*?)^```", fh.read(), re.M | re.S)
+    cfg = parse_config_text(example.group(1))
+    assert (cfg.a0, cfg.b0, cfg.grid_n) == (1.0, 10.0, 2048)
+    assert cfg.snap_taus == (2.0, 4.0, 6.0)
 
 
 @pytest.mark.slow

@@ -44,7 +44,7 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="cfl"):    # validated where it is built
         replace(FlowConfig(a0=1.0, b0=10.0), cfl=0.9)
     for key in ("grading", "barrier_delta", "perturbation_eps", "anchor_f_ref",
-                "window_hi", "lambda0_floor", "inner_res"):
+                "window_hi", "lambda0_floor", "inner_res", "remesh_interval"):
         with pytest.raises(ConfigError, match=f"unknown config key: '{key}'"):
             parse_config_text(f"a0 = 1\nb0 = 10\n{key} = 1e-7")
     with pytest.raises(ConfigError):
@@ -54,6 +54,14 @@ def test_config_validation():
     for snaps in ((0.02, 3.0), (-1.0,), (0.0,)):
         with pytest.raises(ConfigError, match="snap_taus"):
             FlowConfig(a0=1.0, b0=10.0, stop_tau=0.05, snap_taus=snaps).validate()
+
+
+@pytest.mark.parametrize("value", [2.5, 10.5, 256.0, float("nan"), True, False, "256"])
+@pytest.mark.parametrize("key", ["grid_n", "record_every", "max_steps"])
+def test_config_rejects_non_integer_counts(key, value):
+    # only the Python API can pass these: config files parse ints
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        FlowConfig(a0=1.0, b0=10.0, **{key: value})
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -169,8 +177,7 @@ def test_step_unscaled_self_similar_oracle():
 
 
 def test_step_dilated_identity_and_stationarity():
-    phi = 1.0 + window_mesh(49.0, 511, 10.0, 3e-4, 3.0,
-                            coeff=lambda d: fik_y(1.0 + d))
+    phi = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, 512)
     d = DilatedState(0.0, phi, fik_y(phi), truncated=True)
     assert step_dilated(d, 0.0) is d
     d2 = step_dilated(d, 0.05)
@@ -188,13 +195,13 @@ def test_step_dilated_full_domain_boundary_growth():
 
 
 def test_step_dilated_sandwich_preserved():
-    from krflow.barriers import BarrierParams, barrier_y1, barrier_y2, fit_lambda0
+    from krflow.barriers import barrier_y1, barrier_y2, fit_lambda0
     st = make_initial(small_cfg())
     d = analysis.dilate(st)
-    p = BarrierParams(lambda0=fit_lambda0(d))
+    lambda0 = fit_lambda0(d)
     d2 = step_dilated(d, 0.02)
-    assert np.all(barrier_y1(d2.phi, d2.tau, p) <= d2.y + 1e-8)
-    assert np.all(d2.y <= barrier_y2(d2.phi, d2.tau, p) + 1e-8)
+    assert np.all(barrier_y1(d2.phi, d2.tau) <= d2.y + 1e-8)
+    assert np.all(d2.y <= barrier_y2(d2.phi, d2.tau, lambda0) + 1e-8)
 
 
 def test_remesh_contracts():
@@ -372,7 +379,7 @@ def test_dilated_rows_match_per_step_view():
 @pytest.mark.parametrize("engine", ["unscaled", "dilated", "both"])
 def test_monitor_sees_every_accepted_step_once(monkeypatch, engine):
     # 254 steps at 128 nodes: monitor blocks of 8192 // 128 = 64 rows, and
-    # remeshes at steps 100 and 200, which drain a partial block each
+    # one remesh, at step 200, which drains a partial block
     seen, calls = [], []
     check = SandwichMonitor.check
 
@@ -383,8 +390,7 @@ def test_monitor_sees_every_accepted_step_once(monkeypatch, engine):
         return check(self, steps, taus, phi, y)
 
     monkeypatch.setattr(SandwichMonitor, "check", spy)
-    arts = run_flow(small_cfg(grid_n=128, engine=engine, stop_tau=0.05,
-                              remesh_interval=100))
+    arts = run_flow(small_cfg(grid_n=128, engine=engine, stop_tau=0.05))
     n = arts.manifest["steps"]
     assert n > 200 and max(calls) == 64 and len(calls) > 4
     assert seen == list(range(1, n + 1))
@@ -508,7 +514,7 @@ def _probe_scipy(**cfg):
 
 def test_parabola_run_never_imports_scipy():
     out = _probe_scipy(a0=1.0, b0=9.93, grid_n=128, stop_tau=0.1, record_every=25,
-                       remesh_interval=50, engine="both", phi_cut=10.5)
+                       engine="both", phi_cut=10.5)
     assert out["status"] == "completed"
     assert out["pchip_calls"] >= 1      # the run remeshed
     assert out["scipy"] == []
@@ -516,7 +522,7 @@ def test_parabola_run_never_imports_scipy():
 
 def test_cao_koiso_run_imports_scipy_on_demand():
     out = _probe_scipy(a0=1.0, b0=3.0, initial_kind="cao_koiso", grid_n=128,
-                       stop_tau=0.05, record_every=25, remesh_interval=50)
+                       stop_tau=0.05, record_every=25)
     assert out["status"] == "completed"
     assert "scipy.integrate" in out["scipy"]
     assert "scipy.interpolate" in out["scipy"]
@@ -533,7 +539,7 @@ def test_r_engine_validates_boundary_motion():
     f = np.unique(np.concatenate([[1.0], 1.0 + g, 10.0 - g, [10.0]]))
     u = (f - 1.0) * (10.0 - f) / 9.0
     u[0] = u[-1] = 0.0
-    out = r_coordinate_reference(RadialProfile(f, u), T=1.0, t_end=0.5)
+    out = r_coordinate_reference(RadialProfile(f, u), t_end=0.5)
     assert out["a_error"] <= 1e-4
     assert out["b_error"] <= 1e-4
 

@@ -1,6 +1,6 @@
 """Run artifacts of three tiny runs, pinned byte for byte.
 
-Each run (grid_n = 128, about 500 steps, a remesh every 50 steps) writes its
+Each run (grid_n = 128, about 500 steps, a remesh every 200 steps) writes its
 artifacts, and every file must equal the one under tests/data/golden/<run>.
 The 'both' run crosses phi_cut early, so its dilated engine switches to the
 truncated window and takes its outer value from the unscaled engine.  Any
@@ -22,7 +22,7 @@ from krflow.flow import FlowConfig, run_flow, write_artifacts
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden")
 BASE = dict(a0=1.0, b0=9.93, grid_n=128, stop_tau=0.1, record_every=25,
-            remesh_interval=50, snap_taus=(0.05, 0.1))
+            snap_taus=(0.05, 0.1))
 RUNS = {
     "unscaled": {},
     "dilated": dict(engine="dilated"),

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from krflow import grids
 from krflow.grids import (GridError, affine_interp, apply_weights, hermite_boundary,
-                          interior_weights, pchip)
+                          interior_weights, pchip, window_mesh)
+from krflow.soliton import fik_y
 
 
 def _mesh(rng, n):
@@ -95,3 +97,23 @@ def test_pchip_matches_scipy_bit_for_bit():
 def test_pchip_rejects_bad_input(x, y):
     with pytest.raises(GridError):
         pchip(x, y)
+
+
+@pytest.mark.parametrize("u_of_delta, a, b, t_left, n, composite", [
+    # the dilated frame's stationary window: one equidistributed grid
+    (lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, 512, False),
+    # parabola data late in a run: the inner window gets its quota
+    (lambda d: np.clip(d * (9.0 - 2e-3 - d) / 9.0, 0.0, None), 1e-3, 9.997, 1e-3,
+     256, True),
+])
+def test_window_mesh_law(monkeypatch, u_of_delta, a, b, t_left, n, composite):
+    tails = []
+    tail = grids.stretched_tail
+    monkeypatch.setattr(grids, "stretched_tail",
+                        lambda *args: (tails.append(args), tail(*args))[1])
+    x = window_mesh(u_of_delta, a, b, t_left, n)
+    assert bool(tails) == composite
+    assert x.size == n and x[0] == a and x[-1] == b
+    assert np.all(np.diff(x) > 0)
+    # the inner window [a, a + 10 (T - t)] holds at least a quarter of the nodes
+    assert np.count_nonzero(x <= a + 10.0 * t_left) >= n / 4
