@@ -63,11 +63,11 @@ class AcceptanceContext:
     """Lazy cache of the expensive runs shared between criteria."""
 
     def __init__(self, level="full"):
-        # krflow imports scipy on first use (soliton constants, Cao-Koiso
-        # data); import it here so that no criterion's runtime clause (A1,
+        # krflow imports scipy.integrate on first use: quad for the FIK
+        # constant (an infinite range) and solve_ivp for the r-coordinate
+        # shooting; import it here so that no criterion's runtime clause (A1,
         # A4, A11) times a one-off library import instead of its computation
         import scipy.integrate
-        import scipy.interpolate
         self.level = level
         self._cache = {}
 

@@ -52,17 +52,18 @@ from .barriers import (BARRIER_DELTA, LAMBDA_INIT, SandwichMonitor, class_c_chec
                        fit_lambda0, full_operator, write_violation_csv)
 from .geometry import (LogProfile, RadialProfile, read_profile_csv, reduced_rm,
                        to_radial, validate_profile, write_profile_csv)
-from .grids import (affine_interp, apply_weights, check_grid, cumint_inverse_linear,
-                    derivatives, hermite_boundary, hermite_cubic_coeffs,
-                    interior_weights, onesided_weights, pchip, window_mesh)
+from .grids import (affine_interp, apply_weights, check_grid, cubic_spline,
+                    cumint_inverse_linear, derivatives, hermite_boundary,
+                    hermite_cubic_coeffs, interior_weights, onesided_weights,
+                    pchip, window_mesh)
 from .soliton import cao_koiso_profile, fik_y, fik_y_derivs
 from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
 __all__ = [
-    "FlowConfig", "RunArtifacts", "ConfigError",
-    "FlowSetupError", "FlowPositivityError", "make_initial", "step_unscaled",
-    "step_dilated", "run_flow", "remesh", "anchor_track", "load_config",
-    "parse_config_text", "write_artifacts", "r_coordinate_reference",
+    "FlowConfig", "RunArtifacts", "ConfigError", "FlowSetupError", "FlowRunError",
+    "FlowPositivityError", "make_initial", "step_unscaled", "step_dilated",
+    "run_flow", "remesh", "anchor_track", "load_config", "parse_config_text",
+    "write_artifacts", "r_coordinate_reference",
 ]
 
 
@@ -74,13 +75,23 @@ class FlowSetupError(RuntimeError):
     """Initial data construction failed (class membership, positivity)."""
 
 
-class FlowPositivityError(RuntimeError):
-    """Interior positivity lost after maximal step halving."""
+class FlowRunError(RuntimeError):
+    """An engine could not go on at its step `step` and time `t`: it took
+    _MAX_SUBSTEPS steps without reaching the target time of advance_to.
+    run_flow ends the run with the class's `status` and partial artifacts.
+    """
+    status = "substep_limit"
 
     def __init__(self, step, t, msg=""):
-        super().__init__(msg or f"flow positivity failure at step {step}, t = {t:.9g}")
+        super().__init__(msg or f"flow {self.status.replace('_', ' ')} at step {step}, "
+                                f"t = {t:.9g}")
         self.step = step
         self.t = t
+
+
+class FlowPositivityError(FlowRunError):
+    """Interior positivity lost after maximal step halving."""
+    status = "positivity_failure"
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +251,11 @@ def _quintic_bridge(x0, v0, d0, dd0, x1, v1, d1, dd1):
 
 
 def _cao_koiso_spline():
-    """Cubic spline through the 4097-node compact-soliton profile.  scipy is
-    imported here, so only runs that start from Cao-Koiso data load it."""
-    from scipy.interpolate import CubicSpline
+    """Not-a-knot cubic spline through the 4097-node compact-soliton profile
+    (grids.cubic_spline, numpy only and equal to scipy's CubicSpline bit for
+    bit); spl(f, nu) gives the nu-th derivative."""
     ref = cao_koiso_profile(4097).profile
-    return CubicSpline(ref.f, ref.u)
+    return cubic_spline(ref.f, ref.u)
 
 
 def _perturbed_cao_koiso(cfg: FlowConfig):
@@ -460,7 +471,7 @@ class _Engine:
             if gap <= 1e-14:
                 return
             self.step(gap)
-        raise RuntimeError("engine failed to reach the target time")
+        raise FlowRunError(self.step_count, self.t)
 
     # remesh ------------------------------------------------------------
     def remesh(self):
@@ -987,9 +998,8 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
                 snapshot(pending_snaps.pop(0))
             if k % cfg.record_every == 0:
                 record()
-    except FlowPositivityError as e:
-        status = "positivity_failure"
-        failing = e.step
+    except FlowRunError as e:
+        status, failing = e.status, e.step
     check_unchecked()
     if not series or series[-1].step != primary.step_count:
         record()

@@ -1,16 +1,22 @@
 """Nonuniform finite-difference stencils, adapted 1D meshes, quadrature
-helpers, and the monotone cubic (PCHIP) interpolant that remeshing resamples
-with.
+helpers, and the cubic interpolants the initial data and remeshing use.
 
 Everything here works on plain numpy arrays; nothing here imports scipy.
 Grids are strictly increasing; derivative formulas use exact nonuniform
 weights (second order on smooth grids), and degenerate boundaries (value 0,
 known slope) get Hermite-enhanced stencils so that accuracy does not
 collapse to first order there.
+
+Three routines are ports that repeat a reference implementation operation
+for operation, so that their results agree with it bit for bit: `pchip`
+(scipy's PchipInterpolator), `cubic_spline` (scipy's not-a-knot
+CubicSpline, with `_dgtsv`, a port of LAPACK's tridiagonal solver dgtsv)
+and `gauss_kronrod21` (QUADPACK's 21-point panel dqk21).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -147,14 +153,48 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return d
 
 
+def _hermite_spline(x, y, hk, mk, dk):
+    """The piecewise cubic with values y and slopes dk at the nodes x, as a
+    callable spl(xn, nu=0) giving the value (nu = 0) or the nu-th derivative
+    (nu <= 3) of the cubic of the interval holding each query point, the end
+    intervals extrapolating.  hk and mk are the interval widths and secant
+    slopes.  The coefficients, the interval choice and the power sum are
+    those of scipy's CubicHermiteSpline and PPoly (1.17), operation for
+    operation.
+    """
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    c = (y[:-1], dk[:-1], (mk - dk[:-1]) / hk - t, t / hk)    # c[k] multiplies s**k
+    last = x.size - 2
+
+    def spl(xn, nu=0):
+        if nu not in (0, 1, 2, 3):
+            raise ValueError(f"derivative order must be 0..3, got {nu!r}")
+        xn = np.asarray(xn, dtype=float)
+        i = np.clip(np.searchsorted(x, xn, side="right") - 1, 0, last)
+        s = xn - x[i]
+        # scipy's power sum, not Horner's rule, so the rounding is the same:
+        # res = 0 + sum_k (c[k] s**(k - nu)) * k!/(k - nu)!, with s**j built
+        # by repeated multiplication; factors of exactly 1 are left out
+        res = 0.0
+        for k in range(nu, 4):
+            term = c[k][i]
+            if k > nu:
+                z = s if k == nu + 1 else z * s
+                term = term * z
+            if nu and k > 1:
+                term = term * float(math.perm(k, nu))
+            res = res + term
+        return res
+    return spl
+
+
 def pchip(x, y):
     """Monotone piecewise-cubic Hermite interpolant of y over the grid x.
 
     The node slopes are Fritsch & Butland's weighted harmonic means (SIAM J.
     Sci. Stat. Comput. 5 (1984) 300), zero at a local extremum or flat
     segment, with shape-preserving one-sided end slopes; two nodes give the
-    line.  Returns a callable that evaluates the cubic of the interval
-    holding each query point, the end intervals extrapolating.  The
+    line.  Returns a callable spl(xn, nu=0) (see `_hermite_spline`).  The
     arithmetic is scipy's PchipInterpolator's (1.17), operation for
     operation, so the two agree bit for bit.  x must be strictly increasing
     and y finite (GridError otherwise).
@@ -178,23 +218,80 @@ def pchip(x, y):
             dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
         dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
         dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
-    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
-    c0, c1, c2, c3 = t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]
-    last = x.size - 2
+    return _hermite_spline(x, y, hk, mk, dk)
 
-    def spl(xn):
-        xn = np.asarray(xn, dtype=float)
-        i = np.clip(np.searchsorted(x, xn, side="right") - 1, 0, last)
-        s = xn - x[i]
-        # scipy's power sum, not Horner's rule, so the rounding is the same
-        res = 0.0 + c3[i]
-        res += c2[i] * s
-        z = s * s
-        res += c1[i] * z
-        z *= s
-        res += c0[i] * z
-        return res
-    return spl
+
+def _dgtsv(dl, d, du, b):
+    """Solve the tridiagonal system with sub-, main and superdiagonals dl, d,
+    du and right-hand side b (lists of floats, overwritten).
+
+    LAPACK's dgtsv for one right-hand side, operation for operation:
+    Gaussian elimination that swaps rows i and i+1 whenever |d[i]| <
+    |dl[i]| (the fill-in of the second superdiagonal lives in dl), then back
+    substitution.  Returns the solution as an array; a zero pivot raises
+    GridError.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise GridError(f"tridiagonal system singular at row {i}")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise GridError(f"tridiagonal system singular at row {n - 1}")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
+
+
+def cubic_spline(x, y):
+    """C2 cubic spline of y over the grid x with not-a-knot ends (the third
+    derivative is continuous at the second and the second-to-last node).
+
+    The node slopes solve scipy's CubicSpline (1.17) tridiagonal system,
+    rows and right-hand side built the same way and solved by `_dgtsv` as
+    scipy's solve_banded does with LAPACK; the result is the callable of
+    `_hermite_spline`, so the two agree bit for bit.  x must be strictly
+    increasing with at least 4 nodes, y finite (GridError otherwise).
+    """
+    x = check_grid(x, min_nodes=4)
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise GridError("cubic_spline values must be finite")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    dl, d, du, b = np.empty(x.size - 1), np.empty(x.size), np.empty(x.size - 1), np.empty(x.size)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du[1:] = dx[:-1]
+    dl[:-1] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot rows
+    span = x[2] - x[0]
+    d[0], du[0] = dx[1], span
+    b[0] = ((dx[0] + 2 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
+    span = x[-1] - x[-3]
+    d[-1], dl[-1] = dx[-2], span
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
+    dk = _dgtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist())
+    return _hermite_spline(x, y, dx, slope, dk)
 
 
 def derivatives(x, u, slope_left=None, slope_right=None):
@@ -278,6 +375,69 @@ def cumint_inverse_linear(x, u):
     out[0] = 0.0
     np.cumsum(seg, out=out[1:])
     return out
+
+
+# QUADPACK's 21-point Gauss-Kronrod panel: Kronrod abscissae (the even
+# positions 1, 3, ..., 9 are the 10-point Gauss nodes) and weights, and the
+# Gauss weights, in QUADPACK's order (largest abscissa first, centre last)
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.000000000000000000000000000000000)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208980238285, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_EPMACH = 2.220446049250313e-16          # d1mach(4)
+_UFLOW = 2.2250738585072014e-308         # d1mach(1)
+
+
+def gauss_kronrod21(f, a, b):
+    """QUADPACK's dqk21: the 21-point Kronrod integral of f over [a, b] with
+    its error estimate, operation for operation (Piessens et al.,
+    *QUADPACK*, Springer 1983).
+
+    f takes the array of the 21 abscissae (centre first, then the points
+    left and right of it) and returns the values there.  Returns the Python
+    floats (result, abserr, resabs, resasc): the Kronrod result, the error
+    estimate, the integral of |f| and the integral of |f - mean|, which
+    adaptive QAGS calls defabs and resabs in its first-panel test.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = [hlgth * x for x in _XGK[:10]]
+    fv = np.asarray(f(np.array([centr] + [centr - x for x in absc]
+                               + [centr + x for x in absc])), dtype=float).tolist()
+    fc, fv1, fv2 = fv[0], fv[1:11], fv[11:]
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):     # Gauss nodes first
+        fsum = fv1[j] + fv2[j]
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * abs(hlgth)
+    resasc = resasc * abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,17 @@ Two distinguished values of C:
 Constant finding uses adaptive quadrature as the primary path and the
 closed-form antiderivative only as an independent cross-check.
 
-scipy's quad and solve_ivp are imported inside the three functions that
-call them (weight_integral, _weight_root, _shoot_once): importing scipy
-takes most of krflow's import time and about 50 MB of memory, and a run
-from parabola data never builds a soliton, so only the soliton
-constructors, the Cao-Koiso initial data and the checks that use them pay
-for it, on first use.  fik_y and fik_y_derivs, which every run calls, are
-closed forms.
+Every quadrature over a finite range starts from one numpy port of
+QUADPACK's first Gauss-Kronrod panel (grids.gauss_kronrod21) and returns it
+when adaptive QAGS would stop after that panel, which is then exactly the
+value scipy's quad returns; only a panel that fails QAGS's test, and the
+infinite range of the noncompact constant (QAGI), call scipy's quad.  So the
+Cao-Koiso constant and profile are built from numpy alone.  scipy's quad and
+solve_ivp are imported inside the functions that call them (_quad,
+_shoot_once): importing scipy takes most of krflow's import time and about
+50 MB of memory, and only the FIK constant, the r-coordinate shooting and
+the checks that use them pay for it, on first use.  fik_y and fik_y_derivs,
+which every run calls, are closed forms.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import RadialProfile, to_radial, LogProfile
-from .grids import cumulative_gl5, derivatives, interval_gl5
+from .grids import cumulative_gl5, derivatives, gauss_kronrod21, interval_gl5
 
 __all__ = [
     "SolitonSpec", "SolitonProfile", "SolitonPositivityError",
@@ -122,11 +126,27 @@ def _weight(s, C):
     return (2.0 - s) * s * np.exp(-C * s)
 
 
+def _quad(fn, upper, epsrel):
+    """int_1^upper fn(s) ds as scipy's quad(fn, 1, upper, epsabs=_EPSABS,
+    epsrel=epsrel, limit=200) returns it, as a Python float.
+
+    On a finite range QAGS starts with one 21-point Gauss-Kronrod panel and
+    returns it when (abserr <= max(epsabs, epsrel |result|) and abserr !=
+    resasc) or abserr == 0; that panel is computed here with numpy, and
+    quad is called only when the test fails or the range is infinite.
+    """
+    if np.isfinite(upper):
+        result, abserr, _, resasc = gauss_kronrod21(fn, 1.0, upper)
+        if ((abserr <= max(_EPSABS, epsrel * abs(result)) and abserr != resasc)
+                or abserr == 0.0):
+            return result
+    from scipy.integrate import quad
+    return quad(fn, 1.0, upper, epsabs=_EPSABS, epsrel=epsrel, limit=200)[0]
+
+
 def weight_integral(C, upper=np.inf):
     """Adaptive quadrature of int_1^upper (2-s) s e^{-Cs} ds."""
-    from scipy.integrate import quad
-    val, _ = quad(_weight, 1.0, upper, args=(C,), epsabs=_EPSABS, epsrel=1e-12, limit=200)
-    return val
+    return _quad(lambda s: _weight(s, C), upper, 1e-12)
 
 
 def closed_form_weight_integral(C):
@@ -157,12 +177,11 @@ def _bisect_root(g, lo, hi, xtol):
 def _weight_root(lo, hi, upper=np.inf):
     """Root C in [lo, hi] of int_1^upper (2-s) s e^{-Cs} ds = 0: bisection on
     adaptive quadrature to 1e-12, then a few Newton polish steps."""
-    from scipy.integrate import quad
     g = lambda C: weight_integral(C, upper=upper)
     c = _bisect_root(g, lo, hi, 1e-12)
     for _ in range(3):
         val = g(c)
-        dg, _ = quad(lambda s: -s * _weight(s, c), 1.0, upper, epsabs=_EPSABS, limit=200)
+        dg = _quad(lambda s: -s * _weight(s, c), upper, 1.49e-8)   # quad's default epsrel
         if dg == 0.0:
             break
         c -= val / dg
@@ -254,11 +273,10 @@ def soliton_quadrature(C, f_end, n) -> SolitonProfile:
     if n < 64:
         raise ValueError("need n >= 64 nodes")
     unbounded = f_end is None or not np.isfinite(f_end)
-    i_inf = weight_integral(C)
-
     if unbounded or C * f_end > 30.0:
         # exponential-factor regime: only the decaying (tail) solution is
         # representable, and it satisfies u(1)=0 only at a root of the integral
+        i_inf = weight_integral(C)
         if abs(i_inf) > 1e-11:
             raise SolitonConstructionError(
                 f"no admissible profile with u(1)=0 for C={C:.12g}: "

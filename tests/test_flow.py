@@ -485,7 +485,7 @@ def test_dilated_only_engine_runs():
 
 
 # ---------------------------------------------------------------------------
-# scipy is loaded only by runs that build a soliton
+# no flow run loads scipy
 # ---------------------------------------------------------------------------
 
 _SCIPY_PROBE = """
@@ -502,14 +502,29 @@ print(json.dumps({"status": arts.status, "pchip_calls": len(remeshed),
                   "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
+_SOLITON_PROBE = """
+import json, os, sys, tempfile
+from krflow.cli import main
+with tempfile.TemporaryDirectory() as out:
+    code = main(["soliton", "--family", "cao-koiso", "--n", "1024",
+                 "--out", os.path.join(out, "kc.csv")])
+print(json.dumps({"code": code,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
 
-def _probe_scipy(**cfg):
+
+def _probe(script, arg):
+    """Run script in a fresh interpreter; its last output line is JSON."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(cfg)],
+    proc = subprocess.run([sys.executable, "-c", script, arg],
                           env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _probe_scipy(**cfg):
+    return _probe(_SCIPY_PROBE, json.dumps(cfg))
 
 
 def test_parabola_run_never_imports_scipy():
@@ -520,12 +535,60 @@ def test_parabola_run_never_imports_scipy():
     assert out["scipy"] == []
 
 
-def test_cao_koiso_run_imports_scipy_on_demand():
-    out = _probe_scipy(a0=1.0, b0=3.0, initial_kind="cao_koiso", grid_n=128,
+@pytest.mark.parametrize("kind, b0", [("cao_koiso", 3.0), ("cao_koiso_perturbed", 3.1)],
+                         ids=["cao_koiso", "cao_koiso_perturbed"])
+def test_cao_koiso_runs_never_import_scipy(kind, b0):
+    out = _probe_scipy(a0=1.0, b0=b0, initial_kind=kind, grid_n=128,
                        stop_tau=0.05, record_every=25)
     assert out["status"] == "completed"
-    assert "scipy.integrate" in out["scipy"]
-    assert "scipy.interpolate" in out["scipy"]
+    assert out["scipy"] == []
+
+
+def test_cao_koiso_soliton_command_never_imports_scipy():
+    out = _probe(_SOLITON_PROBE, "")
+    assert out["code"] == 0
+    assert out["scipy"] == []
+
+
+# ---------------------------------------------------------------------------
+# a run that cannot go on ends with a typed status
+# ---------------------------------------------------------------------------
+
+_COUPLED = dict(a0=1.0, b0=9.93, grid_n=128, stop_tau=0.1, record_every=25,
+                engine="both", phi_cut=10.5)
+
+
+def test_substep_limit_ends_the_run_with_partial_artifacts(monkeypatch, tmp_path):
+    from krflow import flow
+    # the dilated engine follows the unscaled one by advance_to; with one
+    # substep allowed it cannot keep up on the first step
+    monkeypatch.setattr(flow, "_MAX_SUBSTEPS", 1)
+    arts = run_flow(FlowConfig(**_COUPLED))
+    assert arts.status == "substep_limit"
+    assert arts.failing_step is not None
+    assert arts.series and arts.series[-1].step == arts.manifest["steps"]
+    manifest = write_artifacts(arts, tmp_path)
+    assert manifest["status"] == "substep_limit"
+    assert manifest["failing_step"] == arts.failing_step
+    assert (tmp_path / "series.csv").exists()
+    d0 = analysis.dilate(make_initial(FlowConfig(a0=1.0, b0=9.93, grid_n=128)))
+    eng = _dilated_engine_on(d0, 128)
+    with pytest.raises(flow.FlowRunError) as ex:
+        eng.advance_to(d0.tau + 1.0)
+    assert (ex.value.step, ex.value.t) == (1, eng.t) and eng.t > d0.tau
+
+
+def test_substep_limit_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
+    from krflow import flow
+    from krflow.cli import main
+    monkeypatch.setattr(flow, "_MAX_SUBSTEPS", 1)
+    cfgp = tmp_path / "coupled.cfg"
+    cfgp.write_text("".join(f"{k} = {v}\n" for k, v in _COUPLED.items()))
+    outd = tmp_path / "o"
+    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(outd)])
+    assert rc == 3
+    assert "run did not complete: substep_limit at step" in capsys.readouterr().err
+    assert json.loads((outd / "manifest.json").read_text())["status"] == "substep_limit"
 
 
 # ---------------------------------------------------------------------------
