@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -50,13 +51,12 @@ import numpy as np
 from . import analysis
 from .barriers import (BARRIER_DELTA, LAMBDA_INIT, SandwichMonitor, class_c_check,
                        fit_lambda0, full_operator, write_violation_csv)
-from .geometry import (LogProfile, RadialProfile, read_profile_csv, reduced_rm,
-                       to_radial, validate_profile, write_profile_csv)
-from .grids import (affine_interp, apply_weights, check_grid, cubic_spline,
-                    cumint_inverse_linear, derivatives, hermite_boundary,
-                    hermite_cubic_coeffs, interior_weights, onesided_weights,
-                    pchip, window_mesh)
-from .soliton import cao_koiso_profile, fik_y, fik_y_derivs
+from .geometry import (LogProfile, RadialProfile, curvature, read_profile_csv,
+                       reduced_rm, to_radial, validate_profile, write_profile_csv)
+from .grids import (affine_interp, apply_weights, check_grid, cumint_inverse_linear,
+                    derivatives, hermite_boundary, hermite_cubic_coeffs,
+                    interior_weights, onesided_weights, pchip, window_mesh)
+from .soliton import _cao_koiso_constant_cached, cao_koiso_u, fik_y, fik_y_derivs
 from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
 __all__ = [
@@ -123,9 +123,11 @@ class FlowConfig:
     def validate(self):
         errs = [f"{k} must be finite, got {getattr(self, k)}"
                 for k in ("a0", "b0", "stop_tau", "phi_cut")
-                if not math.isfinite(getattr(self, k))]
-        if not all(map(math.isfinite, self.snap_taus)):
+                if not abs(getattr(self, k)) <= sys.float_info.max]
+        if not all(abs(s) <= sys.float_info.max for s in self.snap_taus):
             errs.append(f"snap_taus must be finite, got {self.snap_taus}")
+        if errs:    # nan, inf or an int past the float range: the checks below need floats
+            raise ConfigError("; ".join(errs))
         if self.a0 <= 0 or self.b0 <= self.a0:
             errs.append(f"need 0 < a0 < b0, got a0={self.a0}, b0={self.b0}")
         if self.initial_kind not in _INITIAL_KINDS:
@@ -150,7 +152,7 @@ class FlowConfig:
         if self.stop_tau < 0.0:
             errs.append("stop_tau must be >= 0")
         if not errs:
-            tau0 = 0.0 - np.log(self.a0)      # not -0.0, which prints as '-0'
+            tau0 = 0.0 - math.log(self.a0)    # not -0.0, which prints as '-0'
             if self.stop_tau <= tau0:
                 errs.append(f"stop_tau = {self.stop_tau} does not exceed the "
                             f"starting dilated time {tau0:.6g}")
@@ -250,33 +252,25 @@ def _quintic_bridge(x0, v0, d0, dd0, x1, v1, d1, dd1):
     return p
 
 
-def _cao_koiso_spline():
-    """Not-a-knot cubic spline through the 4097-node compact-soliton profile
-    (grids.cubic_spline, numpy only and equal to scipy's CubicSpline bit for
-    bit); spl(f, nu) gives the nu-th derivative."""
-    ref = cao_koiso_profile(4097).profile
-    return cubic_spline(ref.f, ref.u)
-
-
 def _perturbed_cao_koiso(cfg: FlowConfig):
     """Compact-soliton potential stretched near the outer section to b0 > 3,
     preserving the endpoint slope -1, interior positivity, and positive Ricci."""
-    from .geometry import curvature
-    from .soliton import _cao_koiso_constant_cached
-
-    spl = _cao_koiso_spline()
     b0 = cfg.b0
     # the bridge replaces the profile on [3 - w, b0], w at least 0.6
     w = min(max(0.6, 4.0 * (b0 - 3.0)), 1.5)
     x0 = 3.0 - w
     c_kc = _cao_koiso_constant_cached()
+    # the value from the formula, the slope and curvature from the soliton
+    # ODE u_f = (C - 1/f) u + 2 - f and its derivative
+    u0 = float(cao_koiso_u([x0])[0])
+    du0 = (c_kc - 1.0 / x0) * u0 + 2.0 - x0
+    ddu0 = (c_kc - 1.0 / x0) * du0 + u0 / x0 ** 2 - 1.0
     dd_out = -2.0 / 3.0 - c_kc   # curvature the unperturbed profile has at its outer zero
-    bridge = _quintic_bridge(x0, float(spl(x0)), float(spl(x0, 1)), float(spl(x0, 2)),
-                             b0, 0.0, -1.0, dd_out)
+    bridge = _quintic_bridge(x0, u0, du0, ddu0, b0, 0.0, -1.0, dd_out)
 
     def u_fn(f):
         f = np.asarray(f, dtype=float)
-        return np.where(f <= x0, spl(np.minimum(f, x0)), bridge(np.maximum(f, x0)))
+        return np.where(f <= x0, cao_koiso_u(np.minimum(f, x0)), bridge(np.maximum(f, x0)))
 
     probe = np.linspace(1.0, b0, 4097)
     vals = u_fn(probe)
@@ -302,8 +296,7 @@ def make_initial(cfg: FlowConfig) -> FlowState:
     if cfg.initial_kind == "parabola":
         u_fn = lambda f: (np.asarray(f) - a0) * (b0 - np.asarray(f)) / (b0 - a0)
     elif cfg.initial_kind == "cao_koiso":
-        spl = _cao_koiso_spline()
-        u_fn = lambda f: np.clip(spl(np.clip(f, 1.0, 3.0)), 0.0, None)
+        u_fn = cao_koiso_u
     elif cfg.initial_kind == "cao_koiso_perturbed":
         u_fn = _perturbed_cao_koiso(cfg)
     else:
@@ -920,13 +913,15 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     if use_dilated:
         phi_c, y_c = d0.phi, d0.y
         phi_cut = cfg.phi_cut if use_unscaled else np.inf
-        if phi_cut < d0.phi_max - 1e-9:
+        # a window cut inside its last cell would end where y ~ 0: it follows
+        # Phi_max, as one cut beyond it does, until a remesh switches it over
+        truncated = phi_cut < d0.phi[-2]
+        if truncated:
             keep = d0.phi < phi_cut
             phi_c = np.append(d0.phi[keep], phi_cut)
             y_c = np.append(d0.y[keep], np.interp(phi_cut, d0.phi, d0.y))
-        # the window starts truncated when it ends at phi_cut
         de = _DilatedEngine(d0.tau, phi_c, y_c, cfg.b0 - 3.0 * cfg.a0, cfg.cfl,
-                            cfg.grid_n, phi_c[-1] >= phi_cut - 1e-12, phi_cut=phi_cut,
+                            cfg.grid_n, truncated, phi_cut=phi_cut,
                             outer_bc=outer_bc_now if use_unscaled else None)
 
     primary = ue if use_unscaled else de

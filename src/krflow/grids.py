@@ -1,5 +1,6 @@
 """Nonuniform finite-difference stencils, adapted 1D meshes, quadrature
-helpers, and the cubic interpolants the initial data and remeshing use.
+helpers, and the monotone cubic interpolant that remeshing and file-read
+initial data use.
 
 Everything here works on plain numpy arrays; nothing here imports scipy.
 Grids are strictly increasing; derivative formulas use exact nonuniform
@@ -7,16 +8,14 @@ weights (second order on smooth grids), and degenerate boundaries (value 0,
 known slope) get Hermite-enhanced stencils so that accuracy does not
 collapse to first order there.
 
-Three routines are ports that repeat a reference implementation operation
-for operation, so that their results agree with it bit for bit: `pchip`
-(scipy's PchipInterpolator), `cubic_spline` (scipy's not-a-knot
-CubicSpline, with `_dgtsv`, a port of LAPACK's tridiagonal solver dgtsv)
-and `gauss_kronrod21` (QUADPACK's 21-point panel dqk21).
+Two routines are ports that repeat a reference implementation operation for
+operation, so that their results agree with it bit for bit: `pchip`
+(scipy's PchipInterpolator) and `gauss_kronrod21` (QUADPACK's 21-point
+panel dqk21).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 
 import numpy as np
@@ -155,34 +154,28 @@ def _pchip_end_slope(h0, h1, m0, m1):
 
 def _hermite_spline(x, y, hk, mk, dk):
     """The piecewise cubic with values y and slopes dk at the nodes x, as a
-    callable spl(xn, nu=0) giving the value (nu = 0) or the nu-th derivative
-    (nu <= 3) of the cubic of the interval holding each query point, the end
-    intervals extrapolating.  hk and mk are the interval widths and secant
-    slopes.  The coefficients, the interval choice and the power sum are
-    those of scipy's CubicHermiteSpline and PPoly (1.17), operation for
-    operation.
+    callable spl(xn) giving the value of the cubic of the interval holding
+    each query point, the end intervals extrapolating.  hk and mk are the
+    interval widths and secant slopes.  The coefficients, the interval
+    choice and the power sum are those of scipy's CubicHermiteSpline and
+    PPoly (1.17), operation for operation.
     """
     t = (dk[:-1] + dk[1:] - 2 * mk) / hk
     c = (y[:-1], dk[:-1], (mk - dk[:-1]) / hk - t, t / hk)    # c[k] multiplies s**k
     last = x.size - 2
 
-    def spl(xn, nu=0):
-        if nu not in (0, 1, 2, 3):
-            raise ValueError(f"derivative order must be 0..3, got {nu!r}")
+    def spl(xn):
         xn = np.asarray(xn, dtype=float)
         i = np.clip(np.searchsorted(x, xn, side="right") - 1, 0, last)
         s = xn - x[i]
         # scipy's power sum, not Horner's rule, so the rounding is the same:
-        # res = 0 + sum_k (c[k] s**(k - nu)) * k!/(k - nu)!, with s**j built
-        # by repeated multiplication; factors of exactly 1 are left out
+        # res = 0 + sum_k c[k] s**k, with s**k built by repeated multiplication
         res = 0.0
-        for k in range(nu, 4):
+        for k in range(4):
             term = c[k][i]
-            if k > nu:
-                z = s if k == nu + 1 else z * s
+            if k:
+                z = s if k == 1 else z * s
                 term = term * z
-            if nu and k > 1:
-                term = term * float(math.perm(k, nu))
             res = res + term
         return res
     return spl
@@ -194,7 +187,7 @@ def pchip(x, y):
     The node slopes are Fritsch & Butland's weighted harmonic means (SIAM J.
     Sci. Stat. Comput. 5 (1984) 300), zero at a local extremum or flat
     segment, with shape-preserving one-sided end slopes; two nodes give the
-    line.  Returns a callable spl(xn, nu=0) (see `_hermite_spline`).  The
+    line.  Returns a callable spl(xn) (see `_hermite_spline`).  The
     arithmetic is scipy's PchipInterpolator's (1.17), operation for
     operation, so the two agree bit for bit.  x must be strictly increasing
     and y finite (GridError otherwise).
@@ -219,79 +212,6 @@ def pchip(x, y):
         dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
         dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
     return _hermite_spline(x, y, hk, mk, dk)
-
-
-def _dgtsv(dl, d, du, b):
-    """Solve the tridiagonal system with sub-, main and superdiagonals dl, d,
-    du and right-hand side b (lists of floats, overwritten).
-
-    LAPACK's dgtsv for one right-hand side, operation for operation:
-    Gaussian elimination that swaps rows i and i+1 whenever |d[i]| <
-    |dl[i]| (the fill-in of the second superdiagonal lives in dl), then back
-    substitution.  Returns the solution as an array; a zero pivot raises
-    GridError.
-    """
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise GridError(f"tridiagonal system singular at row {i}")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            temp = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = temp - fact * b[i + 1]
-    if d[n - 1] == 0.0:
-        raise GridError(f"tridiagonal system singular at row {n - 1}")
-    b[n - 1] = b[n - 1] / d[n - 1]
-    if n > 1:
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return np.array(b)
-
-
-def cubic_spline(x, y):
-    """C2 cubic spline of y over the grid x with not-a-knot ends (the third
-    derivative is continuous at the second and the second-to-last node).
-
-    The node slopes solve scipy's CubicSpline (1.17) tridiagonal system,
-    rows and right-hand side built the same way and solved by `_dgtsv` as
-    scipy's solve_banded does with LAPACK; the result is the callable of
-    `_hermite_spline`, so the two agree bit for bit.  x must be strictly
-    increasing with at least 4 nodes, y finite (GridError otherwise).
-    """
-    x = check_grid(x, min_nodes=4)
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise GridError("cubic_spline values must be finite")
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    dl, d, du, b = np.empty(x.size - 1), np.empty(x.size), np.empty(x.size - 1), np.empty(x.size)
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    du[1:] = dx[:-1]
-    dl[:-1] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # not-a-knot rows
-    span = x[2] - x[0]
-    d[0], du[0] = dx[1], span
-    b[0] = ((dx[0] + 2 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
-    span = x[-1] - x[-3]
-    d[-1], dl[-1] = dx[-2], span
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
-    dk = _dgtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist())
-    return _hermite_spline(x, y, dx, slope, dk)
 
 
 def derivatives(x, u, slope_left=None, slope_right=None):

@@ -21,13 +21,15 @@ Two distinguished values of C:
 Constant finding uses adaptive quadrature as the primary path and the
 closed-form antiderivative only as an independent cross-check.
 
-Every quadrature over a finite range starts from one numpy port of
+Every adaptive quadrature over a finite range starts from one numpy port of
 QUADPACK's first Gauss-Kronrod panel (grids.gauss_kronrod21) and returns it
 when adaptive QAGS would stop after that panel, which is then exactly the
 value scipy's quad returns; only a panel that fails QAGS's test, and the
-infinite range of the noncompact constant (QAGI), call scipy's quad.  So the
-Cao-Koiso constant and profile are built from numpy alone.  scipy's quad and
-solve_ivp are imported inside the functions that call them (_quad,
+infinite range of the noncompact constant (QAGI), call scipy's quad (that
+panel and grids.pchip are the package's two ports).  Profiles and the
+Cao-Koiso flow data (cao_koiso_u) evaluate the integrating-factor formula at
+the points they need, so they too are built from numpy alone.  scipy's quad
+and solve_ivp are imported inside the functions that call them (_quad,
 _shoot_once): importing scipy takes most of krflow's import time and about
 50 MB of memory, and only the FIK constant, the r-coordinate shooting and
 the checks that use them pay for it, on first use.  fik_y and fik_y_derivs,
@@ -48,7 +50,7 @@ __all__ = [
     "SolitonSpec", "SolitonProfile", "SolitonPositivityError",
     "SolitonConstructionError", "fik_y", "fik_y_derivs",
     "soliton_ode_residual", "soliton_quadrature", "find_fik_constant",
-    "find_cao_koiso_constant", "cao_koiso_profile", "soliton_shoot_r",
+    "find_cao_koiso_constant", "cao_koiso_profile", "cao_koiso_u", "soliton_shoot_r",
     "weight_integral", "closed_form_weight_integral", "write_soliton_metadata",
 ]
 
@@ -251,6 +253,23 @@ def _tail_integral_on_grid(f, C):
     return rev[:len(f)]
 
 
+def _integrating_factor_u(f, C):
+    """(u, I) at non-decreasing points f >= 1: I(f) = int_1^f (2-s) s e^{-Cs} ds
+    by 5-point Gauss-Legendre panels between the points, u = e^{Cf} I / f.
+    1 to f[0] takes 64 panels (empty if f[0] = 1), so a lone point is as
+    accurate as a dense grid (one panel over [1, 2.4] is off by 5e-12)."""
+    f = np.asarray(f, dtype=float)
+    lead = np.linspace(1.0, f[0], 65)
+    cum = cumulative_gl5(lambda s: _weight(s, C), np.concatenate((lead, f[1:])))[64:]
+    return np.exp(C * f) * cum / f, cum
+
+
+def cao_koiso_u(f):
+    """The compact-soliton potential u(f) at non-decreasing points f, clipped
+    to [1, 3]; u(1) = 0 and u(3) vanishes up to rounding."""
+    return _integrating_factor_u(np.clip(f, 1.0, 3.0), _cao_koiso_constant_cached())[0]
+
+
 def _noncompact_profile(C, f_end, n) -> SolitonProfile:
     """The decaying solution u = -e^{Cf} T(f) / f on n nodes of [1, f_end],
     T the tail integral; u(1) = 0 holds at a root C of the full integral."""
@@ -283,14 +302,13 @@ def soliton_quadrature(C, f_end, n) -> SolitonProfile:
                 f"int_1^inf (2-s)s e^(-Cs) ds = {i_inf:+.3e}, so u grows like e^(Cf)/f")
         return _noncompact_profile(C, 50.0 if unbounded else f_end, n)
     f = np.linspace(1.0, float(f_end), n)
-    cum = cumulative_gl5(lambda s: _weight(s, C), f)
+    u, cum = _integrating_factor_u(f, C)
     scale = np.max(np.abs(cum))
     neg = cum < -1e-10 * scale
     if np.any(neg[1:]):
         k = 1 + int(np.argmax(neg[1:]))
         f_lost = float(np.interp(0.0, [cum[k], cum[k - 1]], [f[k], f[k - 1]]))
         raise SolitonPositivityError(f"loses positivity at f = {f_lost:.8g}")
-    u = np.exp(C * f) * cum / f
     u[0] = 0.0
     base = "L"
     if abs(cum[-1]) <= 1e-10 * scale:

@@ -15,9 +15,9 @@ from krflow.flow import (ConfigError, FlowConfig, FlowSetupError,
                          run_flow, step_dilated, step_unscaled, write_artifacts,
                          _DilatedEngine, _UnscaledEngine, _dilated_engine_on)
 from krflow.geometry import RadialProfile, curvature, validate_profile
-from krflow.grids import (apply_weights, hermite_boundary, interior_weights,
-                          window_mesh)
-from krflow.soliton import cao_koiso_profile, fik_y
+from krflow.grids import (apply_weights, derivatives, hermite_boundary,
+                          interior_weights, window_mesh)
+from krflow.soliton import cao_koiso_profile, cao_koiso_u, find_cao_koiso_constant, fik_y
 from krflow.states import DilatedState
 
 RT2 = np.sqrt(2.0)
@@ -115,6 +115,33 @@ def test_make_initial_perturbed_cao_koiso():
     rep = curvature(st.profile)
     assert min(rep.lambda1.min(), rep.lambda2.min()) > 0
     assert st.profile.b == pytest.approx(3.1)
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+def test_cao_koiso_initial_state_solves_the_soliton_ode(n):
+    # u_f + u/f - C u + f - 2 = 0 on the run mesh, to the stencils' second order
+    st = make_initial(FlowConfig(a0=1.0, b0=3.0, initial_kind="cao_koiso", grid_n=n))
+    f, u = st.profile.f, st.profile.u
+    u_f = derivatives(f, u, 1.0, -1.0)[0]
+    res = u_f + u / f - find_cao_koiso_constant() * u + f - 2.0
+    assert np.max(np.abs(res)) < 0.1 * np.max(np.diff(f)) ** 2
+
+
+def test_perturbed_cao_koiso_bridge_starts_on_the_soliton(monkeypatch):
+    # the quintic bridge takes value, slope and curvature at x0 from the
+    # soliton; five-point differences of the formula there must agree
+    from krflow import flow
+    seen, bridge = [], flow._quintic_bridge
+    monkeypatch.setattr(flow, "_quintic_bridge", lambda *a: (seen.append(a), bridge(*a))[1])
+    make_initial(FlowConfig(a0=1.0, b0=3.1, initial_kind="cao_koiso_perturbed", grid_n=256))
+    (x0, v0, d0, dd0, b0, v1, d1, _), = seen
+    assert (x0, b0, v1, d1) == (2.4, 3.1, 0.0, -1.0)
+    h = 1e-3
+    u = cao_koiso_u(x0 + h * np.arange(-2.0, 3.0))
+    assert v0 == pytest.approx(u[2], rel=1e-14, abs=0.0)
+    assert d0 == pytest.approx((u[0] - 8 * u[1] + 8 * u[3] - u[4]) / (12 * h), abs=1e-10)
+    assert dd0 == pytest.approx((-u[0] + 16 * u[1] - 30 * u[2] + 16 * u[3] - u[4])
+                                / (12 * h * h), abs=1e-8)
 
 
 def test_make_initial_from_file(tmp_path):
@@ -482,6 +509,18 @@ def test_dilated_only_engine_runs():
     r = arts.series[-1]
     assert r.tau == pytest.approx(0.7, abs=1e-9)
     assert r.sup_err_c0 < arts.series[0].sup_err_c0   # converging toward Y
+
+
+@pytest.mark.parametrize("b0, cut, n", [(10.0, 10.0 - 1e-3, 128), (10.0, 10.0, 128),
+                                       (9.93, 9.93 - 1e-3, 128), (10.0, 10.0 - 1e-4, 256)])
+def test_phi_cut_inside_the_last_cell_follows_phi_max(b0, cut, n):
+    # a window cut inside its last initial cell would start with its outer
+    # node where y ~ 0 and fail within a few steps; it follows Phi_max
+    # instead, and the first remesh switches it to the truncated window
+    arts = run_flow(FlowConfig(a0=1.0, b0=b0, grid_n=n, stop_tau=0.1, engine="both",
+                               record_every=25, phi_cut=cut))
+    assert arts.status == "completed"
+    assert arts.cross_engine                # recorded once the window is truncated
 
 
 # ---------------------------------------------------------------------------

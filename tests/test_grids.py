@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from krflow import grids
-from krflow.grids import (GridError, affine_interp, apply_weights, cubic_spline,
-                          gauss_kronrod21, hermite_boundary, interior_weights, pchip,
-                          window_mesh)
+from krflow.grids import (GridError, affine_interp, apply_weights, gauss_kronrod21,
+                          hermite_boundary, interior_weights, pchip, window_mesh)
 from krflow.soliton import fik_y
 
 
@@ -87,67 +86,6 @@ def test_pchip_matches_scipy_bit_for_bit():
         got = pchip(x, y)(q)
         assert np.array_equal(got, want), (n, kind)
         assert np.array_equal(np.signbit(got), np.signbit(want)), (n, kind)
-
-
-def _queries(rng, x):
-    """At, between, next to and outside the nodes."""
-    w = x[-1] - x[0]
-    return np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
-                           rng.uniform(x[0] - 0.3 * w, x[-1] + 0.3 * w, 300),
-                           np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
-
-
-def test_cubic_spline_matches_scipy_bit_for_bit():
-    from scipy.interpolate import CubicSpline
-    rng = np.random.default_rng(23)
-    for k, n in enumerate([4, 5, 6] * 4 + list(rng.integers(7, 3000, 40))):
-        if k % 2:                           # strongly graded: spacings over 8 decades
-            x = np.cumsum(10.0 ** rng.uniform(-6.0, 2.0, n)) - 1.0
-        else:                               # random on a uniform law
-            x = np.sort(rng.uniform(-5.0, 5.0, n))
-        x = np.unique(x)
-        y = (rng.standard_normal(x.size) if k % 3 else
-             (x - x[0]) * (x[-1] - x) * rng.uniform(0.5, 1.5, x.size))
-        want, got, q = CubicSpline(x, y), cubic_spline(x, y), _queries(rng, x)
-        for nu in (0, 1, 2):
-            a, b = got(q, nu), want(q, nu)
-            assert np.array_equal(a, b), (n, k, nu)
-            assert np.array_equal(np.signbit(a), np.signbit(b)), (n, k, nu)
-        for x0 in q[::97]:                  # scalar queries, as float(spl(x0, nu))
-            assert [float(got(x0, nu)) for nu in (0, 1, 2)] == \
-                [float(want(x0, nu)) for nu in (0, 1, 2)]
-
-
-def test_cubic_spline_rejects_bad_input():
-    for x, y in (([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
-                 ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
-                 ([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 1.0, 0.0])):
-        with pytest.raises(GridError):
-            cubic_spline(x, y)
-    with pytest.raises(ValueError):
-        cubic_spline([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 0.0])(0.5, 4)
-
-
-def test_dgtsv_matches_lapack_bit_for_bit():
-    from scipy.linalg.lapack import dgtsv
-    rng = np.random.default_rng(29)
-    swapped = kept = 0
-    for k in range(400):
-        n = int(rng.integers(2, 60))
-        dl, du = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
-        d, b = rng.standard_normal(n), rng.standard_normal(n)
-        if k % 2:                           # diagonally dominant: no row interchange
-            d = np.sign(d) * (np.abs(d) + 4.0)
-        if np.any(np.abs(d[:-1]) < np.abs(dl)):
-            swapped += 1
-        else:
-            kept += 1
-        want = dgtsv(dl, d, du, b)[3]
-        got = grids._dgtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist())
-        assert np.array_equal(got, want), k
-    assert swapped > 100 and kept > 100
-    with pytest.raises(GridError):
-        grids._dgtsv([0.0], [0.0, 1.0], [1.0], [1.0, 1.0])
 
 
 def test_gauss_kronrod21_is_quads_first_panel():

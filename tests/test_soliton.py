@@ -3,7 +3,7 @@ import pytest
 
 from krflow.geometry import KahlerClass, curvature, validate_profile
 from krflow.soliton import (SolitonPositivityError, SolitonConstructionError,
-                            SolitonProfile, SolitonSpec, cao_koiso_profile,
+                            SolitonProfile, SolitonSpec, cao_koiso_profile, cao_koiso_u,
                             closed_form_weight_integral, fik_profile, fik_y,
                             fik_y_derivs, find_cao_koiso_constant,
                             find_fik_constant, soliton_ode_residual,
@@ -157,6 +157,24 @@ def test_cao_koiso_profile_contract():
     assert (kc.a, kc.b) == (1.0, 3.0)
     assert not kc.singular_regime
     assert soliton_ode_residual(p) < 5e-5
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4097])
+def test_cao_koiso_u_is_the_profile(n):
+    # the flow's initial data and the profile are one formula
+    p = cao_koiso_profile(n).profile
+    u = cao_koiso_u(p.f)
+    assert np.array_equal(u[1:-1], p.u[1:-1])
+    # f = 3 is the root of the integral, left as the running sum's rounding
+    assert u[0] == 0.0 and abs(u[-1]) < 1e-14
+
+
+def test_cao_koiso_u_at_lone_and_clipped_points():
+    dense = cao_koiso_profile(4097).profile
+    for k in (700, 2048, 2867, 3500):
+        assert cao_koiso_u([dense.f[k]])[0] == pytest.approx(dense.u[k], rel=1e-14)
+    assert np.array_equal(cao_koiso_u([0.5, 1.0, 2.0, 3.0, 3.5]),
+                          cao_koiso_u([1.0, 1.0, 2.0, 3.0, 3.0]))
 
 
 def test_fik_profile_mixed_ricci_sign():
