@@ -33,6 +33,12 @@ window on which runs are compared with Y are fixed next to _Engine.  A frame
 rhs, CFL advection term, outer boundary data, remesh window and
 measurements.
 
+In a coupled run (engine = both) the unscaled engine is the primary, and
+after each of its steps the dilated engine follows it to the same tau by
+advance_to.  The two stable steps in tau nearly agree, so the gap is almost
+always within the dilated CFL bound without its cushion and is taken in one
+step; a longer gap is crossed in stable steps.
+
 The sandwich monitor checks every accepted step of the run's primary engine
 in either frame, on its dilated view (phi, y), a block of steps at a time.
 """
@@ -41,16 +47,18 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import analysis
 from .barriers import (BARRIER_DELTA, LAMBDA_INIT, SandwichMonitor, class_c_check,
-                       fit_lambda0, full_operator, write_violation_csv)
+                       fit_lambda0, write_violation_csv)
 from .geometry import (LogProfile, RadialProfile, curvature, read_profile_csv,
                        reduced_rm, to_radial, validate_profile, write_profile_csv)
 from .grids import (affine_interp, apply_weights, check_grid, cumint_inverse_linear,
@@ -61,9 +69,9 @@ from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
 __all__ = [
     "FlowConfig", "RunArtifacts", "ConfigError", "FlowSetupError", "FlowRunError",
-    "FlowPositivityError", "make_initial", "step_unscaled", "step_dilated",
-    "run_flow", "remesh", "anchor_track", "load_config", "parse_config_text",
-    "write_artifacts", "r_coordinate_reference",
+    "FlowPositivityError", "FlowRemeshError", "make_initial", "step_unscaled",
+    "step_dilated", "run_flow", "remesh", "anchor_track", "load_config",
+    "parse_config_text", "write_artifacts", "r_coordinate_reference",
 ]
 
 
@@ -76,9 +84,10 @@ class FlowSetupError(RuntimeError):
 
 
 class FlowRunError(RuntimeError):
-    """An engine could not go on at its step `step` and time `t`: it took
-    _MAX_SUBSTEPS steps without reaching the target time of advance_to.
-    run_flow ends the run with the class's `status` and partial artifacts.
+    """An engine could not go on at its step `step` and time `t`.  This class:
+    advance_to took _MAX_SUBSTEPS steps without reaching its target time;
+    each subclass names another cause.  run_flow ends the run with the
+    class's `status` and partial artifacts.
     """
     status = "substep_limit"
 
@@ -94,9 +103,19 @@ class FlowPositivityError(FlowRunError):
     status = "positivity_failure"
 
 
+class FlowRemeshError(FlowRunError):
+    """A remesh failed: the mesh law or the resample raised a ValueError
+    (GridError among them), which the error chains as its cause."""
+    status = "remesh_failure"
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
 
 _INITIAL_KINDS = ("parabola", "cao_koiso", "cao_koiso_perturbed", "from_file")
 _ENGINES = ("unscaled", "dilated", "both")
@@ -121,6 +140,14 @@ class FlowConfig:
         self.validate()
 
     def validate(self):
+        errs = [f"{k} must be a real number, got {getattr(self, k)!r}"
+                for k in ("a0", "b0", "cfl", "stop_tau", "phi_cut")
+                if not _is_real(getattr(self, k))]
+        snaps = self.snap_taus
+        if not (isinstance(snaps, Sequence) and all(map(_is_real, snaps))):
+            errs.append(f"snap_taus must be a sequence of real numbers, got {snaps!r}")
+        if errs:    # the checks below need numbers
+            raise ConfigError("; ".join(errs))
         errs = [f"{k} must be finite, got {getattr(self, k)}"
                 for k in ("a0", "b0", "stop_tau", "phi_cut")
                 if not abs(getattr(self, k)) <= sys.float_info.max]
@@ -340,6 +367,7 @@ def make_initial(cfg: FlowConfig) -> FlowState:
 
 _MAX_HALVINGS = 45
 _MAX_SUBSTEPS = 100_000  # steps advance_to may take to reach its target
+_CFL_CUSHION = 0.95      # share of the cfl bound that stable_dt allows
 _MONITOR_BLOCK = 8192    # values per sandwich-monitor block (64 kB)
 _REMESH_INTERVAL = 200   # accepted steps between remeshes
 _WINDOW_HI = 3.0         # y is compared with Y on the window 1 <= phi <= 3
@@ -414,17 +442,21 @@ class _Engine:
         if self.step_count >= self._cfl_next:
             L, adv = self._cfl_terms(uf[1:-1])
             h = self._hstep * L
-            self._cfl_dt = 0.95 * self.cfl / float(
+            self._cfl_dt = _CFL_CUSHION * self.cfl / float(
                 np.max(2.0 * self.u[1:-1] / (h * h) + adv / h))
             self._cfl_next = self.step_count + 8
         return self._cfl_dt
 
     # time step ---------------------------------------------------------
-    def step(self, dt_max):
+    def step(self, dt_max, whole=False):
         """One midpoint step of at most dt_max, halved until the interior
-        stays positive; returns the step taken."""
+        stays positive; returns the step taken.  The step starts at the
+        CFL-stable one when that is shorter, unless whole is set and dt_max
+        is within the CFL bound without its cushion: then it is all of
+        dt_max, still at most the configured cfl number."""
         F1, uf1, _ = self.rhs(self.u, self.t, 0)
-        dt = min(self.stable_dt(uf1), dt_max)
+        stable = self.stable_dt(uf1)
+        dt = dt_max if whole and dt_max * _CFL_CUSHION <= stable else min(stable, dt_max)
         inc = self._tmp
         for _ in range(_MAX_HALVINGS):
             tm = self.t + 0.5 * dt
@@ -459,22 +491,30 @@ class _Engine:
         self.step_count += 1
 
     def advance_to(self, t_target):
+        """Step to t_target.  A gap within the CFL bound without its cushion
+        is taken in one step, so an engine following another one of about
+        the same stable step (the dilated engine of a coupled run, at the
+        primary's dtau) keeps pace in one step, not in a stable step and a
+        sliver; a positivity halving leaves a rest that later steps take."""
         for _ in range(_MAX_SUBSTEPS):
             gap = t_target - self.t
             if gap <= 1e-14:
                 return
-            self.step(gap)
+            self.step(gap, whole=True)
         raise FlowRunError(self.step_count, self.t)
 
     # remesh ------------------------------------------------------------
     def remesh(self):
         """New nodes by the mesh law, values resampled by monotone cubics with
-        the end data re-imposed exactly."""
+        the end data re-imposed exactly; FlowRemeshError if that fails."""
         x_old = self.nodes()
-        spl = pchip(x_old, self.u)
-        lo, L, x_new = self._remesh_nodes(spl, x_old)
-        u_new = _resample(spl, x_old, self.u, x_new,
-                          slope_right=None if self.truncated else -1.0)
+        try:
+            spl = pchip(x_old, self.u)
+            lo, L, x_new = self._remesh_nodes(spl, x_old)
+            u_new = _resample(spl, x_old, self.u, x_new,
+                              slope_right=None if self.truncated else -1.0)
+        except ValueError as e:
+            raise FlowRemeshError(self.step_count, self.t) from e
         u_new[0] = 0.0
         u_new[-1] = self._outer_value(self.t) if self.truncated else 0.0
         u_new[1:-1] = np.maximum(u_new[1:-1], 1e-300)
@@ -703,16 +743,36 @@ class _DilatedEngine(_Engine):
     def _outer_value(self, tau):
         return float(self.outer_bc(tau))
 
+    def _set_mesh(self, xi, u):
+        super()._set_mesh(xi, u)
+        self._pi = np.empty(xi.size - 2)
+
     def rhs(self, y, tau, slot=0):
-        """(F, y_p, y_pp) at dilated time tau, laid out as the unscaled rhs;
-        the last term is the frame-stretch advection of the moving window."""
+        """(F, y_p, y_pp) at dilated time tau, in the slot's buffers, laid out
+        as the unscaled rhs: E[y] as barriers.full_operator evaluates it, plus
+        the frame-stretch advection of the moving window."""
         phi_out, dphi = self._frame(tau)
         L = phi_out - 1.0
-        p = 1.0 + self._xii * L
-        yi = y[1:-1]
         yp_full, ypp = self._derivs(y, L, slot)
-        yp = yp_full[1:-1]
-        return full_operator(p, yi, yp, ypp) + yp * self._xii * dphi, yp_full, ypp
+        _, yp, _, F = self._slots[slot]
+        yi, p, tmp = y[1:-1], self._pi, self._tmp
+        np.multiply(self._xii, L, out=p)
+        p += 1.0
+        # F = yi ypp + (2 - p - yp) yp + yi (1 - yi / p^2) + yp xii dphi, left to right
+        np.multiply(yi, ypp, out=F)
+        np.subtract(2.0, p, out=tmp)
+        tmp -= yp
+        tmp *= yp
+        F += tmp
+        np.multiply(p, p, out=tmp)
+        np.divide(yi, tmp, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= yi
+        F += tmp
+        np.multiply(yp, self._xii, out=tmp)
+        tmp *= dphi
+        F += tmp
+        return F, yp_full, ypp
 
     def _cfl_terms(self, ypi):
         phi_out, dphi = self._frame()
@@ -721,14 +781,16 @@ class _DilatedEngine(_Engine):
         return L, np.abs(2.0 - p - 2.0 * ypi + self._xii * dphi)
 
     def _remesh_nodes(self, spl, phi_old):
-        phi_out = self.phi_outer()
-        # switch to the static truncated window once the true boundary passes it
-        if not self.truncated and phi_out >= self.phi_cut:
-            self.truncated = True
-            self._static_out = phi_out = self.phi_cut
+        # switch to the static truncated window once the true boundary passes
+        # it, when the new mesh is built
+        switch = not self.truncated and self.phi_outer() >= self.phi_cut
+        phi_out = self.phi_cut if switch else self.phi_outer()
         u_of = lambda d: np.clip(spl(np.clip(1.0 + d, phi_old[0], phi_old[-1])), 0.0, None)
         # the blow-up frame is the unscaled one at T - t = 1
         phi_new = window_mesh(u_of, 1.0, phi_out, 1.0, self.n)
+        if switch:
+            self.truncated = True
+            self._static_out = phi_out
         return 1.0, phi_out - 1.0, np.minimum(phi_new, phi_old[-1])
 
     def state(self) -> DilatedState:
@@ -906,8 +968,9 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
           if use_unscaled else None)
 
     def outer_bc_now(tau):
+        a, _, D = ue.domain()
         Tt = T - ue.t
-        return float(np.interp(de.phi_outer() * Tt, ue.f_nodes(), ue.u)) / Tt
+        return affine_interp(de.phi_outer() * Tt, a, D, ue._xi_list, ue.u)[0] / Tt
 
     de = None
     if use_dilated:

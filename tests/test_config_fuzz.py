@@ -4,11 +4,13 @@ never another exception; and tiny runs of fuzzed configs end with a known
 status or a typed setup error.
 
 The texts mix the real keys with junk keys, and well-formed values with junk
-ones (non-finite, huge, empty, wrong type, stray separators).  Only the
-parser and FlowConfig's validation run: no flow, and no grid is built from
-a fuzzed grid_n.  The runs are kept tiny (128 nodes, at most 300 steps,
-stop_tau within 0.05 of the start) and cover every initial kind and engine,
-with phi_cut drawn next to the initial outer boundary b0 / a0.
+ones (non-finite, huge, empty, wrong type, stray separators); the keyword
+values mix numbers with values of the wrong type (strings, None, complex,
+lists, bools).  Only the parser and FlowConfig's validation run: no flow,
+and no grid is built from a fuzzed grid_n.  The runs are kept tiny (128
+nodes, at most 300 steps, stop_tau within 0.05 of the start) and cover
+every initial kind and engine, with phi_cut drawn next to the initial outer
+boundary b0 / a0.
 """
 
 import math
@@ -56,14 +58,19 @@ def test_parse_config_text_accepts_or_raises_config_error(lines, with_class):
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 # ints past the float range too: math.isfinite raises OverflowError on them
 _NUMBER = _FLOATS | st.integers() | st.sampled_from([2**1024, -10**400]) | st.booleans()
+# values of the wrong type, which only the Python API can pass
+_NON_REAL = (st.text(max_size=4) | st.none() | st.complex_numbers()
+             | st.lists(_FLOATS, max_size=2) | st.sampled_from([b"1", "1", "nan", ()]))
+_VALUE = _NUMBER | _NON_REAL
 _OPTIONAL_NUMBERS = ("cfl", "stop_tau", "phi_cut", "grid_n", "record_every", "max_steps")
 
 
 @settings(max_examples=1500, deadline=None, database=None, derandomize=True)
 @given(st.fixed_dictionaries(
-    {"a0": _NUMBER, "b0": _NUMBER},
-    optional={**{k: _NUMBER for k in _OPTIONAL_NUMBERS},
-              "snap_taus": st.lists(_NUMBER, max_size=3).map(tuple),
+    {"a0": _VALUE, "b0": _VALUE},
+    optional={**{k: _VALUE for k in _OPTIONAL_NUMBERS},
+              "snap_taus": (st.lists(_VALUE, max_size=3).map(tuple)
+                            | st.lists(_NUMBER, max_size=3) | _VALUE),
               "initial_kind": st.sampled_from(["parabola", "cao_koiso",
                                                "cao_koiso_perturbed", "from_file", "x"]),
               "engine": st.sampled_from(["unscaled", "dilated", "both", "x"])}))
@@ -75,7 +82,8 @@ def test_flow_config_builds_or_raises_config_error(kw):
     assert isinstance(cfg, FlowConfig)
 
 
-_STATUSES = {"completed", "max_steps", "positivity_failure", "substep_limit"}
+_STATUSES = {"completed", "max_steps", "positivity_failure", "substep_limit",
+             "remesh_failure"}
 
 
 @st.composite

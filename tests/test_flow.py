@@ -73,6 +73,15 @@ def test_config_rejects_non_finite_values(key, value):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("a0", "1"), ("a0", True), ("b0", None), ("cfl", False), ("stop_tau", "6.5"),
+    ("phi_cut", 50j), ("snap_taus", 5), ("snap_taus", "0.5"), ("snap_taus", (0.5, True))])
+def test_config_rejects_values_that_are_not_real_numbers(key, value):
+    # only the Python API can pass these: config files parse floats
+    with pytest.raises(ConfigError, match=f"{key} must be a (sequence of )?real number"):
+        FlowConfig(**{"a0": 1.0, "b0": 10.0, key: value})
+
+
 def test_config_file_parsing(tmp_path):
     text = """
     # canonical run
@@ -597,14 +606,27 @@ _COUPLED = dict(a0=1.0, b0=9.93, grid_n=128, stop_tau=0.1, record_every=25,
                 engine="both", phi_cut=10.5)
 
 
+def _dilated_cfl_halved(monkeypatch):
+    """Halve the dilated engine's CFL-stable step, so that no gap of a coupled
+    run (the primary's dtau, about one stable step) is within its bound and
+    advance_to needs at least two steps for each primary step."""
+    from krflow import flow
+    stable_dt = flow._Engine.stable_dt
+    monkeypatch.setattr(_DilatedEngine, "stable_dt",
+                        lambda self, uf: 0.5 * stable_dt(self, uf))
+    monkeypatch.setattr(flow, "_MAX_SUBSTEPS", 1)
+
+
 def test_substep_limit_ends_the_run_with_partial_artifacts(monkeypatch, tmp_path):
     from krflow import flow
-    # the dilated engine follows the unscaled one by advance_to; with one
-    # substep allowed it cannot keep up on the first step
-    monkeypatch.setattr(flow, "_MAX_SUBSTEPS", 1)
+    # the dilated engine follows the unscaled one by advance_to; with its
+    # stable step halved and one substep allowed it cannot keep up on the
+    # first step
+    _dilated_cfl_halved(monkeypatch)
     arts = run_flow(FlowConfig(**_COUPLED))
     assert arts.status == "substep_limit"
     assert arts.failing_step is not None
+    assert arts.manifest["steps"] == 1
     assert arts.series and arts.series[-1].step == arts.manifest["steps"]
     manifest = write_artifacts(arts, tmp_path)
     assert manifest["status"] == "substep_limit"
@@ -617,17 +639,136 @@ def test_substep_limit_ends_the_run_with_partial_artifacts(monkeypatch, tmp_path
     assert (ex.value.step, ex.value.t) == (1, eng.t) and eng.t > d0.tau
 
 
-def test_substep_limit_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
-    from krflow import flow
+def _evolve_coupled(tmp_path):
+    """`krflow evolve` on _COUPLED; returns (exit code, output directory)."""
     from krflow.cli import main
-    monkeypatch.setattr(flow, "_MAX_SUBSTEPS", 1)
     cfgp = tmp_path / "coupled.cfg"
     cfgp.write_text("".join(f"{k} = {v}\n" for k, v in _COUPLED.items()))
     outd = tmp_path / "o"
-    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(outd)])
+    return main(["evolve", "--config", str(cfgp), "--out-dir", str(outd)]), outd
+
+
+def test_substep_limit_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
+    _dilated_cfl_halved(monkeypatch)
+    rc, outd = _evolve_coupled(tmp_path)
     assert rc == 3
     assert "run did not complete: substep_limit at step" in capsys.readouterr().err
     assert json.loads((outd / "manifest.json").read_text())["status"] == "substep_limit"
+
+
+def test_the_dilated_engine_keeps_pace_in_one_step(monkeypatch):
+    from krflow import flow
+    # per advance_to call: [gap, window still growing, stable steps, steps taken]
+    calls = []
+    advance_to, step, stable_dt = (getattr(flow._Engine, k)
+                                   for k in ("advance_to", "step", "stable_dt"))
+
+    def spy_advance(self, t_target):
+        calls.append([t_target - self.t, not self.truncated, [], []])
+        advance_to(self, t_target)
+
+    def spy_stable(self, uf):
+        calls[-1][2].append(stable_dt(self, uf))
+        return calls[-1][2][-1]
+
+    def spy_step(self, *args, **kw):
+        calls[-1][3].append(step(self, *args, **kw))
+        return calls[-1][3][-1]
+
+    monkeypatch.setattr(_DilatedEngine, "advance_to", spy_advance)
+    monkeypatch.setattr(_DilatedEngine, "stable_dt", spy_stable)
+    monkeypatch.setattr(_DilatedEngine, "step", spy_step)
+    arts = run_flow(FlowConfig(**_COUPLED))
+    assert arts.status == "completed" and len(calls) == arts.manifest["steps"]
+    # the window grows until the remesh at step 400 cuts it at phi_cut, and
+    # the growing window's gaps are within its bound
+    growing = [c for c in calls if c[1]]
+    within = [c for c in growing if c[0] * flow._CFL_CUSHION <= c[2][0]]
+    assert len(growing) == 400 and len(within) > 0.9 * len(growing)
+    assert all(len(c[3]) == 1 and c[3][0] == c[0] for c in within)
+    # no dilated step goes past the configured cfl number: stable_dt / 0.95
+    for _, _, stables, dts in calls:
+        assert len(stables) == len(dts)
+        assert all(dt * flow._CFL_CUSHION <= s for s, dt in zip(stables, dts))
+
+
+def test_a_positivity_halving_inside_advance_to_still_reaches_the_target():
+    d0 = analysis.dilate(make_initial(FlowConfig(a0=1.0, b0=9.93, grid_n=128)))
+    eng = _dilated_engine_on(d0, 128)
+    target = eng.t + eng.stable_dt(eng.rhs(eng.u, eng.t)[1])    # one step's gap
+    rhs, spoiled, dts = eng.rhs, [], []
+
+    def rhs_once_negative(y, tau, slot=0):
+        F, yp, ypp = rhs(y, tau, slot)
+        if slot == 1 and not spoiled:       # the first midpoint stage drives y < 0
+            spoiled.append(tau)
+            F = np.full_like(F, -1e300)
+        return F, yp, ypp
+
+    def step(*args, **kw):
+        dts.append(type(eng).step(eng, *args, **kw))
+        return dts[-1]
+
+    eng.rhs, eng.step = rhs_once_negative, step
+    eng.advance_to(target)
+    assert spoiled and len(dts) == 2 and eng.step_count == 2
+    assert dts[0] == pytest.approx(0.5 * (target - d0.tau), rel=1e-12)
+    assert abs(eng.t - target) <= 1e-14
+    assert np.all(eng.y[1:-1] > 0.0)
+
+
+def _failing_second_mesh(monkeypatch):
+    """Make the mesh law fail on its second call: the first builds the initial
+    data, the second is the first remesh (step 200)."""
+    from krflow import flow
+    from krflow.grids import GridError
+    calls = []
+
+    def mesh(*args, **kw):
+        calls.append(1)
+        if len(calls) == 2:
+            raise GridError("mesh law failed")
+        return window_mesh(*args, **kw)
+
+    monkeypatch.setattr(flow, "window_mesh", mesh)
+
+
+def test_remesh_failure_ends_the_run_with_partial_artifacts(monkeypatch, tmp_path):
+    from krflow import flow
+    from krflow.grids import GridError
+    _failing_second_mesh(monkeypatch)
+    arts = run_flow(FlowConfig(**_COUPLED))
+    assert arts.status == "remesh_failure"
+    assert arts.failing_step == arts.manifest["steps"] == flow._REMESH_INTERVAL
+    assert arts.series and arts.series[-1].step == arts.failing_step
+    manifest = write_artifacts(arts, tmp_path)
+    assert manifest["status"] == "remesh_failure"
+    assert manifest["failing_step"] == arts.failing_step
+    assert (tmp_path / "series.csv").exists()
+    # the engine raises the typed error, with the mesh law's as its cause
+    _failing_second_mesh(monkeypatch)
+    eng = _unscaled_engine(small_cfg(grid_n=128))
+    with pytest.raises(flow.FlowRemeshError) as ex:
+        eng.remesh()
+    assert isinstance(ex.value.__cause__, GridError)
+    assert ex.value.status == "remesh_failure" and ex.value.step == 0
+    # a growing dilated window whose remesh would cut it keeps its frame
+    # when the mesh law fails
+    _failing_second_mesh(monkeypatch)
+    d0 = analysis.dilate(make_initial(FlowConfig(a0=1.0, b0=9.93, grid_n=128)))
+    de = _DilatedEngine(d0.tau, d0.phi, d0.y, 9.93 - 3.0, 0.4, 128, False,
+                        phi_cut=9.0, outer_bc=lambda tau: 0.0)
+    with pytest.raises(flow.FlowRemeshError):
+        de.remesh()
+    assert not de.truncated and de.phi_outer() == d0.phi[-1]
+
+
+def test_remesh_failure_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
+    _failing_second_mesh(monkeypatch)
+    rc, outd = _evolve_coupled(tmp_path)
+    assert rc == 3
+    assert "run did not complete: remesh_failure at step 200" in capsys.readouterr().err
+    assert json.loads((outd / "manifest.json").read_text())["status"] == "remesh_failure"
 
 
 # ---------------------------------------------------------------------------
