@@ -146,7 +146,7 @@ def crit_a2(ctx):
 
 
 def crit_a3(ctx):
-    from .flow import _REMESH_INTERVAL, _dilated_engine_on
+    from .flow import _REMESH_DTAU, _dilated_engine_on
     t0 = time.perf_counter()
     phi = np.geomspace(1.0, 100.0, 20001)
     y, yp, ypp = fik_y_derivs(phi)
@@ -155,12 +155,12 @@ def crit_a3(ctx):
     n = 1024
     grid = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, n)
     eng = _dilated_engine_on(DilatedState(0.0, grid, fik_y(grid), truncated=True), n)
-    k = 0
+    tau_meshed = eng.tau
     while eng.tau < 1.0:
         eng.step(1.0 - eng.tau)
-        k += 1
-        if k % _REMESH_INTERVAL == 0:
+        if eng.tau - tau_meshed >= _REMESH_DTAU - 1e-12:    # as run_flow remeshes
             eng.remesh()
+            tau_meshed = eng.tau
     drift = float(np.max(np.abs(eng.y - fik_y(eng.phi_nodes()))))
     dt = time.perf_counter() - t0
     return _result("A3", "stationarity of the dilated fixed point", [

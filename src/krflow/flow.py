@@ -1,4 +1,4 @@
-"""Time stepping of the potential flow: one explicit core, two frames.
+"""Time stepping of the potential flow: one engine core, two frames.
 
 Unscaled frame: the slope field u(f, t) on the moving domain [a(t), b(t)]
 (a = a0 - t, b = b0 - 3t, imposed analytically) evolves, at fixed normalized
@@ -21,23 +21,30 @@ its outer value from a Dirichlet source instead.
 
 The core (_Engine) is common to both frames: endpoints pinned at u = 0 with
 exact slopes +1 / -1 feeding Hermite stencils at the boundary-adjacent
-nodes, explicit RK2 (midpoint) with a local CFL-limited step and
-rejection-halving on interior positivity loss, and remeshing.  Meshes
-cluster in the inner window [a, a + K (T - t)] on a CFL-equidistributed
-spacing law with a resolution floor, and are rebuilt every _REMESH_INTERVAL
-(200) accepted steps by monotone cubic interpolation.  The mesh law, with
-its constants (K, the window's least share of the nodes, the floor and the
-outer grading), is grids.window_mesh; the remesh interval and the [1, 3]
-window on which runs are compared with Y are fixed next to _Engine.  A frame
-(_UnscaledEngine, _DilatedEngine) supplies only its domain and velocity,
-rhs, CFL advection term, outer boundary data, remesh window and
-measurements.
+nodes, remeshing, and a linearly implicit ROS2 step: the tridiagonal
+Jacobian from three coloured differences of the frame's rhs, the dF/dt
+term, a cyclic-reduction solve (grids.tridiagonal_solver), and
+rejection-halving on interior positivity loss.  The dilated frame steps only
+by ROS2, at the fixed step _DTAU (0.005) in tau; the unscaled frame keeps
+explicit RK2 (midpoint) under a local CFL bound, with the same halving.
+Meshes cluster in the inner window [a, a + K (T - t)] on a
+CFL-equidistributed spacing law with a resolution floor, and are rebuilt by
+monotone cubic interpolation every _REMESH_INTERVAL (200) accepted RK2
+steps, or every _REMESH_DTAU (0.02) of tau in a run stepped by ROS2 alone.
+The mesh law, with its constants (K, the window's least share of the nodes,
+the floor and the outer grading), is grids.window_mesh; the remesh spacings
+and the [1, 3] window on which runs are compared with Y are fixed next to
+_Engine.  A frame (_UnscaledEngine, _DilatedEngine) supplies only its domain
+and velocity, rhs, outer boundary data, remesh window, measurements and
+step (the unscaled one with its CFL bound).
 
-In a coupled run (engine = both) the unscaled engine is the primary, and
-after each of its steps the dilated engine follows it to the same tau by
-advance_to.  The two stable steps in tau nearly agree, so the gap is almost
-always within the dilated CFL bound without its cushion and is taken in one
-step; a longer gap is crossed in stable steps.
+In a coupled run (engine = both) the unscaled engine is the primary.  The
+dilated engine lags it and catches up by advance_to, in ceil(gap / _DTAU)
+equal ROS2 steps, only where its state is read: before each joint remesh,
+before each cross-engine record of the truncated window, and at the end of
+the run.  While its window is truncated, the primary's value at the cut is
+stored after each primary step, and the dilated engine takes its outer
+value at each stage time by linear interpolation in that history.
 
 The sandwich monitor checks every accepted step of the run's primary engine
 in either frame, on its dilated view (phi, y), a block of steps at a time.
@@ -51,6 +58,7 @@ import numbers
 import os
 import sys
 import time
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -63,7 +71,8 @@ from .geometry import (LogProfile, RadialProfile, curvature, read_profile_csv,
                        reduced_rm, to_radial, validate_profile, write_profile_csv)
 from .grids import (affine_interp, apply_weights, check_grid, cumint_inverse_linear,
                     derivatives, hermite_boundary, hermite_cubic_coeffs,
-                    interior_weights, onesided_weights, pchip, window_mesh)
+                    interior_weights, onesided_weights, pchip, tridiagonal_solver,
+                    window_mesh)
 from .soliton import _cao_koiso_constant_cached, cao_koiso_u, fik_y, fik_y_derivs
 from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
@@ -118,6 +127,9 @@ def _is_real(v):
 
 
 _INITIAL_KINDS = ("parabola", "cao_koiso", "cao_koiso_perturbed", "from_file")
+# 32 times the largest pinned run's grid; a config past it would only
+# allocate a mesh that no run could step
+_GRID_N_MAX = 65_536
 _ENGINES = ("unscaled", "dilated", "both")
 
 
@@ -172,8 +184,8 @@ class FlowConfig:
             v = getattr(self, k)
             if not isinstance(v, int) or isinstance(v, bool):
                 errs.append(f"{k} must be an integer, got {v!r}")
-        if isinstance(self.grid_n, int) and self.grid_n < 128:
-            errs.append("grid_n must be >= 128")
+        if isinstance(self.grid_n, int) and not 128 <= self.grid_n <= _GRID_N_MAX:
+            errs.append(f"grid_n must lie in [128, {_GRID_N_MAX}], got {self.grid_n}")
         if not (0.0 < self.cfl <= 0.5):
             errs.append("cfl must lie in (0, 0.5]")
         if self.stop_tau < 0.0:
@@ -362,35 +374,38 @@ def make_initial(cfg: FlowConfig) -> FlowState:
 
 
 # ---------------------------------------------------------------------------
-# engines: one explicit core, two frames
+# engines: one core, two frames
 # ---------------------------------------------------------------------------
 
 _MAX_HALVINGS = 45
 _MAX_SUBSTEPS = 100_000  # steps advance_to may take to reach its target
-_CFL_CUSHION = 0.95      # share of the cfl bound that stable_dt allows
 _MONITOR_BLOCK = 8192    # values per sandwich-monitor block (64 kB)
-_REMESH_INTERVAL = 200   # accepted steps between remeshes
+_REMESH_INTERVAL = 200   # accepted RK2 steps between remeshes
+_DTAU = 0.005            # the ROS2 step in tau
+_REMESH_DTAU = 0.02      # tau between remeshes of a run stepped by ROS2
 _WINDOW_HI = 3.0         # y is compared with Y on the window 1 <= phi <= 3
+_ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
+_FD_EPS = 2.0 ** -26     # relative finite-difference increment, sqrt of the unit roundoff
 
 
 class _Engine:
-    """Explicit RK2 core shared by the unscaled and the dilated frame.
+    """Core shared by the unscaled and the dilated frame: the mesh with its
+    stencils, the linearly implicit ROS2 step and remeshing.
 
     The state is the frame time t (tau in the dilated frame) and the values
     u (y) at normalised nodes xi in [0, 1].  The inner end is pinned at
     u = 0 with slope +1; the outer end is pinned at u = 0 with slope -1
     unless the frame is truncated, when it carries the Dirichlet value
-    _outer_value(t).  A frame supplies rhs(), _cfl_terms(), _remesh_nodes(),
-    nodes() and measure(); the core holds the mesh with its stencils, the
-    CFL cache, the midpoint step, advance_to and remesh.
+    _outer_value(t).  A frame supplies rhs(), _remesh_nodes(), nodes() and
+    measure(), and its step(): the dilated frame steps only by ROS2
+    (_ros2_step), the unscaled frame by explicit RK2 under its CFL bound.
     """
 
     truncated = False
 
-    def __init__(self, t, step_count, cfl, n, xi, u):
+    def __init__(self, t, step_count, n, xi, u):
         self.t = t
         self.step_count = step_count
-        self.cfl = cfl
         self.n = n              # node count of every remeshed grid
         self._set_mesh(xi, u)
 
@@ -399,15 +414,12 @@ class _Engine:
         self.xi = xi
         self.u = u
         self.W1, self.W2 = (tuple(W) for W in interior_weights(xi))
-        self._hstep = np.minimum(np.diff(xi)[:-1], np.diff(xi)[1:])
-        self._cfl_next = self.step_count
-        self._cfl_dt = np.inf
         self._xii = xi[1:-1]
         # offsets of the two nodes next to each end, in units of the frame length
         self._ends = (float(xi[1]), float(xi[2]),
                       float(xi[-2]) - 1.0, float(xi[-3]) - 1.0)
-        # rhs buffers: slot 0 for the first RK stage (and measure), slot 1
-        # for the midpoint; u_f covers every node, with the end slopes +1 / -1
+        # rhs buffers: slot 0 for the first stage (and measure), slot 1 for
+        # the second; u_f covers every node, with the end slopes +1 / -1
         n = xi.size
         self._slots = []
         for _ in range(2):
@@ -435,73 +447,77 @@ class _Engine:
             uf[-2], uff[-1], _ = hermite_boundary(y1 * L, y2 * L, 0.0, -1.0, v1, v2)
         return uf, uff
 
-    def stable_dt(self, uf):
-        """CFL bound from u_f on all nodes; the array part is refreshed every
-        few steps (the state drifts by O(dt) per step, far below the cfl
-        safety margin)."""
-        if self.step_count >= self._cfl_next:
-            L, adv = self._cfl_terms(uf[1:-1])
-            h = self._hstep * L
-            self._cfl_dt = _CFL_CUSHION * self.cfl / float(
-                np.max(2.0 * self.u[1:-1] / (h * h) + adv / h))
-            self._cfl_next = self.step_count + 8
-        return self._cfl_dt
-
     # time step ---------------------------------------------------------
-    def step(self, dt_max, whole=False):
-        """One midpoint step of at most dt_max, halved until the interior
-        stays positive; returns the step taken.  The step starts at the
-        CFL-stable one when that is shorter, unless whole is set and dt_max
-        is within the CFL bound without its cushion: then it is all of
-        dt_max, still at most the configured cfl number."""
-        F1, uf1, _ = self.rhs(self.u, self.t, 0)
-        stable = self.stable_dt(uf1)
-        dt = dt_max if whole and dt_max * _CFL_CUSHION <= stable else min(stable, dt_max)
-        inc = self._tmp
+    def _linearise(self, u, t, F0):
+        """(lower, diag, upper) of the tridiagonal Jacobian J = dF/du on the
+        interior nodes, and dF/dt, by forward differences of rhs around
+        (t, u), where F0 = F(t, u).
+
+        J takes three rhs calls: every third column is perturbed at once,
+        each by _FD_EPS times its |u_j|, floored at 1e-6 max|u| so that a
+        vanishing value still moves.  dF/dt moves t and, in a truncated
+        frame, the outer Dirichlet value with it.
+        """
+        ui = u[1:-1]
+        m = ui.size
+        floor = 1e-6 * float(np.max(np.abs(ui)))
+        delta = (ui + _FD_EPS * np.maximum(np.abs(ui), floor)) - ui
+        w = u.copy()
+        dF = np.empty((3, m))       # row c: columns j with j % 3 == c moved
+        for c in range(3):
+            w[1:-1] = ui
+            w[1 + c:-1:3] += delta[c::3]
+            np.subtract(self.rhs(w, t)[0], F0, out=dF[c])
+        i = np.arange(m)
+        diag = dF[i % 3, i] / delta
+        lower, upper = np.zeros(m), np.zeros(m)
+        lower[1:] = dF[(i[1:] - 1) % 3, i[1:]] / delta[:-1]
+        upper[:-1] = dF[(i[:-1] + 1) % 3, i[:-1]] / delta[1:]
+        w[1:-1] = ui
+        s = t + _FD_EPS * max(abs(t), 1.0)
+        if self.truncated:
+            w[-1] = self._outer_value(s)
+        Ft = (self.rhs(w, s)[0] - F0) / (s - t)
+        return lower, diag, upper, Ft
+
+    def _ros2_step(self, h):
+        """One ROS2 step of h (Verwer, Spee, Blom & Hundsdorfer, SIAM J. Sci.
+        Comput. 20 (1999) 1456), halved until the interior stays positive;
+        returns the step taken.  With W = I - gamma h J:
+
+            W k1 = F(t, u) + gamma h dF/dt,
+            W k2 = F(t + h, u + h k1) - 2 k1 - gamma h dF/dt,
+            u+ = u + h (3/2 k1 + 1/2 k2).
+
+        A truncated frame takes its outer value at the stage time t + h.
+        """
+        u, t = self.u, self.t
+        F0 = self.rhs(u, t)[0].copy()
+        lower, diag, upper, Ft = self._linearise(u, t, F0)
         for _ in range(_MAX_HALVINGS):
-            tm = self.t + 0.5 * dt
-            umid = self.u.copy()
-            np.multiply(F1, 0.5 * dt, out=inc)
-            umid[1:-1] += inc
+            gh = _ROS2_GAMMA * h
+            solve = tridiagonal_solver(-gh * lower, 1.0 - gh * diag, -gh * upper)
+            k1 = solve(F0 + gh * Ft)
+            stage = u.copy()
+            stage[1:-1] += h * k1
             if self.truncated:
-                umid[-1] = self._outer_value(tm)
-            if not np.minimum.reduce(umid[1:-1]) > 0.0:   # also catches NaN
-                dt *= 0.5
-                self._cfl_next = self.step_count  # force a CFL refresh
+                stage[-1] = self._outer_value(t + h)
+            k2 = solve(self.rhs(stage, t + h, 1)[0] - 2.0 * k1 - gh * Ft)
+            unew = u.copy()
+            unew[1:-1] += h * (1.5 * k1 + 0.5 * k2)
+            unew[-1] = stage[-1]
+            if not (np.minimum.reduce(unew[1:-1]) > 0.0    # also catches NaN
+                    and math.isfinite(np.maximum.reduce(unew))):
+                h *= 0.5
                 continue
-            F2, uf2, _ = self.rhs(umid, tm, 1)
-            unew = self.u.copy()
-            np.multiply(F2, dt, out=inc)
-            unew[1:-1] += inc
-            if self.truncated:
-                unew[-1] = self._outer_value(self.t + dt)
-            if (not np.minimum.reduce(unew[1:-1]) > 0.0
-                    or not math.isfinite(unew[1])):
-                dt *= 0.5
-                self._cfl_next = self.step_count
-                continue
-            self._commit(dt, unew, tm, umid, uf1, uf2)
-            return dt
+            self._accept(h, unew)
+            return h
         raise FlowPositivityError(self.step_count, self.t)
 
-    def _commit(self, dt, unew, tm, umid, uf1, uf2):
-        """Accept a step (uf1, uf2: u_f of the two stages)."""
+    def _accept(self, dt, unew):
         self.u = unew
         self.t += dt
         self.step_count += 1
-
-    def advance_to(self, t_target):
-        """Step to t_target.  A gap within the CFL bound without its cushion
-        is taken in one step, so an engine following another one of about
-        the same stable step (the dilated engine of a coupled run, at the
-        primary's dtau) keeps pace in one step, not in a stable step and a
-        sliver; a positivity halving leaves a rest that later steps take."""
-        for _ in range(_MAX_SUBSTEPS):
-            gap = t_target - self.t
-            if gap <= 1e-14:
-                return
-            self.step(gap, whole=True)
-        raise FlowRunError(self.step_count, self.t)
 
     # remesh ------------------------------------------------------------
     def remesh(self):
@@ -536,20 +552,25 @@ class _Engine:
 
 
 class _UnscaledEngine(_Engine):
-    """u(f, t) on the moving domain [a0 - t, b0 - 3t], with the anchor ODE."""
+    """u(f, t) on the moving domain [a0 - t, b0 - 3t], with the anchor ODE,
+    stepped by explicit RK2 (midpoint) under a local CFL bound."""
 
     def __init__(self, state: FlowState, a0, b0, cfl, n):
         self.a0 = a0
         self.b0 = b0
         self.T = state.T
+        self.cfl = cfl
         self.anchor_r = state.anchor_r
         self.anchor_f = state.anchor_f
         a, _, D = self.domain(state.t)
-        super().__init__(state.t, state.step, cfl, n,
+        super().__init__(state.t, state.step, n,
                          (state.profile.f - a) / D, state.profile.u.copy())
 
     def _set_mesh(self, xi, u):
         super()._set_mesh(xi, u)
+        self._hstep = np.minimum(np.diff(xi)[:-1], np.diff(xi)[1:])
+        self._cfl_next = self.step_count
+        self._cfl_dt = np.inf
         self._xi_list = xi.tolist()
         self._vframe = -1.0 - 2.0 * self._xii
         self._fi = np.empty(xi.size - 2)
@@ -592,11 +613,49 @@ class _UnscaledEngine(_Engine):
         F += tmp
         return F, uf, uff
 
-    def _cfl_terms(self, ufi):
-        return self.domain()[2], np.abs(2.0 - 2.0 * ufi - 1.0 - 2.0 * self._xii)
-
     def stable_dt(self, uf):
-        return min(super().stable_dt(uf), 0.25 * (self.T - self.t))
+        """CFL bound from u_f on all nodes, with a 5% cushion below the cfl
+        number and at most 0.25 (T - t); the array part is refreshed every
+        few steps (the state drifts by O(dt) per step, far below the cfl
+        safety margin)."""
+        if self.step_count >= self._cfl_next:
+            h = self._hstep * self.domain()[2]
+            adv = np.abs(2.0 - 2.0 * uf[1:-1] - 1.0 - 2.0 * self._xii)
+            self._cfl_dt = 0.95 * self.cfl / float(
+                np.max(2.0 * self.u[1:-1] / (h * h) + adv / h))
+            self._cfl_next = self.step_count + 8
+        return min(self._cfl_dt, 0.25 * (self.T - self.t))
+
+    def step(self, dt_max):
+        """One midpoint step of at most dt_max, starting at the CFL-stable
+        step when that is shorter, halved until the interior stays positive;
+        returns the step taken."""
+        F1, uf1, _ = self.rhs(self.u, self.t, 0)
+        dt = min(self.stable_dt(uf1), dt_max)
+        inc = self._tmp
+        for _ in range(_MAX_HALVINGS):
+            tm = self.t + 0.5 * dt
+            umid = self.u.copy()
+            np.multiply(F1, 0.5 * dt, out=inc)
+            umid[1:-1] += inc
+            if not np.minimum.reduce(umid[1:-1]) > 0.0:   # also catches NaN
+                dt *= 0.5
+                self._cfl_next = self.step_count  # force a CFL refresh
+                continue
+            F2, uf2, _ = self.rhs(umid, tm, 1)
+            unew = self.u.copy()
+            np.multiply(F2, dt, out=inc)
+            unew[1:-1] += inc
+            if (not np.minimum.reduce(unew[1:-1]) > 0.0
+                    or not math.isfinite(unew[1])):
+                dt *= 0.5
+                self._cfl_next = self.step_count
+                continue
+            self._anchor_step(dt, uf1, tm, umid, uf2)
+            self._accept(dt, unew)
+            self._maybe_reanchor()
+            return dt
+        raise FlowPositivityError(self.step_count, self.t)
 
     def _phi_t_at(self, x, t, u, uf):
         """phi_t = u_f + u/f - 2 at an interior point x (anchor ODE), with u
@@ -611,11 +670,6 @@ class _UnscaledEngine(_Engine):
         (tm, umid, uf2)."""
         amid = self.anchor_f + 0.5 * dt * self._phi_t_at(self.anchor_f, self.t, self.u, uf1)
         self.anchor_f += dt * self._phi_t_at(amid, tm, umid, uf2)
-
-    def _commit(self, dt, unew, tm, umid, uf1, uf2):
-        self._anchor_step(dt, uf1, tm, umid, uf2)
-        super()._commit(dt, unew, tm, umid, uf1, uf2)
-        self._maybe_reanchor()
 
     def _maybe_reanchor(self):
         a, b, D = self.domain()
@@ -712,14 +766,13 @@ class _DilatedEngine(_Engine):
     Dirichlet value outer_bc(tau); a window that can truncate needs outer_bc.
     """
 
-    def __init__(self, tau, phi, y, b3a, cfl, n, truncated,
-                 phi_cut=np.inf, outer_bc=None):
+    def __init__(self, tau, phi, y, b3a, n, truncated, phi_cut=np.inf, outer_bc=None):
         self.b3a = float(b3a)
         self.truncated = bool(truncated)
         self.phi_cut = float(phi_cut)
         self.outer_bc = outer_bc            # callable tau -> outer Dirichlet value
         self._static_out = float(phi[-1])
-        super().__init__(float(tau), 0, cfl, n,
+        super().__init__(float(tau), 0, n,
                          (phi - 1.0) / (phi[-1] - 1.0), np.asarray(y, dtype=float))
 
     tau = property(lambda self: self.t)
@@ -774,11 +827,20 @@ class _DilatedEngine(_Engine):
         F += tmp
         return F, yp_full, ypp
 
-    def _cfl_terms(self, ypi):
-        phi_out, dphi = self._frame()
-        L = phi_out - 1.0
-        p = 1.0 + self._xii * L
-        return L, np.abs(2.0 - p - 2.0 * ypi + self._xii * dphi)
+    def step(self, dt_max):
+        """One ROS2 step of dt_max, or of _DTAU if dt_max is longer (by more
+        than rounding); returns the step taken."""
+        return self._ros2_step(dt_max if dt_max <= _DTAU * (1.0 + 1e-8) else _DTAU)
+
+    def advance_to(self, tau_target):
+        """Step to tau_target in ceil(gap / _DTAU) equal steps; a positivity
+        halving leaves a rest that is crossed the same way."""
+        for _ in range(_MAX_SUBSTEPS):
+            gap = tau_target - self.t
+            if gap <= 1e-14:
+                return
+            self.step(gap / max(1, math.ceil(gap / _DTAU - 1e-9)))
+        raise FlowRunError(self.step_count, self.t)
 
     def _remesh_nodes(self, spl, phi_old):
         # switch to the static truncated window once the true boundary passes
@@ -846,21 +908,22 @@ def step_unscaled(s: FlowState, dt: float) -> FlowState:
 
 
 def _dilated_engine_on(s: DilatedState, n, outer_value=None):
-    """Dilated engine on a bare state, as _engine_on.  A state flagged
+    """Dilated engine on a bare state, remeshing to n nodes.  A state flagged
     truncated, ending at y != 0 or given outer_value (a float or a callable of
     tau) keeps a static window, its outer value held or taken from outer_value;
     any other window follows Phi_max."""
     if s.truncated or s.y[-1] != 0.0 or outer_value is not None:
         v = float(s.y[-1]) if outer_value is None else outer_value
         bc = v if callable(v) else (lambda tau, v=float(v): v)
-        return _DilatedEngine(s.tau, s.phi, s.y, 0.0, FlowConfig.cfl, n, True,
-                              phi_cut=s.phi_max, outer_bc=bc)
+        return _DilatedEngine(s.tau, s.phi, s.y, 0.0, n, True, phi_cut=s.phi_max,
+                              outer_bc=bc)
     b3a = (s.phi_max - 3.0) * np.exp(-s.tau)     # Phi_max = b3a e^tau + 3
-    return _DilatedEngine(s.tau, s.phi, s.y, b3a, FlowConfig.cfl, n, False)
+    return _DilatedEngine(s.tau, s.phi, s.y, b3a, n, False)
 
 
 def step_dilated(s: DilatedState, dtau: float, outer_value=None) -> DilatedState:
-    """Advance the dilated equation by dtau in explicit midpoint steps.
+    """Advance the dilated equation by dtau in equal ROS2 steps of at most
+    _DTAU (0.005), on the state's grid.
 
     A full domain keeps y = 0 at the true moving Phi_max.  A truncated window
     (flagged, or ending at y != 0) holds the outer value it was given, or,
@@ -964,13 +1027,35 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
 
     use_unscaled = cfg.engine in ("unscaled", "both")
     use_dilated = cfg.engine in ("dilated", "both")
+    coupled = use_unscaled and use_dilated
     ue = (_UnscaledEngine(state0, cfg.a0, cfg.b0, cfg.cfl, cfg.grid_n)
           if use_unscaled else None)
 
-    def outer_bc_now(tau):
+    # In a coupled run the dilated engine lags the primary and catches up
+    # (follow) only where its state is read: at a joint remesh, at a cross
+    # record of the truncated window and at the end.  Its truncated window's
+    # outer value is the primary's value at the cut, linear between the
+    # primary's steps: stored after each of them while the window is cut,
+    # and before each joint remesh, which may cut it; catching up drops the
+    # values the dilated engine has passed.
+    cut_taus, cut_vals = [], []
+
+    def store_cut_value():
         a, _, D = ue.domain()
         Tt = T - ue.t
-        return affine_interp(de.phi_outer() * Tt, a, D, ue._xi_list, ue.u)[0] / Tt
+        cut_taus.append(tau_now)
+        cut_vals.append(affine_interp(de.phi_cut * Tt, a, D, ue._xi_list, ue.u)[0] / Tt)
+
+    def outer_bc(tau):
+        if len(cut_taus) == 1:
+            return cut_vals[0]
+        k = min(max(bisect_right(cut_taus, tau), 1), len(cut_taus) - 1)
+        t0, v0, v1 = cut_taus[k - 1], cut_vals[k - 1], cut_vals[k]
+        return v0 + (v1 - v0) * (tau - t0) / (cut_taus[k] - t0)
+
+    def follow():
+        de.advance_to(tau_now)
+        del cut_taus[:-1], cut_vals[:-1]
 
     de = None
     if use_dilated:
@@ -983,9 +1068,9 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             keep = d0.phi < phi_cut
             phi_c = np.append(d0.phi[keep], phi_cut)
             y_c = np.append(d0.y[keep], np.interp(phi_cut, d0.phi, d0.y))
-        de = _DilatedEngine(d0.tau, phi_c, y_c, cfg.b0 - 3.0 * cfg.a0, cfg.cfl,
-                            cfg.grid_n, truncated, phi_cut=phi_cut,
-                            outer_bc=outer_bc_now if use_unscaled else None)
+        de = _DilatedEngine(d0.tau, phi_c, y_c, cfg.b0 - 3.0 * cfg.a0, cfg.grid_n,
+                            truncated, phi_cut=phi_cut,
+                            outer_bc=outer_bc if use_unscaled else None)
 
     primary = ue if use_unscaled else de
     t_end = t_stop if use_unscaled else cfg.stop_tau    # in the primary's time
@@ -993,6 +1078,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     pending_snaps = sorted(set(cfg.snap_taus))
     status, failing = "completed", None
     dt_last = 0.0
+    tau_now = tau_meshed = primary.tau
 
     def record():
         if use_unscaled:
@@ -1001,7 +1087,8 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
         else:
             rec = de.measure(dt_last, T)
         series.append(rec)
-        if use_unscaled and use_dilated and de.truncated:
+        # a dilated engine that failed to catch up is not compared
+        if coupled and de.truncated and tau_now - de.t <= 1e-12:
             du = analysis.dilate(ue.state())
             pd = de.phi_nodes()
             m = pd <= 5.0
@@ -1033,29 +1120,45 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             monitor.check(steps, taus, *primary.dilated_rows(ts, us))
             unchecked.clear()
 
+    if coupled and de.truncated:
+        store_cut_value()
     record()
-    tau_now = primary.tau
     try:
         while tau_now < cfg.stop_tau - 1e-12:
             if primary.step_count >= cfg.max_steps:
                 status = "max_steps"
                 break
-            dt_last = primary.step(t_end - primary.t)
+            if use_unscaled:
+                dt_last = ue.step(t_end - ue.t)
+            else:   # steps of _DTAU, the last before each snapshot cut short
+                dt_last = de.step((pending_snaps[0] if pending_snaps else t_end) - de.t)
             tau_now = primary.tau
-            if use_unscaled and use_dilated:
-                de.advance_to(tau_now)
             k = primary.step_count
-            remesh_now = k % _REMESH_INTERVAL == 0
+            if coupled and de.truncated:
+                store_cut_value()
+            if use_unscaled:
+                remesh_now = k % _REMESH_INTERVAL == 0
+            else:
+                remesh_now = tau_now - tau_meshed >= _REMESH_DTAU - 1e-12
             unchecked.append((k, tau_now, primary.t, primary.u))
             if remesh_now or len(unchecked) >= block:
                 check_unchecked()
             if remesh_now:
+                if coupled:
+                    if cut_taus[-1:] != [tau_now]:    # a remesh may cut the window
+                        store_cut_value()
+                    follow()
                 for eng in filter(None, (ue, de)):
                     eng.remesh()
+                tau_meshed = tau_now
             while pending_snaps and tau_now >= pending_snaps[0] - 1e-12:
                 snapshot(pending_snaps.pop(0))
             if k % cfg.record_every == 0:
+                if coupled and de.truncated:
+                    follow()
                 record()
+        if coupled:
+            follow()
     except FlowRunError as e:
         status, failing = e.status, e.step
     check_unchecked()

@@ -112,6 +112,54 @@ def hermite_boundary(d1, d2, y0, s, u1, u2):
     return du1, ddu1, ddu0
 
 
+def tridiagonal_solver(lower, diag, upper):
+    """Solver of lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = r[i]
+    (lower[0] and upper[-1] are not read), as a callable solve(r).
+
+    Cyclic reduction (Hockney, J. ACM 12 (1965) 95) in numpy array
+    operations: the system is padded with identity rows to 2^k - 1
+    equations, and each level eliminates the even-numbered unknowns from the
+    odd-numbered equations, halving the system.  The elimination
+    coefficients are computed once here, so each solve(r) costs only the
+    right-hand side's reduction and the back substitution.  There is no
+    pivoting: the matrix should be diagonally dominant, as I - gamma h J of
+    a diffusion operator is.
+    """
+    m = len(diag)
+    size = (1 << m.bit_length()) - 1        # the least 2^k - 1 >= m
+    a, b, c = np.zeros(size), np.ones(size), np.zeros(size)
+    a[1:m], b[:m], c[:m - 1] = lower[1:], diag, upper[:-1]
+    levels = []
+    while b.size > 1:
+        alpha = -a[1::2] / b[0:-1:2]
+        beta = -c[1::2] / b[2::2]
+        # even rows: their lower and upper coefficients and inverse diagonal
+        levels.append((alpha, beta, a[2::2], c[0:-1:2], 1.0 / b[0::2]))
+        a, b, c = (alpha * a[0:-1:2],
+                   b[1::2] + alpha * c[0:-1:2] + beta * a[2::2],
+                   beta * c[2::2])
+    top = b[0]
+
+    def solve(r):
+        d = np.zeros(size)
+        d[:m] = r
+        rhs = []
+        for alpha, beta, _, _, _ in levels:
+            rhs.append(d)
+            d = d[1::2] + alpha * d[0:-1:2] + beta * d[2::2]
+        x = d / top
+        for (_, _, lo, up, inv), d in zip(reversed(levels), reversed(rhs)):
+            e = d[0::2].copy()
+            e[1:] -= lo * x                 # the left odd neighbour
+            e[:-1] -= up * x                # the right one
+            xf = np.empty(d.size)
+            xf[1::2] = x
+            xf[0::2] = e * inv
+            x = xf
+        return x[:m]
+    return solve
+
+
 def affine_interp(x, a, scale, xi, *fps):
     """np.interp(x, a + xi * scale, fp) for each fp, as floats, bit for bit.
 

@@ -82,6 +82,15 @@ def test_flow_config_builds_or_raises_config_error(kw):
     assert isinstance(cfg, FlowConfig)
 
 
+@pytest.mark.parametrize("grid_n", [65_537, 10**6, 10**12, 2**63])
+def test_grid_n_past_the_ceiling_is_refused(grid_n):
+    with pytest.raises(ConfigError, match="grid_n must lie in"):
+        FlowConfig(a0=1.0, b0=10.0, grid_n=grid_n)
+    assert FlowConfig(a0=1.0, b0=10.0, grid_n=65_536).grid_n == 65_536
+    with pytest.raises(ConfigError, match="grid_n must lie in"):
+        parse_config_text(f"a0 = 1\nb0 = 10\ngrid_n = {grid_n}")
+
+
 _STATUSES = {"completed", "max_steps", "positivity_failure", "substep_limit",
              "remesh_failure"}
 

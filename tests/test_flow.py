@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -364,11 +365,10 @@ def test_dilated_rhs_matches_reference_bit_for_bit(truncated):
         keep = d.phi < 20.0
         phi = np.append(d.phi[keep], 20.0)
         y = np.append(d.y[keep], np.interp(20.0, d.phi, d.y))
-        eng = _DilatedEngine(d.tau, phi, y, 0.0, cfg.cfl, n, True, phi_cut=20.0,
+        eng = _DilatedEngine(d.tau, phi, y, 0.0, n, True, phi_cut=20.0,
                              outer_bc=lambda tau: float(y[-1]))
     else:
-        eng = _DilatedEngine(d.tau, d.phi, d.y, cfg.b0 - 3.0 * cfg.a0, cfg.cfl,
-                             n, False)
+        eng = _DilatedEngine(d.tau, d.phi, d.y, cfg.b0 - 3.0 * cfg.a0, n, False)
     for _ in range(30):
         eng.step(1.0)
     eng.remesh()
@@ -415,7 +415,15 @@ def test_dilated_rows_match_per_step_view():
 @pytest.mark.parametrize("engine", ["unscaled", "dilated", "both"])
 def test_monitor_sees_every_accepted_step_once(monkeypatch, engine):
     # 254 steps at 128 nodes: monitor blocks of 8192 // 128 = 64 rows, and
-    # one remesh, at step 200, which drains a partial block
+    # one remesh, at step 200, which drains a partial block.  The dilated
+    # engine steps by _DTAU and remeshes every _REMESH_DTAU of tau: with the
+    # remesh distance set to 200 steps it meets the same schedule at
+    # stop_tau = 254 _DTAU.
+    from krflow import flow
+    stop_tau = 0.05
+    if engine == "dilated":
+        monkeypatch.setattr(flow, "_REMESH_DTAU", 200 * flow._DTAU)
+        stop_tau = 254 * flow._DTAU
     seen, calls = [], []
     check = SandwichMonitor.check
 
@@ -426,7 +434,7 @@ def test_monitor_sees_every_accepted_step_once(monkeypatch, engine):
         return check(self, steps, taus, phi, y)
 
     monkeypatch.setattr(SandwichMonitor, "check", spy)
-    arts = run_flow(small_cfg(grid_n=128, engine=engine, stop_tau=0.05))
+    arts = run_flow(small_cfg(grid_n=128, engine=engine, stop_tau=stop_tau))
     n = arts.manifest["steps"]
     assert n > 200 and max(calls) == 64 and len(calls) > 4
     assert seen == list(range(1, n + 1))
@@ -606,27 +614,23 @@ _COUPLED = dict(a0=1.0, b0=9.93, grid_n=128, stop_tau=0.1, record_every=25,
                 engine="both", phi_cut=10.5)
 
 
-def _dilated_cfl_halved(monkeypatch):
-    """Halve the dilated engine's CFL-stable step, so that no gap of a coupled
-    run (the primary's dtau, about one stable step) is within its bound and
-    advance_to needs at least two steps for each primary step."""
+def _one_dilated_substep(monkeypatch):
+    """Let advance_to take a single step.  The dilated engine of a coupled
+    run first catches up with the primary at the remesh at step 200, a gap
+    of several _DTAU, so advance_to cannot reach it."""
     from krflow import flow
-    stable_dt = flow._Engine.stable_dt
-    monkeypatch.setattr(_DilatedEngine, "stable_dt",
-                        lambda self, uf: 0.5 * stable_dt(self, uf))
     monkeypatch.setattr(flow, "_MAX_SUBSTEPS", 1)
 
 
 def test_substep_limit_ends_the_run_with_partial_artifacts(monkeypatch, tmp_path):
     from krflow import flow
-    # the dilated engine follows the unscaled one by advance_to; with its
-    # stable step halved and one substep allowed it cannot keep up on the
-    # first step
-    _dilated_cfl_halved(monkeypatch)
+    # the dilated engine follows the unscaled one by advance_to at the first
+    # remesh; with one substep allowed it cannot catch up there
+    _one_dilated_substep(monkeypatch)
     arts = run_flow(FlowConfig(**_COUPLED))
     assert arts.status == "substep_limit"
     assert arts.failing_step is not None
-    assert arts.manifest["steps"] == 1
+    assert arts.manifest["steps"] == flow._REMESH_INTERVAL
     assert arts.series and arts.series[-1].step == arts.manifest["steps"]
     manifest = write_artifacts(arts, tmp_path)
     assert manifest["status"] == "substep_limit"
@@ -649,58 +653,23 @@ def _evolve_coupled(tmp_path):
 
 
 def test_substep_limit_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
-    _dilated_cfl_halved(monkeypatch)
+    _one_dilated_substep(monkeypatch)
     rc, outd = _evolve_coupled(tmp_path)
     assert rc == 3
     assert "run did not complete: substep_limit at step" in capsys.readouterr().err
     assert json.loads((outd / "manifest.json").read_text())["status"] == "substep_limit"
 
 
-def test_the_dilated_engine_keeps_pace_in_one_step(monkeypatch):
-    from krflow import flow
-    # per advance_to call: [gap, window still growing, stable steps, steps taken]
-    calls = []
-    advance_to, step, stable_dt = (getattr(flow._Engine, k)
-                                   for k in ("advance_to", "step", "stable_dt"))
-
-    def spy_advance(self, t_target):
-        calls.append([t_target - self.t, not self.truncated, [], []])
-        advance_to(self, t_target)
-
-    def spy_stable(self, uf):
-        calls[-1][2].append(stable_dt(self, uf))
-        return calls[-1][2][-1]
-
-    def spy_step(self, *args, **kw):
-        calls[-1][3].append(step(self, *args, **kw))
-        return calls[-1][3][-1]
-
-    monkeypatch.setattr(_DilatedEngine, "advance_to", spy_advance)
-    monkeypatch.setattr(_DilatedEngine, "stable_dt", spy_stable)
-    monkeypatch.setattr(_DilatedEngine, "step", spy_step)
-    arts = run_flow(FlowConfig(**_COUPLED))
-    assert arts.status == "completed" and len(calls) == arts.manifest["steps"]
-    # the window grows until the remesh at step 400 cuts it at phi_cut, and
-    # the growing window's gaps are within its bound
-    growing = [c for c in calls if c[1]]
-    within = [c for c in growing if c[0] * flow._CFL_CUSHION <= c[2][0]]
-    assert len(growing) == 400 and len(within) > 0.9 * len(growing)
-    assert all(len(c[3]) == 1 and c[3][0] == c[0] for c in within)
-    # no dilated step goes past the configured cfl number: stable_dt / 0.95
-    for _, _, stables, dts in calls:
-        assert len(stables) == len(dts)
-        assert all(dt * flow._CFL_CUSHION <= s for s, dt in zip(stables, dts))
-
-
 def test_a_positivity_halving_inside_advance_to_still_reaches_the_target():
+    from krflow import flow
     d0 = analysis.dilate(make_initial(FlowConfig(a0=1.0, b0=9.93, grid_n=128)))
     eng = _dilated_engine_on(d0, 128)
-    target = eng.t + eng.stable_dt(eng.rhs(eng.u, eng.t)[1])    # one step's gap
+    target = eng.t + flow._DTAU                 # one step's gap
     rhs, spoiled, dts = eng.rhs, [], []
 
     def rhs_once_negative(y, tau, slot=0):
         F, yp, ypp = rhs(y, tau, slot)
-        if slot == 1 and not spoiled:       # the first midpoint stage drives y < 0
+        if slot == 1 and not spoiled:       # the first second stage drives y < 0
             spoiled.append(tau)
             F = np.full_like(F, -1e300)
         return F, yp, ypp
@@ -715,6 +684,187 @@ def test_a_positivity_halving_inside_advance_to_still_reaches_the_target():
     assert dts[0] == pytest.approx(0.5 * (target - d0.tau), rel=1e-12)
     assert abs(eng.t - target) <= 1e-14
     assert np.all(eng.y[1:-1] > 0.0)
+
+
+def test_the_dilated_engine_catches_up_only_where_it_is_read(monkeypatch):
+    from krflow import flow
+    # per advance_to call: [primary step, gap, ROS2 steps taken]
+    calls, at = [], [0]
+    ustep, advance_to, step = (_UnscaledEngine.step, _DilatedEngine.advance_to,
+                               _DilatedEngine.step)
+
+    def spy_ustep(self, dt_max):
+        at[0] = self.step_count + 1
+        return ustep(self, dt_max)
+
+    def spy_advance(self, tau_target):
+        calls.append([at[0], tau_target - self.t, 0])
+        advance_to(self, tau_target)
+
+    def spy_step(self, dt_max):
+        calls[-1][2] += 1
+        return step(self, dt_max)
+
+    monkeypatch.setattr(_UnscaledEngine, "step", spy_ustep)
+    monkeypatch.setattr(_DilatedEngine, "advance_to", spy_advance)
+    monkeypatch.setattr(_DilatedEngine, "step", spy_step)
+    arts = run_flow(FlowConfig(**_COUPLED))
+    n = arts.manifest["steps"]
+    assert arts.status == "completed" and arts.cross_engine
+    # at the joint remeshes, at the cross records of the truncated window
+    # and at the end of the run, and nowhere else
+    cross_taus = {c[0] for c in arts.cross_engine}
+    cross_steps = {r.step for r in arts.series if r.tau in cross_taus}
+    assert cross_steps and min(cross_steps) > flow._REMESH_INTERVAL
+    want = set(range(flow._REMESH_INTERVAL, n + 1, flow._REMESH_INTERVAL)) | cross_steps | {n}
+    assert {c[0] for c in calls} == want
+    # each gap in ceil(gap / _DTAU) equal steps, far fewer than the primary's
+    for _, gap, taken in calls:
+        assert taken == (math.ceil(gap / flow._DTAU - 1e-9) if gap > 1e-14 else 0)
+    assert sum(c[2] for c in calls) < 0.1 * n
+
+
+def test_outer_value_at_each_stage_is_the_primarys_interpolated_value(monkeypatch):
+    # the truncated window's outer value, wherever the dilated engine reads
+    # it (stage times, the time difference of dF/dt, remeshes), is the
+    # unscaled engine's value at phi_cut, linear between its steps
+    primary, seen = [], []
+    ustep, outer = _UnscaledEngine.step, _DilatedEngine._outer_value
+    cut = _COUPLED["phi_cut"]
+
+    def spy_ustep(self, dt_max):
+        dt = ustep(self, dt_max)
+        Tt = self.T - self.t
+        primary.append((self.tau, np.interp(cut * Tt, self.f_nodes(), self.u) / Tt))
+        return dt
+
+    def spy_outer(self, tau):
+        seen.append((tau, outer(self, tau)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(_UnscaledEngine, "step", spy_ustep)
+    monkeypatch.setattr(_DilatedEngine, "_outer_value", spy_outer)
+    arts = run_flow(FlowConfig(**_COUPLED))
+    assert arts.status == "completed" and arts.cross_engine
+    taus, vals = np.array(primary).T
+    got = np.array(seen)
+    assert got.shape[0] > 10
+    assert np.all((got[:, 0] >= taus[0]) & (got[:, 0] <= taus[-1]))
+    want = np.interp(got[:, 0], taus, vals)
+    assert np.allclose(got[:, 1], want, rtol=1e-12, atol=0.0)
+    stage = ~np.isin(got[:, 0], taus)       # between two primary steps
+    assert np.count_nonzero(stage) > 0.5 * got.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# the ROS2 step
+# ---------------------------------------------------------------------------
+
+def _ros2_engine(truncated):
+    """A dilated engine three steps into (1, 10) parabola data: on the
+    growing window, or on the window cut at phi = 6 with an outer value that
+    moves in tau."""
+    d = analysis.dilate(make_initial(small_cfg()))
+    if truncated:
+        keep = d.phi < 6.0
+        phi = np.append(d.phi[keep], 6.0)
+        y = np.append(d.y[keep], np.interp(6.0, d.phi, d.y))
+        g = lambda tau: float(y[-1]) * (1.0 + 0.3 * np.sin(5.0 * tau))
+        eng = _dilated_engine_on(DilatedState(d.tau, phi, y, truncated=True), 256,
+                                 outer_value=g)
+    else:
+        eng = _dilated_engine_on(d, 256)
+    for _ in range(3):
+        eng.step(1.0)
+    assert eng.truncated == truncated
+    return eng
+
+
+def _linearised(eng):
+    F0 = eng.rhs(eng.u, eng.t)[0].copy()
+    lower, diag, upper, Ft = eng._linearise(eng.u, eng.t, F0)
+    J = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    return F0, lower, diag, upper, Ft, J
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["full", "truncated"])
+def test_ros2_jacobian_matches_dense_differences(truncated):
+    eng = _ros2_engine(truncated)
+    u, t = eng.u, eng.t
+    _, _, _, _, Ft, J = _linearised(eng)
+    m = u.size - 2
+    # column by column, by central differences with increments of their own
+    dense = np.empty((m, m))
+    for j in range(m):
+        d = 1e-6 * max(abs(u[j + 1]), 1e-3)
+        w = u.copy()
+        w[j + 1] += d
+        Fp = eng.rhs(w, t)[0].copy()
+        w[j + 1] -= 2.0 * d
+        dense[:, j] = (Fp - eng.rhs(w, t)[0]) / (2.0 * d)
+    off = np.abs(np.subtract.outer(np.arange(m), np.arange(m))) > 1
+    assert np.all(dense[off] == 0.0)            # F is tridiagonal in u
+    assert np.max(np.abs(J - dense)) <= 1e-6 * np.max(np.abs(dense))
+
+    # dF/dt moves the frame and, in a cut window, the outer value with t
+    def F_at(s):
+        w = u.copy()
+        if truncated:
+            w[-1] = eng._outer_value(s)
+        return eng.rhs(w, s)[0].copy()
+
+    Ft_ref = (F_at(t + 1e-6) - F_at(t - 1e-6)) / 2e-6
+    assert np.max(np.abs(Ft_ref)) > 0.1
+    assert np.max(np.abs(Ft - Ft_ref)) <= 1e-6 * np.max(np.abs(Ft_ref))
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["full", "truncated"])
+def test_tridiagonal_solve_matches_dense_solve_on_ros2_matrices(truncated):
+    from krflow import flow
+    from krflow.grids import tridiagonal_solver
+    eng = _ros2_engine(truncated)
+    F0, lower, diag, upper, Ft, J = _linearised(eng)
+    for h in (flow._DTAU, 0.5 * flow._DTAU, 0.1):
+        gh = flow._ROS2_GAMMA * h
+        W = np.eye(J.shape[0]) - gh * J
+        solve = tridiagonal_solver(-gh * lower, 1.0 - gh * diag, -gh * upper)
+        for r in (F0 + gh * Ft, np.random.default_rng(1).standard_normal(F0.size)):
+            want = np.linalg.solve(W, r)
+            assert np.max(np.abs(solve(r) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_ros2_is_second_order_in_time_with_moving_outer_data(monkeypatch):
+    # perturbed FIK data on the window [1, 20] cut there, its outer value
+    # moving linearly in tau as a coupled run's does between two primary
+    # steps; the error at tau = 0.4 against 640 steps falls about 4x per
+    # halving of the step, and about 2x, from errors 100x larger, when
+    # dF/dt is dropped (the boundary motion then enters at first order)
+    from krflow import flow
+    n = 128
+    phi = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 20.0, 1.0, n)
+    y0 = fik_y(phi) * (1.0 + 0.05 * np.sin(np.pi * (phi - 1.0) / 19.0))
+    g = lambda tau: float(fik_y(20.0)) * (1.0 + 1.5 * tau)
+    y0[-1] = g(0.0)
+
+    def errors():
+        def run(k):
+            eng = _dilated_engine_on(DilatedState(0.0, phi, y0.copy(), truncated=True), n,
+                                     outer_value=g)
+            for _ in range(k):
+                eng._ros2_step(0.4 / k)
+            assert eng.tau == pytest.approx(0.4, abs=1e-12)
+            return eng.y
+        ref = run(640)
+        return np.array([np.max(np.abs(run(k) - ref)) for k in (10, 20, 40, 80)])
+
+    errs = errors()
+    assert np.all(errs[:-1] / errs[1:] > 3.5)
+    linearise = flow._Engine._linearise
+    monkeypatch.setattr(flow._Engine, "_linearise",
+                        lambda self, u, t, F0: linearise(self, u, t, F0)[:3] + (0.0,))
+    without = errors()
+    assert np.all(without[:-1] / without[1:] < 2.6)
+    assert np.all(without > 100.0 * errs)
 
 
 def _failing_second_mesh(monkeypatch):
@@ -756,7 +906,7 @@ def test_remesh_failure_ends_the_run_with_partial_artifacts(monkeypatch, tmp_pat
     # when the mesh law fails
     _failing_second_mesh(monkeypatch)
     d0 = analysis.dilate(make_initial(FlowConfig(a0=1.0, b0=9.93, grid_n=128)))
-    de = _DilatedEngine(d0.tau, d0.phi, d0.y, 9.93 - 3.0, 0.4, 128, False,
+    de = _DilatedEngine(d0.tau, d0.phi, d0.y, 9.93 - 3.0, 128, False,
                         phi_cut=9.0, outer_bc=lambda tau: 0.0)
     with pytest.raises(flow.FlowRemeshError):
         de.remesh()

@@ -1,9 +1,11 @@
 """Run artifacts of three tiny runs, pinned byte for byte.
 
-Each run (grid_n = 128, about 500 steps, a remesh every 200 steps) writes its
-artifacts, and every file must equal the one under tests/data/golden/<run>.
-The 'both' run crosses phi_cut early, so its dilated engine switches to the
-truncated window and takes its outer value from the unscaled engine.  Any
+Each run (grid_n = 128, to tau = 0.1) writes its artifacts, and every file
+must equal the one under tests/data/golden/<run>.  The 'unscaled' and
+'both' runs take about 500 explicit steps, remeshing every 200; the
+'dilated' run takes 20 ROS2 steps, remeshing every 0.02 of tau.  The 'both'
+run crosses phi_cut early, so its dilated engine switches to the truncated
+window and takes its outer value from the unscaled engine.  Any
 change to the arithmetic of a step, a remesh or a measurement shows here as
 a changed byte; manifest.json is compared without its wall time.
 

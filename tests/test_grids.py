@@ -3,7 +3,8 @@ import pytest
 
 from krflow import grids
 from krflow.grids import (GridError, affine_interp, apply_weights, gauss_kronrod21,
-                          hermite_boundary, interior_weights, pchip, window_mesh)
+                          hermite_boundary, interior_weights, pchip, tridiagonal_solver,
+                          window_mesh)
 from krflow.soliton import fik_y
 
 
@@ -59,6 +60,23 @@ def test_apply_weights_in_place_matches_temporaries():
         want = W[0] * u[:-2] + W[1] * u[1:-1] + W[2] * u[2:]
         assert np.array_equal(apply_weights(W, u, out, tmp), want)
         assert np.array_equal(apply_weights(W, u), want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 126, 254, 255, 256, 2046])
+def test_tridiagonal_solver_matches_a_dense_solve(m):
+    # sizes 2^k - 1 need no padding, the others do; lower[0] and upper[-1]
+    # hold junk that must not be read
+    rng = np.random.default_rng(m)
+    lower, upper = rng.standard_normal(m), rng.standard_normal(m)
+    diag = 2.5 + np.abs(lower) + np.abs(upper)
+    diag[::2] *= -1.0
+    A = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    solve = tridiagonal_solver(lower, diag, upper)
+    for r in rng.standard_normal((2, m)):
+        x = solve(r)
+        want = np.linalg.solve(A, r)
+        assert x.shape == (m,)
+        assert np.max(np.abs(x - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_pchip_matches_scipy_bit_for_bit():
