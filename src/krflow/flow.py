@@ -677,7 +677,7 @@ class _UnscaledEngine(_Engine):
         if 0.02 < xi_star < 0.98:
             return
         f_new = a + 0.5 * D
-        self.anchor_r = self.r_of(f_new)
+        self.anchor_r, = self.r_of(f_new)
         self.anchor_f = f_new
 
     def _remesh_nodes(self, spl, f_old):
@@ -685,8 +685,9 @@ class _UnscaledEngine(_Engine):
         u_of = lambda d: np.clip(spl(a + np.clip(d, 0.0, D)), 0.0, None)
         return a, D, window_mesh(u_of, a, b, self.T - self.t, self.n)
 
-    def r_of(self, x):
-        """r-coordinate of an interior point, via r = anchor_r + int df/u."""
+    def r_of(self, *xs):
+        """r-coordinates of interior points, via r = anchor_r + int df/u, from
+        one cumulative integral."""
         f = self.f_nodes()[1:-1]
         u = self.u[1:-1]
         S = cumint_inverse_linear(f, u)
@@ -699,7 +700,8 @@ class _UnscaledEngine(_Engine):
             else:
                 part = (xx - f[k]) * np.log(ux / u[k]) / du
             return S[k] + part
-        return self.anchor_r + at(float(x)) - at(float(self.anchor_f))
+        r_anchor = at(float(self.anchor_f))
+        return [self.anchor_r + at(float(x)) - r_anchor for x in xs]
 
     def state(self) -> FlowState:
         return FlowState(RadialProfile(self.f_nodes(), self.u.copy()),
@@ -732,18 +734,18 @@ class _UnscaledEngine(_Engine):
         with np.errstate(invalid="ignore"):
             max_F = float(np.max(self.u / f))
 
-        f2 = 2.0 * Tt
-        rho2 = self.r_of(f2) + tau
         # inner expansion coefficient via the exact identity
         # log f_w = log d - r(f) - int_0^d (1/d' - 1/u) dd'
         j = int(np.searchsorted(f, a + 0.25 * Tt))
         j = min(max(j, 3), f.size - 3)
+        r2, rj = self.r_of(2.0 * Tt, f[j])
+        rho2 = r2 + tau
         dj = f[1:j + 1] - a
         gj = 1.0 / dj - 1.0 / self.u[1:j + 1]
         g0 = -0.5 * uffa
         corr = float(np.trapezoid(np.concatenate(([g0], gj)),
                                   np.concatenate(([0.0], dj))))
-        log_fw = float(np.log(dj[-1]) - self.r_of(f[j]) - corr)
+        log_fw = float(np.log(dj[-1]) - rj - corr)
 
         rec = SeriesRecord(step=self.step_count, t=self.t, tau=tau, a=a, b=b,
                            R_sigma0=R0, lambda2_sigma0=lam2,
@@ -1160,7 +1162,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
         if coupled:
             follow()
     except FlowRunError as e:
-        status, failing = e.status, e.step
+        status, failing = e.status, primary.step_count
     check_unchecked()
     if not series or series[-1].step != primary.step_count:
         record()

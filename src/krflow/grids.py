@@ -415,9 +415,14 @@ def gauss_kronrod21(f, a, b):
 def equidistributed_nodes(width, n, h_floor, coeff):
     """Nodes 0 = d_0 < ... < d_n = width with spacing ~ max(h_floor, sqrt(lam*c(d))).
 
-    c(d) = coeff(d) is the local diffusion coefficient; lam is solved so the
-    node budget is met.  This equidistributes the explicit diffusion limit
-    h^2 / c while the floor keeps the first cells from collapsing.
+    c(d) = coeff(d) is the local diffusion coefficient.  This equidistributes
+    the explicit diffusion limit h^2 / c while the floor keeps the first cells
+    from collapsing.  lam is fixed by the node budget: the trapezoid, on a
+    probe grid, of 1/h = min(1/h_floor, s / sqrt(c)) with s = lam^(-1/2) must
+    count n intervals.  That count is increasing, concave and piecewise linear
+    in s, with one kink per probe point, so Newton's method from s = 0 never
+    passes the root and lands on it exactly once it reaches the root's linear
+    piece (a handful of iterations).
     """
     if n < 1:
         raise GridError("need at least one interval")
@@ -430,21 +435,20 @@ def equidistributed_nodes(width, n, h_floor, coeff):
     d = np.unique(np.concatenate(([0.0, width], g, width - g)))
     c = np.clip(np.asarray(coeff(d), dtype=float), 0.0, None)
 
-    def count(lam):
-        h = np.maximum(h_floor, np.sqrt(lam * c))
-        # trapezoid of 1/h gives the interval count of the implied mesh
-        return np.trapezoid(1.0 / h, d)
-
-    lo, hi = 1e-18 * width, 1e6 * width
-    for _ in range(200):
-        lam = np.sqrt(lo * hi)
-        if count(lam) > n:
-            lo = lam
-        else:
-            hi = lam
-        if hi / lo < 1 + 1e-12:
+    half = 0.5 * np.diff(d)
+    w = np.append(half, 0.0)
+    w[1:] += half                               # trapezoid weights on d
+    rc = 1.0 / np.sqrt(np.maximum(c, 1e-300))   # c = 0 stays on the floor
+    wrc = w * rc
+    cap = 1.0 / h_floor
+    s = 0.0
+    for _ in range(64):
+        v = np.minimum(s * rc, cap)
+        s_next = s + (n - (w * v).sum()) / wrc[v < cap].sum()
+        if not s_next > s:
             break
-    lam = np.sqrt(lo * hi)
+        s = s_next
+    lam = max(s, 1e-150) ** -2.0                # finite if c = 0 on most of d
     h = np.maximum(h_floor, np.sqrt(lam * c))
     F = np.concatenate(([0.0], np.cumsum(0.5 * (1.0 / h[1:] + 1.0 / h[:-1]) * np.diff(d))))
     levels = np.linspace(0.0, F[-1], n + 1)
@@ -476,7 +480,7 @@ def stretched_tail(start, end, n, h0):
     p = _GRADING
 
     def first_spacing(eps):
-        g = ((s + eps) ** p - eps ** p) / ((1 + eps) ** p - eps ** p)
+        g = ((s[:2] + eps) ** p - eps ** p) / ((1 + eps) ** p - eps ** p)
         return L * g[1]
 
     lo, hi = 1e-12, 1e12

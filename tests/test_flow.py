@@ -629,7 +629,7 @@ def test_substep_limit_ends_the_run_with_partial_artifacts(monkeypatch, tmp_path
     _one_dilated_substep(monkeypatch)
     arts = run_flow(FlowConfig(**_COUPLED))
     assert arts.status == "substep_limit"
-    assert arts.failing_step is not None
+    assert arts.failing_step == arts.manifest["steps"]
     assert arts.manifest["steps"] == flow._REMESH_INTERVAL
     assert arts.series and arts.series[-1].step == arts.manifest["steps"]
     manifest = write_artifacts(arts, tmp_path)
@@ -656,7 +656,7 @@ def test_substep_limit_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
     _one_dilated_substep(monkeypatch)
     rc, outd = _evolve_coupled(tmp_path)
     assert rc == 3
-    assert "run did not complete: substep_limit at step" in capsys.readouterr().err
+    assert "run did not complete: substep_limit at step 200\n" in capsys.readouterr().err
     assert json.loads((outd / "manifest.json").read_text())["status"] == "substep_limit"
 
 

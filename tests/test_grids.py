@@ -164,3 +164,72 @@ def test_window_mesh_law(monkeypatch, u_of_delta, a, b, t_left, n, composite):
     assert np.all(np.diff(x) > 0)
     # the inner window [a, a + 10 (T - t)] holds at least a quarter of the nodes
     assert np.count_nonzero(x <= a + 10.0 * t_left) >= n / 4
+
+
+def _bisected_nodes(width, n, h_floor, coeff):
+    """equidistributed_nodes with lam found by geometric bisection, the
+    reference for the Newton solve."""
+    g = np.geomspace(max(width * 1e-12, h_floor * 1e-3), 0.5 * width, 1000)
+    d = np.unique(np.concatenate(([0.0, width], g, width - g)))
+    c = np.clip(np.asarray(coeff(d), dtype=float), 0.0, None)
+
+    def count(lam):
+        return np.trapezoid(1.0 / np.maximum(h_floor, np.sqrt(lam * c)), d)
+
+    lo, hi = 1e-18 * width, 1e6 * width
+    while hi / lo >= 1 + 1e-12:
+        lam = np.sqrt(lo * hi)
+        lo, hi = (lam, hi) if count(lam) > n else (lo, lam)
+    h = np.maximum(h_floor, np.sqrt(np.sqrt(lo * hi) * c))
+    F = np.concatenate(([0.0], np.cumsum(0.5 * (1.0 / h[1:] + 1.0 / h[:-1]) * np.diff(d))))
+    nodes = np.interp(np.linspace(0.0, F[-1], n + 1), F, d)
+    nodes[0], nodes[-1] = 0.0, width
+    return nodes
+
+
+@pytest.mark.parametrize("width, n, h_floor, coeff, uniform", [
+    # the dilated window of test_window_mesh_law
+    (49.0, 511, 3e-4, lambda d: fik_y(1.0 + d), False),
+    # the late parabola's inner window, [a, a + 10 (T - t)] with its quota
+    (0.01, 64, 3e-7, lambda d: np.clip(d * (9.0 - 2e-3 - d) / 9.0, 0.0, None), False),
+    (2.0, 200, 1e-6, lambda d: d * (2.0 - d), False),
+    (3.0, 300, 1e-4, lambda d: np.full_like(d, 2.0), True),
+    # n h_floor just below the width: the floor binds nearly everywhere
+    (1.0, 999, 1e-3 * (1.0 - 1e-7), lambda d: 1e-12 * (1.0 + d), False),
+    # zero throughout: every cell on the floor, which the budget spreads evenly
+    (1e6, 10, 1e-3, lambda d: np.zeros_like(d), True),
+], ids=["fik_y", "parabola_inner", "vanishing_ends", "constant", "floor", "zero"])
+def test_equidistributed_nodes_match_the_bisected_lambda(width, n, h_floor, coeff,
+                                                         uniform):
+    x = grids.equidistributed_nodes(width, n, h_floor, coeff)
+    ref = _bisected_nodes(width, n, h_floor, coeff)
+    assert x.size == n + 1 and x[0] == 0.0 and x[-1] == width
+    assert np.all(np.diff(x) > 0)
+    assert np.max(np.abs(x - ref)) <= 1e-9 * np.min(np.diff(ref))
+    if uniform:
+        assert np.max(np.abs(np.diff(x) - width / n)) <= 1e-9 * width / n
+
+
+def _full_array_tail(start, end, n, h0):
+    """stretched_tail evaluating the whole grading at every bisection step."""
+    L, p = end - start, grids._GRADING
+    s = np.arange(n + 1) / n
+    grade = lambda eps: ((s + eps) ** p - eps ** p) / ((1 + eps) ** p - eps ** p)
+    lo, hi = 1e-12, 1e12
+    for _ in range(200):
+        eps = np.sqrt(lo * hi)
+        lo, hi = (eps, hi) if L * grade(eps)[1] < h0 else (lo, eps)
+        if hi / lo < 1 + 1e-12:
+            break
+    nodes = start + L * grade(np.sqrt(lo * hi))
+    nodes[0], nodes[-1] = start, end
+    return nodes
+
+
+@pytest.mark.parametrize("start, end, n, h0", [
+    (0.01, 9.996, 191, 1.3e-4), (1e-3, 1.0, 16, 1e-5), (10.0, 50.0, 383, 0.05),
+    (0.5, 0.75, 4, 1e-9), (2.0, 3.0, 1000, 9e-4),
+])
+def test_stretched_tail_matches_the_full_array_bisection(start, end, n, h0):
+    assert np.array_equal(grids.stretched_tail(start, end, n, h0),
+                          _full_array_tail(start, end, n, h0))
