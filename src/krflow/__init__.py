@@ -4,7 +4,7 @@ Submodules:
   geometry  - metric profiles, coordinate changes, curvature
   soliton   - shrinking-soliton construction and constants
   flow      - moving-boundary and dilated evolution engines
-  analysis  - dilation, convergence errors, blow-up rate fits
+  analysis  - dilation, blow-up rate fits, the type-one monitor, series files
   barriers  - class membership, sub/supersolutions, comparison harness
   acceptance- the pinned verification criteria (A1..A14)
 """

@@ -1,4 +1,4 @@
-"""Post-processing: dilation, convergence distances, blow-up rates, monitors.
+"""Post-processing: dilation, blow-up rates, monitors, series files.
 
 The parabolic blow-up uses tau = -log(T - t) and magnifies by e^tau, so in
 the slope-field variables the dilated profile is simply
@@ -22,14 +22,11 @@ from operator import attrgetter
 import numpy as np
 
 from .geometry import write_rows
-from .grids import derivatives
-from .soliton import fik_y_derivs
 from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
 __all__ = [
-    "AnalysisError", "RatesReport", "TypeOneReport", "dilate",
-    "convergence_error", "blowup_rates", "type_one_monitor",
-    "sigma2_crosscheck", "write_series_csv", "read_series_csv",
+    "AnalysisError", "RatesReport", "TypeOneReport", "dilate", "blowup_rates",
+    "type_one_monitor", "sigma2_crosscheck", "write_series_csv", "read_series_csv",
     "write_anchor_csv", "read_anchor_csv", "write_report", "format_report",
     "report_kv",
 ]
@@ -39,40 +36,13 @@ class AnalysisError(RuntimeError):
     """Series too short / malformed for the requested measurement."""
 
 
-def dilate(s: FlowState, target_phi=None) -> DilatedState:
-    """Blow-up view of an unscaled state: y(phi) = e^tau u(e^-tau phi).
-
-    With target_phi given, the profile is interpolated onto that grid;
-    otherwise the state's own nodes are transformed (inner endpoint exactly
-    at phi = 1).
-    """
+def dilate(s: FlowState) -> DilatedState:
+    """Blow-up view of an unscaled state: y(phi) = e^tau u(e^-tau phi), on the
+    state's own nodes (inner endpoint exactly at phi = 1)."""
     Tt = s.T - s.t
     if Tt <= 0:
         raise ValueError("dilate requires t < T")
-    tau = -np.log(Tt)
-    phi = s.profile.f / Tt
-    y = s.profile.u / Tt
-    if target_phi is not None:
-        target_phi = np.asarray(target_phi, dtype=float)
-        if target_phi[0] < phi[0] - 1e-12 or target_phi[-1] > phi[-1] + 1e-12:
-            raise ValueError("target grid exceeds the represented dilated domain")
-        y = np.interp(target_phi, phi, y)
-        phi = target_phi
-    return DilatedState(tau, phi, y)
-
-
-def convergence_error(d: DilatedState, window=(1.0, 3.0)):
-    """(sup |y - Y|, sup |y_phi - Y_phi|) over the window's nodes."""
-    lo, hi = window
-    if lo < d.phi[0] - 1e-12 or hi > d.phi[-1] + 1e-12:
-        raise ValueError(f"window [{lo}, {hi}] exceeds the domain "
-                         f"[{d.phi[0]:.6g}, {d.phi[-1]:.6g}]")
-    slope = 1.0 if d.y[0] == 0.0 else None
-    yp, _ = derivatives(d.phi, d.y, slope_left=slope)
-    mask = (d.phi >= lo) & (d.phi <= hi)
-    yf, ypf, _ = fik_y_derivs(d.phi[mask])
-    return (float(np.max(np.abs(d.y[mask] - yf))),
-            float(np.max(np.abs(yp[mask] - ypf))))
+    return DilatedState(-np.log(Tt), s.profile.f / Tt, s.profile.u / Tt)
 
 
 @dataclass(frozen=True)
@@ -147,17 +117,10 @@ class TypeOneReport:
     verdict: str
 
 
-def type_one_monitor(obj) -> TypeOneReport:
-    """Reduced-|Rm| boundedness check.
-
-    For a dilated state: the max of the three reduced magnitudes over the
-    grid.  For a series: verdict 'bounded' if the running max over the last
-    unit of tau grew by under 10%.
-    """
-    if isinstance(obj, DilatedState):
-        from .geometry import riemann_components
-        return TypeOneReport(riemann_components(obj).max, 0.0, "state")
-    series = list(obj)
+def type_one_monitor(series) -> TypeOneReport:
+    """Reduced-|Rm| boundedness check of a series: verdict 'bounded' if the
+    running max of max_rm over the last unit of tau grew by under 10%."""
+    series = list(series)
     if len(series) < 4:
         raise AnalysisError("series too short for a trend verdict")
     taus = np.array([r.tau for r in series])

@@ -71,13 +71,6 @@ def full_operator(phi, y, y_p, y_pp):
     return y * y_pp + (2.0 - phi - y_p) * y_p + y * (1.0 - y / phi ** 2)
 
 
-def operator_on_state(d):
-    """E[y] on a dilated state's nodes, derivatives from grid stencils."""
-    slope = 1.0 if d.y[0] == 0.0 else None
-    y_p, y_pp = derivatives(d.phi, d.y, slope_left=slope)
-    return full_operator(d.phi, d.y, y_p, y_pp)
-
-
 # ---------------------------------------------------------------------------
 # class membership and barrier values
 # ---------------------------------------------------------------------------

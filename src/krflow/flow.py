@@ -68,19 +68,17 @@ from . import analysis
 from .barriers import (BARRIER_DELTA, LAMBDA_INIT, SandwichMonitor, class_c_check,
                        fit_lambda0, write_violation_csv)
 from .geometry import (LogProfile, RadialProfile, curvature, read_profile_csv,
-                       reduced_rm, to_radial, validate_profile, write_profile_csv)
+                       reduced_rm, to_radial, write_profile_csv)
 from .grids import (affine_interp, apply_weights, check_grid, cumint_inverse_linear,
-                    derivatives, hermite_boundary, hermite_cubic_coeffs,
-                    interior_weights, onesided_weights, pchip, tridiagonal_solver,
-                    window_mesh)
+                    hermite_boundary, hermite_cubic_coeffs, interior_weights, pchip,
+                    tridiagonal_solver, window_mesh)
 from .soliton import _cao_koiso_constant_cached, cao_koiso_u, fik_y, fik_y_derivs
 from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
 __all__ = [
     "FlowConfig", "RunArtifacts", "ConfigError", "FlowSetupError", "FlowRunError",
-    "FlowPositivityError", "FlowRemeshError", "make_initial", "step_unscaled",
-    "step_dilated", "run_flow", "remesh", "anchor_track", "load_config",
-    "parse_config_text", "write_artifacts", "r_coordinate_reference",
+    "FlowPositivityError", "FlowRemeshError", "make_initial", "run_flow",
+    "load_config", "parse_config_text", "write_artifacts",
 ]
 
 
@@ -364,8 +362,7 @@ def make_initial(cfg: FlowConfig) -> FlowState:
     if np.any(u[1:-1] <= 0.0):
         raise FlowSetupError("initial data not positive on the interior")
 
-    state = FlowState(RadialProfile(f, u), t=0.0, T=T, anchor_r=0.0,
-                      anchor_f=0.5 * (a0 + b0), step=0)
+    state = FlowState(RadialProfile(f, u), t=0.0, T=T)
     d0 = analysis.dilate(state)
     res = class_c_check(d0)
     if not res.ok:
@@ -403,9 +400,9 @@ class _Engine:
 
     truncated = False
 
-    def __init__(self, t, step_count, n, xi, u):
+    def __init__(self, t, n, xi, u):
         self.t = t
-        self.step_count = step_count
+        self.step_count = 0
         self.n = n              # node count of every remeshed grid
         self._set_mesh(xi, u)
 
@@ -553,18 +550,18 @@ class _Engine:
 
 class _UnscaledEngine(_Engine):
     """u(f, t) on the moving domain [a0 - t, b0 - 3t], with the anchor ODE,
-    stepped by explicit RK2 (midpoint) under a local CFL bound."""
+    stepped by explicit RK2 (midpoint) under a local CFL bound.  The anchor
+    starts mid-domain, at r = 0."""
 
     def __init__(self, state: FlowState, a0, b0, cfl, n):
         self.a0 = a0
         self.b0 = b0
         self.T = state.T
         self.cfl = cfl
-        self.anchor_r = state.anchor_r
-        self.anchor_f = state.anchor_f
+        self.anchor_r = 0.0
+        self.anchor_f = 0.5 * (a0 + b0)
         a, _, D = self.domain(state.t)
-        super().__init__(state.t, state.step, n,
-                         (state.profile.f - a) / D, state.profile.u.copy())
+        super().__init__(state.t, n, (state.profile.f - a) / D, state.profile.u.copy())
 
     def _set_mesh(self, xi, u):
         super()._set_mesh(xi, u)
@@ -704,9 +701,7 @@ class _UnscaledEngine(_Engine):
         return [self.anchor_r + at(float(x)) - r_anchor for x in xs]
 
     def state(self) -> FlowState:
-        return FlowState(RadialProfile(self.f_nodes(), self.u.copy()),
-                         t=self.t, T=self.T, anchor_r=self.anchor_r,
-                         anchor_f=self.anchor_f, step=self.step_count)
+        return FlowState(RadialProfile(self.f_nodes(), self.u.copy()), t=self.t, T=self.T)
 
     def dilated_rows(self, ts, us):
         """analysis.dilate as a block: (phi, y) = (f, u) / (T - t) at each time
@@ -774,8 +769,8 @@ class _DilatedEngine(_Engine):
         self.phi_cut = float(phi_cut)
         self.outer_bc = outer_bc            # callable tau -> outer Dirichlet value
         self._static_out = float(phi[-1])
-        super().__init__(float(tau), 0, n,
-                         (phi - 1.0) / (phi[-1] - 1.0), np.asarray(y, dtype=float))
+        super().__init__(float(tau), n, (phi - 1.0) / (phi[-1] - 1.0),
+                         np.asarray(y, dtype=float))
 
     tau = property(lambda self: self.t)
     y = property(lambda self: self.u)
@@ -885,100 +880,16 @@ class _DilatedEngine(_Engine):
                             gauge_C=np.nan, max_rm=max_rm, dt=dtau_last * Tt)
 
 
-# ---------------------------------------------------------------------------
-# public single-step operations
-# ---------------------------------------------------------------------------
-
-def _engine_on(s: FlowState, n):
-    """Unscaled engine on a bare state, at the default CFL number, remeshing
-    to n nodes; the class constants are recovered from a = a0 - t, b = b0 - 3t."""
-    return _UnscaledEngine(s, s.a + s.t, s.b + 3.0 * s.t, FlowConfig.cfl, n)
-
-
-def step_unscaled(s: FlowState, dt: float) -> FlowState:
-    """One explicit midpoint step of the moving-boundary equation.
-
-    dt is capped at the engine's CFL-stable step and halved on interior
-    positivity loss; the endpoints move to a(t+dt), b(t+dt) analytically.
-    """
-    rep = validate_profile(s.profile)
-    if not rep.ok:
-        raise ValueError(f"invalid flow state: {rep.codes()}")
-    eng = _engine_on(s, s.profile.n)
-    eng.step(dt)
-    return eng.state()
-
-
 def _dilated_engine_on(s: DilatedState, n, outer_value=None):
     """Dilated engine on a bare state, remeshing to n nodes.  A state flagged
-    truncated, ending at y != 0 or given outer_value (a float or a callable of
-    tau) keeps a static window, its outer value held or taken from outer_value;
-    any other window follows Phi_max."""
-    if s.truncated or s.y[-1] != 0.0 or outer_value is not None:
-        v = float(s.y[-1]) if outer_value is None else outer_value
-        bc = v if callable(v) else (lambda tau, v=float(v): v)
+    truncated keeps a static window, its outer value held or taken from
+    outer_value (a callable of tau); any other window follows Phi_max."""
+    if s.truncated:
+        bc = outer_value or (lambda tau, v=float(s.y[-1]): v)
         return _DilatedEngine(s.tau, s.phi, s.y, 0.0, n, True, phi_cut=s.phi_max,
                               outer_bc=bc)
     b3a = (s.phi_max - 3.0) * np.exp(-s.tau)     # Phi_max = b3a e^tau + 3
     return _DilatedEngine(s.tau, s.phi, s.y, b3a, n, False)
-
-
-def step_dilated(s: DilatedState, dtau: float, outer_value=None) -> DilatedState:
-    """Advance the dilated equation by dtau in equal ROS2 steps of at most
-    _DTAU (0.005), on the state's grid.
-
-    A full domain keeps y = 0 at the true moving Phi_max.  A truncated window
-    (flagged, or ending at y != 0) holds the outer value it was given, or,
-    with outer_value (a float, or a callable of tau, e.g. sampled from an
-    unscaled solution), takes that value as its outer Dirichlet data.
-    """
-    if dtau < 0:
-        raise ValueError("dtau must be >= 0")
-    if dtau == 0.0:
-        return s
-    eng = _dilated_engine_on(s, s.phi.size, outer_value)
-    eng.advance_to(s.tau + dtau)
-    return eng.state()
-
-
-def remesh(s, n):
-    """Rebuild the grid with n nodes by the mesh law and monotone-cubic
-    resample the state.
-
-    Endpoint values (and, through the engines' stencils, the endpoint slopes)
-    are re-imposed exactly, a truncated window's outer value as step_dilated
-    holds it; returns (state, interpolation_error_estimate), the estimate
-    being the largest change of the old values when the new profile is
-    interpolated back onto the old nodes.
-    """
-    if isinstance(s, FlowState):
-        eng = _engine_on(s, n)
-    elif isinstance(s, DilatedState):
-        eng = _dilated_engine_on(s, n)
-    else:
-        raise TypeError("remesh expects FlowState or DilatedState")
-    x_old, u_old = eng.nodes(), eng.u
-    eng.remesh()
-    err = float(np.max(np.abs(pchip(eng.nodes(), eng.u)(x_old) - u_old)))
-    return eng.state(), err
-
-
-def anchor_track(s: FlowState, dt: float = 0.0) -> tuple:
-    """Advance the anchor by dt along phi_t = u_f + u/f - 2 (frozen profile)
-    and measure the gauge data of the current state.
-
-    Returns (new_state, AnchorSample).  The gauge value is
-    C(tau) = -rho at the point where the dilated potential equals 2, up to
-    the run-level additive constant fixed at the first measurement; its
-    late-time slope equals the soliton translation rate sqrt2 - 1.
-    """
-    eng = _engine_on(s, s.profile.n)
-    if dt > 0.0:
-        uf, _ = eng._derivs(eng.u, eng.domain()[2])
-        eng._anchor_step(dt, uf, eng.t, eng.u, uf)
-    _, anch = eng.measure(dt_last=dt)
-    new_state = FlowState(s.profile, s.t, s.T, eng.anchor_r, eng.anchor_f, s.step)
-    return new_state, anch
 
 
 # ---------------------------------------------------------------------------
@@ -1214,84 +1125,3 @@ def write_artifacts(arts: RunArtifacts, out_dir) -> dict:
     with open(p, "w") as fh:
         json.dump(arts.manifest, fh, indent=2, sort_keys=True)
     return arts.manifest
-
-
-# ---------------------------------------------------------------------------
-# r-coordinate reference engine (validation of the imposed boundary motion)
-# ---------------------------------------------------------------------------
-
-def r_coordinate_reference(profile: RadialProfile, t_end):
-    """Integrate phi_t = phi_rr/phi_r + phi_r/phi - 2 on a truncated r-window.
-
-    Boundary closure: the asymptotic Robin conditions d_r log phi_r = +1 at
-    r_min and -1 at r_max (so phi_t = phi_r/phi - 1 and phi_r/phi - 3 + 2
-    there).  The endpoint values a(t), b(t) are then *recovered* from the
-    interior expansion (phi - phi_r + (phi_rr - phi_r)/2 near the inner end,
-    mirrored at the outer end) rather than imposed, validating the analytic
-    endpoint motion of the primary engine.
-
-    Returns a dict with recovered and exact endpoint values at t_end.
-    """
-    r_min, r_max, n, cfl = -11.0, 10.0, 1000, 0.4
-    # chart r(f) anchored mid-domain, from the exact 1/u integral
-    a0, b0 = profile.f[0], profile.f[-1]
-    f_int, u_int = profile.f[1:-1], profile.u[1:-1]
-    S = cumint_inverse_linear(f_int, u_int)
-    mid = 0.5 * (a0 + b0)
-    S = S - np.interp(mid, f_int, S)
-
-    # cosh-graded r-mesh (coarser toward both ends matches phi_r ~ e^{-|r|})
-    rc = 0.5 * (r_min + r_max)
-    sig = lambda r: 4.0 * np.arctan(np.tanh((r - rc) / 4.0))
-    sig_inv = lambda s: rc + 4.0 * np.arctanh(np.tan(s / 4.0))
-    r = sig_inv(np.linspace(sig(r_min), sig(r_max), n))
-    r[0], r[-1] = r_min, r_max
-
-    # initial phi(r): invert the chart, extended by the exact expansions
-    phi = np.interp(r, S, f_int)
-    lo = r < S[0]
-    phi[lo] = a0 + (f_int[0] - a0) * np.exp(r[lo] - S[0])
-    hi = r > S[-1]
-    phi[hi] = b0 - (b0 - f_int[-1]) * np.exp(-(r[hi] - S[-1]))
-
-    W1, W2 = interior_weights(r)
-    w1_lo, _ = onesided_weights(r[1] - r[0], r[2] - r[0])
-    w1_hi, _ = onesided_weights(r[-2] - r[-1], r[-3] - r[-1])
-
-    def rhs(p):
-        pr = apply_weights(W1, p)
-        prr = apply_weights(W2, p)
-        F = np.empty_like(p)
-        F[1:-1] = prr / pr + pr / p[1:-1] - 2.0
-        pr0 = w1_lo @ p[:3]
-        prN = w1_hi @ p[-1:-4:-1]
-        F[0] = pr0 / p[0] - 1.0          # phi_rr/phi_r -> +1
-        F[-1] = prN / p[-1] - 3.0        # phi_rr/phi_r -> -1
-        return F, pr
-
-    h = np.minimum(np.diff(r)[:-1], np.diff(r)[1:])
-    t = 0.0
-    while t < t_end - 1e-14:
-        F1, pr = rhs(phi)
-        if np.any(pr <= 0):
-            raise FlowPositivityError(0, t, "r-engine lost phi_r > 0")
-        dt = min(cfl * float(np.min(h * h * pr)) / 2.0, t_end - t)
-        pmid = phi + 0.5 * dt * F1
-        F2, _ = rhs(pmid)
-        phi = phi + dt * F2
-        t += dt
-
-    pr_full, prr_full = derivatives(r, phi)
-    j = 3
-    a_rec = phi[j] - pr_full[j] + 0.5 * (prr_full[j] - pr_full[j])
-    k = n - 4
-    b_rec = phi[k] + pr_full[k] + 0.5 * (prr_full[k] + pr_full[k])
-    return {
-        "t": t_end,
-        "a_recovered": float(a_rec),
-        "b_recovered": float(b_rec),
-        "a_exact": float(a0 - t_end),
-        "b_exact": float(b0 - 3.0 * t_end),
-        "a_error": float(abs(a_rec - (a0 - t_end))),
-        "b_error": float(abs(b_rec - (b0 - 3.0 * t_end))),
-    }

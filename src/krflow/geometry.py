@@ -28,38 +28,15 @@ import numpy as np
 from .grids import GridError, check_grid, cumint_inverse_linear, derivatives
 
 __all__ = [
-    "KahlerClass", "LogProfile", "RadialProfile", "CalabiAsymptotics",
-    "CurvatureReport", "RiemannBound", "ValidationReport", "Violation",
-    "DegenerateProfileError", "validate_profile", "to_radial", "to_log",
-    "curvature", "asymptotic_eigenvalues", "riemann_components", "reduced_rm",
-    "write_rows", "write_profile_csv", "read_profile_csv", "write_curvature_csv",
+    "LogProfile", "RadialProfile", "CalabiAsymptotics", "CurvatureReport",
+    "ValidationReport", "Violation", "DegenerateProfileError", "validate_profile",
+    "to_radial", "to_log", "curvature", "asymptotic_eigenvalues", "reduced_rm",
+    "write_rows", "write_profile_csv", "read_profile_csv",
 ]
 
 
 class DegenerateProfileError(ValueError):
     """Profile fails the metric positivity condition where an operation needs it."""
-
-
-@dataclass(frozen=True)
-class KahlerClass:
-    """Cohomology data (a, b): section areas are pi*a and pi*b; 0 < a < b.
-
-    The class moves linearly under the flow, a(t) = a0 - t and b(t) = b0 - 3t,
-    and the inner section collapses first iff b > 3a (singular_regime).
-    """
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (0.0 < self.a < self.b):
-            raise ValueError(f"need 0 < a < b, got a={self.a}, b={self.b}")
-
-    @property
-    def singular_regime(self) -> bool:
-        return self.b > 3.0 * self.a
-
-    def at_time(self, t: float) -> "KahlerClass":
-        return KahlerClass(self.a - t, self.b - 3.0 * t)
 
 
 @dataclass(frozen=True)
@@ -174,15 +151,6 @@ class CurvatureReport:
     rm1: np.ndarray
     rm2: np.ndarray
     rm3: np.ndarray
-
-
-@dataclass(frozen=True)
-class RiemannBound:
-    """The three symmetry-reduced curvature magnitudes and their grid max."""
-    rm1: np.ndarray     # 2 |y_pp|
-    rm2: np.ndarray     # (4/phi) |1 - y/phi|
-    rm3: np.ndarray     # (2/phi) |y/phi - y_p|
-    max: float
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +299,6 @@ def asymptotic_eigenvalues(c: CalabiAsymptotics, end: str):
     raise ValueError("end must be 'minus_infinity' or 'plus_infinity'")
 
 
-def riemann_components(obj) -> RiemannBound:
-    """Symmetry-reduced Riemann magnitudes 2|y_pp|, (4/phi)|1-y/phi|,
-    (2/phi)|y/phi - y_p| for a profile or dilated state."""
-    if hasattr(obj, "phi") and hasattr(obj, "y"):
-        x, y = np.asarray(obj.phi, float), np.asarray(obj.y, float)
-    elif isinstance(obj, RadialProfile):
-        x, y = obj.f, obj.u
-    else:
-        raise TypeError("expected RadialProfile or a dilated state with .phi/.y")
-    rm1, rm2, rm3 = reduced_rm(x, y, *_profile_derivatives(x, y))
-    return RiemannBound(rm1, rm2, rm3, float(np.max(np.maximum(rm1, np.maximum(rm2, rm3)))))
-
-
 # ---------------------------------------------------------------------------
 # CSV interfaces
 # ---------------------------------------------------------------------------
@@ -384,9 +339,3 @@ def read_profile_csv(path):
         return LogProfile(data[:, 0], data[:, 1])
     raise ValueError(f"{path}: unknown profile header {header}")
 
-
-def write_curvature_csv(report: CurvatureReport, path):
-    cols = (report.f, report.psi, report.lambda1, report.lambda2,
-            report.scalar, report.rm1, report.rm2, report.rm3)
-    write_rows(path, ["f", "psi", "lambda1", "lambda2", "R", "rm1", "rm2", "rm3"],
-               ",".join(["%.17g"] * len(cols)), zip(*cols))

@@ -13,29 +13,11 @@ __all__ = ["FlowState", "DilatedState", "SeriesRecord", "AnchorSample"]
 
 @dataclass(frozen=True)
 class FlowState:
-    """Unscaled flow state: profile on [a(t), b(t)], time, and the tracked anchor.
-
-    The anchor is a material point (fixed r); anchor_r is its r-coordinate in
-    the chart fixed at the start of the run and anchor_f its current f-value.
-    """
+    """Unscaled flow state: profile on [a(t), b(t)] and the time t, before
+    the singular time T."""
     profile: RadialProfile
     t: float
     T: float
-    anchor_r: float
-    anchor_f: float
-    step: int = 0
-
-    @property
-    def a(self) -> float:
-        return self.profile.a
-
-    @property
-    def b(self) -> float:
-        return self.profile.b
-
-    @property
-    def tau(self) -> float:
-        return -np.log(self.T - self.t)
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from krflow import analysis
-from krflow.analysis import (AnalysisError, blowup_rates, convergence_error,
-                             dilate, format_report, read_anchor_csv,
-                             read_series_csv, sigma2_crosscheck,
+from krflow.analysis import (AnalysisError, blowup_rates, dilate, format_report,
+                             read_anchor_csv, read_series_csv, sigma2_crosscheck,
                              type_one_monitor, write_anchor_csv, write_report,
                              write_series_csv)
-from krflow.flow import FlowConfig, make_initial, run_flow
+from krflow.flow import (FlowConfig, make_initial, run_flow, _Engine,
+                         _UnscaledEngine, _dilated_engine_on)
 from krflow.geometry import RadialProfile
+from krflow.grids import derivatives
 from krflow.soliton import fik_y
-from krflow.states import AnchorSample, DilatedState, FlowState, SeriesRecord
+from krflow.states import AnchorSample, FlowState, SeriesRecord
 
 RT2 = np.sqrt(2.0)
 
@@ -19,7 +20,7 @@ def make_state(t=0.0, T=1.0, n=301):
     a, b = T - t, 10.0 - 3.0 * t
     f = np.linspace(a, b, n)
     u = (f - a) * (b - f) / (b - a)
-    return FlowState(RadialProfile(f, u), t, T, 0.0, 0.5 * (a + b))
+    return FlowState(RadialProfile(f, u), t, T)
 
 
 # ---------------------------------------------------------------------------
@@ -36,37 +37,34 @@ def test_dilate_definition():
     assert np.allclose(d.y, s.profile.u * np.exp(2.0))
 
 
-def test_dilate_onto_target_grid():
-    s = make_state(t=0.5)
-    target = np.linspace(1.0, 5.0, 101)
-    d = dilate(s, target_phi=target)
-    assert np.array_equal(d.phi, target)
-    with pytest.raises(ValueError):
-        dilate(s, target_phi=np.linspace(0.5, 5.0, 10))
+def test_dilate_requires_t_before_T():
     with pytest.raises(ValueError):
         dilate(make_state(t=1.0))
 
 
 # ---------------------------------------------------------------------------
-# convergence error
+# convergence error: the records' sup |y - Y| and sup |y_phi - Y_phi| on [1, 3]
 # ---------------------------------------------------------------------------
+
+def _fik_window(phi, y):
+    """(sup0, sup1) of the engines' comparison window, y_phi and y_phi_phi
+    from grid stencils with the inner slope +1 where y(1) = 0."""
+    yp, ypp = derivatives(phi, y, slope_left=1.0 if y[0] == 0.0 else None)
+    return _Engine._fik_window(phi, y, yp, ypp[1:-1])[:2]
+
 
 def test_convergence_error_zero_on_fik():
     phi = np.linspace(1.0, 10.0, 2001)
-    d = DilatedState(0.0, phi, fik_y(phi))
-    c0, c1 = convergence_error(d, window=(1.0, 3.0))
+    c0, c1 = _fik_window(phi, fik_y(phi))
     assert c0 == 0.0
     assert c1 < 2e-5     # stencil-level derivative error only
 
 
 def test_convergence_error_arithmetic_example():
     phi = np.linspace(1.0, 3.0, 501)
-    d = DilatedState(0.0, phi, fik_y(phi) - phi ** 2 / 5.0 + 0.5)
     # +0.5 keeps it a valid positive-ish profile; C0 error is |phi^2/5 - 1/2| max
-    c0, _ = convergence_error(d, window=(1.0, 3.0))
+    c0, _ = _fik_window(phi, fik_y(phi) - phi ** 2 / 5.0 + 0.5)
     assert c0 == pytest.approx(9.0 / 5.0 - 0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        convergence_error(d, window=(1.0, 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +108,7 @@ def test_blowup_rates_needs_tail():
 # type-one monitor
 # ---------------------------------------------------------------------------
 
-def test_type_one_monitor_series_and_state():
+def test_type_one_monitor_series():
     recs = synthetic_series()
     rep = type_one_monitor(recs)
     assert rep.verdict == "bounded"
@@ -118,9 +116,6 @@ def test_type_one_monitor_series_and_state():
     grow = [SeriesRecord(**{**r.__dict__, "max_rm": 4.0 * np.exp(0.5 * (r.tau - 3.0))})
             for r in recs]
     assert type_one_monitor(grow).verdict == "growing"
-    phi = np.linspace(1.0, 4.0, 200)
-    rep2 = type_one_monitor(DilatedState(0.0, phi, phi.copy()))
-    assert rep2.max_rm < 1e-10   # flat profile
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +197,24 @@ def test_read_anchor_rejects_series_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# semigroup commutation: dilate(step_unscaled) vs step_dilated
+# semigroup commutation: the dilated unscaled step vs the dilated engine
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
 def test_dilate_commutes_with_stepping():
-    from krflow.flow import step_dilated, step_unscaled
     cfg = FlowConfig(a0=1.0, b0=10.0, grid_n=384)
     s = make_initial(cfg)
     d0 = dilate(s)
-    # advance the unscaled state by a fixed dt, then compare dilations
+    # advance the unscaled engine by steps of at most dt, then compare dilations
     dt = 2e-4
-    s1 = s
+    ue = _UnscaledEngine(s, cfg.a0, cfg.b0, cfg.cfl, cfg.grid_n)
     for _ in range(30):
-        s1 = step_unscaled(s1, dt)
+        ue.step(dt)
+    s1 = ue.state()
     tau1 = -np.log(s.T - s1.t)
-    d1 = step_dilated(d0, tau1 - d0.tau)
+    de = _dilated_engine_on(d0, d0.phi.size)
+    de.advance_to(tau1)
+    d1 = de.state()
     da = dilate(s1)
     lo, hi = 1.0, 5.0
     grid = np.linspace(lo, hi, 300)

@@ -6,9 +6,9 @@ from krflow.barriers import (BARRIER_DELTA, LAMBDA_INIT, SandwichMonitor,
                              barrier_residual_sub_split, barrier_residual_sup,
                              barrier_y1, barrier_y2, bilinear_part,
                              class_c_check, comparison_check, fit_lambda0,
-                             full_operator, linear_part, operator_on_state,
-                             quadratic_part, write_violation_csv,
-                             ViolationRecord)
+                             full_operator, linear_part, quadratic_part,
+                             write_violation_csv, ViolationRecord)
+from krflow.grids import derivatives
 from krflow.soliton import fik_y, fik_y_derivs
 from krflow.states import DilatedState
 
@@ -60,6 +60,13 @@ def test_stationarity_of_fik():
     phi = np.linspace(1.0, 100.0, 20001)
     y, yp, ypp = fik_y_derivs(phi)
     assert np.max(np.abs(full_operator(phi, y, yp, ypp))) < 1e-10
+
+
+def operator_on_state(d):
+    """E[y] on a dilated state's nodes, derivatives from grid stencils."""
+    slope = 1.0 if d.y[0] == 0.0 else None
+    y_p, y_pp = derivatives(d.phi, d.y, slope_left=slope)
+    return full_operator(d.phi, d.y, y_p, y_pp)
 
 
 def test_operator_on_state_matches_analytic():

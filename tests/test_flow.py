@@ -10,16 +10,15 @@ import pytest
 
 from krflow import analysis
 from krflow.barriers import SandwichMonitor
-from krflow.flow import (ConfigError, FlowConfig, FlowSetupError,
-                         anchor_track, load_config, make_initial,
-                         parse_config_text, r_coordinate_reference, remesh,
-                         run_flow, step_dilated, step_unscaled, write_artifacts,
+from krflow.flow import (ConfigError, FlowConfig, FlowSetupError, load_config,
+                         make_initial, parse_config_text, run_flow, write_artifacts,
                          _DilatedEngine, _UnscaledEngine, _dilated_engine_on)
 from krflow.geometry import RadialProfile, curvature, validate_profile
 from krflow.grids import (apply_weights, derivatives, hermite_boundary,
-                          interior_weights, window_mesh)
+                          interior_weights, pchip, window_mesh)
 from krflow.soliton import cao_koiso_profile, cao_koiso_u, find_cao_koiso_constant, fik_y
 from krflow.states import DilatedState
+from r_chart_reference import r_coordinate_reference
 
 RT2 = np.sqrt(2.0)
 
@@ -28,6 +27,20 @@ def small_cfg(**kw):
     base = dict(a0=1.0, b0=10.0, grid_n=256, stop_tau=0.5, record_every=50)
     base.update(kw)
     return FlowConfig(**base)
+
+
+def _unscaled_engine(cfg, n=None):
+    """The run's unscaled engine on the config's initial data, remeshing to
+    n nodes (grid_n by default)."""
+    return _UnscaledEngine(make_initial(cfg), cfg.a0, cfg.b0, cfg.cfl, n or cfg.grid_n)
+
+
+def _remesh_error(eng):
+    """Remesh eng; the largest change of the old values when the new
+    profile is interpolated back onto the old nodes."""
+    x_old, u_old = eng.nodes(), eng.u
+    eng.remesh()
+    return float(np.max(np.abs(pchip(eng.nodes(), eng.u)(x_old) - u_old)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,72 +191,78 @@ def test_make_initial_rejects_sub_barrier_data(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# single-step operations
+# single steps and remeshes of the engines
 # ---------------------------------------------------------------------------
 
 def test_step_unscaled_moves_boundaries_exactly():
-    st = make_initial(small_cfg())
-    dt = 1e-4
-    st2 = step_unscaled(st, dt)
+    eng = _unscaled_engine(small_cfg())
+    eng.step(1e-4)
+    st2 = eng.state()
     assert st2.t > 0
-    assert st2.a == pytest.approx(1.0 - st2.t, abs=1e-15)
-    assert st2.b == pytest.approx(10.0 - 3.0 * st2.t, abs=1e-14)
+    assert st2.profile.a == pytest.approx(1.0 - st2.t, abs=1e-15)
+    assert st2.profile.b == pytest.approx(10.0 - 3.0 * st2.t, abs=1e-14)
     assert np.all(st2.profile.u[1:-1] > 0)
     assert st2.profile.u[0] == 0.0 and st2.profile.u[-1] == 0.0
 
 
 def test_step_unscaled_caps_unstable_dt():
-    st = make_initial(small_cfg())
-    st2 = step_unscaled(st, 1.0)   # far beyond any stable step
-    assert st2.t < 1e-2
-    assert np.all(st2.profile.u[1:-1] > 0)
+    eng = _unscaled_engine(small_cfg())
+    eng.step(1.0)   # far beyond any stable step
+    assert eng.t < 1e-2
+    assert np.all(eng.u[1:-1] > 0)
 
 
 def test_step_unscaled_self_similar_oracle():
     # Cao-Koiso data shrinks self-similarly: u(f, t) = (1-t) u_KC(f/(1-t))
     ref = cao_koiso_profile(4097).profile
-    cfg = FlowConfig(a0=1.0, b0=3.0, initial_kind="cao_koiso", grid_n=256)
-    st = make_initial(cfg)
+    eng = _unscaled_engine(FlowConfig(a0=1.0, b0=3.0, initial_kind="cao_koiso", grid_n=256))
     for _ in range(200):
-        st = step_unscaled(st, 1e-4)
-    t = st.t
+        eng.step(1e-4)
+    t = eng.t
     assert t > 5e-3
-    oracle = (1.0 - t) * np.interp(st.profile.f / (1.0 - t), ref.f, ref.u)
-    rel = np.max(np.abs(st.profile.u - oracle)) / np.max(st.profile.u)
+    f = eng.f_nodes()
+    oracle = (1.0 - t) * np.interp(f / (1.0 - t), ref.f, ref.u)
+    rel = np.max(np.abs(eng.u - oracle)) / np.max(eng.u)
     assert rel < 1e-3
 
 
 def test_step_dilated_identity_and_stationarity():
     phi = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, 512)
-    d = DilatedState(0.0, phi, fik_y(phi), truncated=True)
-    assert step_dilated(d, 0.0) is d
-    d2 = step_dilated(d, 0.05)
-    assert d2.tau == pytest.approx(0.05)
-    assert np.max(np.abs(d2.y - fik_y(d2.phi))) < 5e-5
+    eng = _dilated_engine_on(DilatedState(0.0, phi, fik_y(phi), truncated=True), phi.size)
+    y0 = eng.y
+    eng.advance_to(0.0)
+    assert eng.y is y0 and eng.step_count == 0
+    eng.advance_to(0.05)
+    assert eng.tau == pytest.approx(0.05)
+    assert np.max(np.abs(eng.y - fik_y(eng.phi_nodes()))) < 5e-5
 
 
 def test_step_dilated_full_domain_boundary_growth():
-    cfg = small_cfg()
-    st = make_initial(cfg)
-    d = analysis.dilate(st)
-    d2 = step_dilated(d, 0.01)
+    d = analysis.dilate(make_initial(small_cfg()))
+    eng = _dilated_engine_on(d, d.phi.size)
+    eng.advance_to(d.tau + 0.01)
+    d2 = eng.state()
     assert d2.phi_max == pytest.approx((10.0 - 3.0) * np.exp(d2.tau) + 3.0, rel=1e-9)
     assert d2.y[0] == 0.0 and d2.y[-1] == 0.0
 
 
 def test_step_dilated_sandwich_preserved():
     from krflow.barriers import barrier_y1, barrier_y2, fit_lambda0
-    st = make_initial(small_cfg())
-    d = analysis.dilate(st)
+    d = analysis.dilate(make_initial(small_cfg()))
     lambda0 = fit_lambda0(d)
-    d2 = step_dilated(d, 0.02)
+    eng = _dilated_engine_on(d, d.phi.size)
+    eng.advance_to(d.tau + 0.02)
+    d2 = eng.state()
     assert np.all(barrier_y1(d2.phi, d2.tau) <= d2.y + 1e-8)
     assert np.all(d2.y <= barrier_y2(d2.phi, d2.tau, lambda0) + 1e-8)
 
 
 def test_remesh_contracts():
-    st = make_initial(small_cfg(grid_n=256))
-    st2, err = remesh(st, 512)
+    cfg = small_cfg(grid_n=256)
+    st = make_initial(cfg)
+    eng = _unscaled_engine(cfg, 512)
+    err = _remesh_error(eng)
+    st2 = eng.state()
     assert st2.profile.n == 512
     assert st2.profile.u[0] == 0.0 and st2.profile.u[-1] == 0.0
     assert err < 1e-4
@@ -252,40 +271,35 @@ def test_remesh_contracts():
     r2 = curvature(st2.profile)
     assert abs(r1.lambda2[0] - r2.lambda2[0]) < 1e-4
     # inner-window node fraction contract
-    W = min(10.0 * (st.T - st.t), st.b - st.a)
-    frac = np.mean(st2.profile.f <= st.a + W)
+    a, b = st.profile.a, st.profile.b
+    W = min(10.0 * (st.T - st.t), b - a)
+    frac = np.mean(st2.profile.f <= a + W)
     assert frac >= 0.25
 
 
 def test_remesh_dilated_state():
+    # a truncated window keeps its outer value through a remesh
     phi = np.linspace(1.0, 20.0, 300)
-    d = DilatedState(0.0, phi, fik_y(phi), truncated=True)
-    d2, err = remesh(d, 400)
+    eng = _dilated_engine_on(DilatedState(0.0, phi, fik_y(phi), truncated=True), 400)
+    err = _remesh_error(eng)
+    d2 = eng.state()
     assert d2.phi.size == 400
-    assert d2.y[0] == 0.0
+    assert d2.y[0] == 0.0 and d2.y[-1] == fik_y(phi)[-1] and d2.truncated
     assert err < 1e-4
-
-
-def test_remesh_holds_outer_value_of_unflagged_cut_state():
-    # a window cut at y != 0 is truncated whether or not it is flagged:
-    # remesh holds its outer value, as step_dilated does
-    phi = np.linspace(1.0, 20.0, 300)
-    d = DilatedState(0.0, phi, fik_y(phi))
-    d2, err = remesh(d, 400)
-    assert d2.y[-1] == d.y[-1] and d2.truncated
-    assert err < 1e-4
-    assert step_dilated(d, 0.01).y[-1] == d.y[-1]
 
 
 def test_anchor_track_gauge_measurement():
-    st = make_initial(small_cfg())
-    st2, anch = anchor_track(st, dt=0.0)
-    assert anch.rho2 == pytest.approx(st2.anchor_r
-                                      + _chart_r(st, 2.0) - _chart_r(st, st.anchor_f),
+    cfg = small_cfg()
+    st = make_initial(cfg)
+    eng = _unscaled_engine(cfg)
+    anchor_f = eng.anchor_f
+    _, anch = eng.measure(0.0)
+    assert anch.rho2 == pytest.approx(eng.anchor_r
+                                      + _chart_r(st, 2.0) - _chart_r(st, anchor_f),
                                       abs=1e-4)
-    # advancing the anchor moves it inward (phi_t < 0 at mid-domain here)
-    st3, _ = anchor_track(st, dt=1e-3)
-    assert st3.anchor_f < st.anchor_f
+    # a step moves the anchor inward (phi_t < 0 at mid-domain here)
+    eng.step(1e-3)
+    assert eng.anchor_f < anchor_f
 
 
 def _reference_rhs(eng, u, t):
@@ -303,10 +317,6 @@ def _reference_rhs(eng, u, t):
     vframe = -1.0 - 2.0 * eng.xi[1:-1]
     F = ui * uff - uf * uf + 2.0 * uf - (ui / fi) ** 2 + uf * vframe
     return F, np.concatenate(([1.0], uf, [-1.0])), uff
-
-
-def _unscaled_engine(cfg):
-    return _UnscaledEngine(make_initial(cfg), cfg.a0, cfg.b0, cfg.cfl, cfg.grid_n)
 
 
 def test_unscaled_rhs_and_anchor_rate_match_reference_bit_for_bit():
@@ -922,7 +932,7 @@ def test_remesh_failure_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# r-coordinate reference engine
+# the endpoint motion against an independent r-coordinate solver
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
@@ -963,12 +973,10 @@ def test_step_dilated_from_unscaled_callable():
     phi = np.linspace(1.0, 20.0, 400)
     d = DilatedState(0.0, phi, fik_y(phi), truncated=True)
     outer = lambda tau: float(fik_y(20.0))
-    d2 = step_dilated(d, 0.02, outer_value=outer)
-    assert d2.tau == pytest.approx(0.02)
-    assert d2.y[-1] == pytest.approx(fik_y(20.0))
-    assert step_dilated(d, 0.02, outer_value=13.0).y[-1] == 13.0
-    with pytest.raises(ValueError):
-        step_dilated(d, -0.02, outer_value=outer)
+    eng = _dilated_engine_on(d, phi.size, outer_value=outer)
+    eng.advance_to(0.02)
+    assert eng.tau == pytest.approx(0.02)
+    assert eng.y[-1] == pytest.approx(fik_y(20.0))
 
 
 def test_make_initial_from_log_profile_file(tmp_path):

@@ -149,8 +149,9 @@ def test_pchip_rejects_bad_input(x, y):
 @pytest.mark.parametrize("u_of_delta, a, b, t_left, n, composite", [
     # the dilated frame's stationary window: one equidistributed grid
     (lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, 512, False),
-    # parabola data late in a run: the inner window gets its quota
-    (lambda d: np.clip(d * (9.0 - 2e-3 - d) / 9.0, 0.0, None), 1e-3, 9.997, 1e-3,
+    # parabola data late in a run, vanishing at both ends of [a, b]: the
+    # inner window gets its quota
+    (lambda d: np.clip(d * (9.996 - d) / 9.996, 0.0, None), 1e-3, 9.997, 1e-3,
      256, True),
 ])
 def test_window_mesh_law(monkeypatch, u_of_delta, a, b, t_left, n, composite):
@@ -191,7 +192,7 @@ def _bisected_nodes(width, n, h_floor, coeff):
     # the dilated window of test_window_mesh_law
     (49.0, 511, 3e-4, lambda d: fik_y(1.0 + d), False),
     # the late parabola's inner window, [a, a + 10 (T - t)] with its quota
-    (0.01, 64, 3e-7, lambda d: np.clip(d * (9.0 - 2e-3 - d) / 9.0, 0.0, None), False),
+    (0.01, 64, 3e-7, lambda d: np.clip(d * (9.996 - d) / 9.996, 0.0, None), False),
     (2.0, 200, 1e-6, lambda d: d * (2.0 - d), False),
     (3.0, 300, 1e-4, lambda d: np.full_like(d, 2.0), True),
     # n h_floor just below the width: the floor binds nearly everywhere
