@@ -170,7 +170,8 @@ class SandwichMonitor:
 
         One pass over the block in scratch buffers, so that per-call overhead
         is paid once per block, with the arithmetic of barrier_y1 and
-        barrier_y2 in the same order: the deficits equal
+        barrier_y2 in the same order (fik_y in its factored form, five array
+        operations): the deficits equal
         barrier_y1(phi, tau - tau0) - y - slack and
         y - barrier_y2(phi, tau - tau0, lambda0) - slack to the last bit.
         """
@@ -181,13 +182,10 @@ class SandwichMonitor:
         amp_lo = [LAMBDA_INIT * np.exp(-BARRIER_DELTA * (tau - self.tau0))
                   for tau in taus]
         amp_hi = [self.lambda0 * np.exp(-0.5 * (tau - self.tau0)) for tau in taus]
-        # fik_y: (phi (phi - 2) + sqrt2 (phi - 1) + 1) / (sqrt2 phi)
-        np.subtract(phi, 2.0, out=yfik)
-        yfik *= phi
-        np.subtract(phi, 1.0, out=gap_lo)
-        gap_lo *= SQRT2
-        yfik += gap_lo
-        yfik += 1.0
+        # fik_y: (phi - 1) (phi + (sqrt2 - 1)) / (sqrt2 phi)
+        np.subtract(phi, 1.0, out=yfik)
+        np.add(phi, SQRT2 - 1.0, out=gap_lo)
+        yfik *= gap_lo
         np.multiply(phi, SQRT2, out=gap_lo)
         yfik /= gap_lo
         np.multiply(phi, phi, out=phi2)

@@ -69,8 +69,8 @@ from .barriers import (BARRIER_DELTA, LAMBDA_INIT, SandwichMonitor, class_c_chec
                        fit_lambda0, write_violation_csv)
 from .geometry import (LogProfile, RadialProfile, curvature, read_profile_csv,
                        reduced_rm, to_radial, write_profile_csv)
-from .grids import (affine_interp, apply_weights, check_grid, cumint_inverse_linear,
-                    hermite_boundary, hermite_cubic_coeffs, interior_weights, pchip,
+from .grids import (affine_interp, check_grid, cumint_inverse_linear, difference_stencils,
+                    difference_weights, hermite_boundary, hermite_cubic_coeffs, pchip,
                     tridiagonal_solver, window_mesh)
 from .soliton import _cao_koiso_constant_cached, cao_koiso_u, fik_y, fik_y_derivs
 from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
@@ -410,7 +410,7 @@ class _Engine:
     def _set_mesh(self, xi, u):
         self.xi = xi
         self.u = u
-        self.W1, self.W2 = (tuple(W) for W in interior_weights(xi))
+        self._w = difference_weights(xi)
         self._xii = xi[1:-1]
         # offsets of the two nodes next to each end, in units of the frame length
         self._ends = (float(xi[1]), float(xi[2]),
@@ -423,18 +423,23 @@ class _Engine:
             uf = np.empty(n)
             uf[0], uf[-1] = 1.0, -1.0
             self._slots.append((uf, uf[1:-1], np.empty(n - 2), np.empty(n - 2)))
+        self._d = np.empty(n - 1)
         self._tmp = np.empty(n - 2)
 
     # spatial operator -------------------------------------------------
     def _derivs(self, u, L, slot=0):
         """(u_f at every node, u_ff at interior nodes) for frame length L, in
         the slot's buffers, Hermite-corrected next to the pinned ends; a
-        truncated outer node takes the slope of its neighbour."""
+        truncated outer node takes the slope of its neighbour.  The interior
+        stencils are in difference form: from d = diff(u) / L, u_f =
+        A d[:-1] + B d[1:] and u_ff = (C d[1:] - E d[:-1]) / L with the
+        mesh's weights (grids.difference_weights), nine array passes."""
         uf, ufi, uff, _ = self._slots[slot]
-        apply_weights(self.W1, u, ufi, self._tmp)
-        ufi /= L
-        apply_weights(self.W2, u, uff, self._tmp)
-        uff /= L * L
+        d = self._d
+        np.subtract(u[1:], u[:-1], out=d)
+        d /= L
+        difference_stencils(self._w, d, ufi, uff, self._tmp)
+        uff /= L
         x1, x2, y1, y2 = self._ends
         u1, u2, v2, v1 = u[1:3].tolist() + u[-3:-1].tolist()
         uf[1], uff[0], _ = hermite_boundary(x1 * L, x2 * L, 0.0, 1.0, u1, u2)
@@ -569,7 +574,7 @@ class _UnscaledEngine(_Engine):
         self._cfl_next = self.step_count
         self._cfl_dt = np.inf
         self._xi_list = xi.tolist()
-        self._vframe = -1.0 - 2.0 * self._xii
+        self._c = 1.0 - 2.0 * self._xii
         self._fi = np.empty(xi.size - 2)
 
     @property
@@ -590,24 +595,23 @@ class _UnscaledEngine(_Engine):
 
     def rhs(self, u, t, slot=0):
         """(F, u_f, u_ff) at time t, in the slot's buffers; F and u_ff on the
-        interior nodes, u_f on all of them."""
+        interior nodes, u_f on all of them.  The frame velocity
+        adot + xi (bdot - adot) = -1 - 2 xi and the 2 u_f term fold into
+        F = u u_ff + u_f (c - u_f) - (u / f)^2 with c = 1 - 2 xi kept per mesh."""
         a, b, D = self.domain(t)
         uf, uff = self._derivs(u, D, slot)
         _, ufi, _, F = self._slots[slot]
         ui, fi, tmp = u[1:-1], self._fi, self._tmp
         np.multiply(self._xii, D, out=fi)
         fi += a
-        # F = ui uff - uf^2 + 2 uf - (ui / fi)^2 + uf vframe, left to right
+        # F = ui uff + uf (c - uf) - (ui / fi)^2, left to right
         np.multiply(ui, uff, out=F)
-        np.multiply(ufi, ufi, out=tmp)
-        F -= tmp
-        np.multiply(ufi, 2.0, out=tmp)
+        np.subtract(self._c, ufi, out=tmp)
+        tmp *= ufi
         F += tmp
         np.divide(ui, fi, out=tmp)
         tmp *= tmp
         F -= tmp
-        np.multiply(ufi, self._vframe, out=tmp)
-        F += tmp
         return F, uf, uff
 
     def stable_dt(self, uf):
@@ -799,8 +803,10 @@ class _DilatedEngine(_Engine):
 
     def rhs(self, y, tau, slot=0):
         """(F, y_p, y_pp) at dilated time tau, in the slot's buffers, laid out
-        as the unscaled rhs: E[y] as barriers.full_operator evaluates it, plus
-        the frame-stretch advection of the moving window."""
+        as the unscaled rhs: E[y] (barriers.full_operator) plus the
+        frame-stretch advection y_p xi dPhi_out/dtau of the moving window.
+        With phi = 1 + xi L on the window of length L = Phi_out - 1 the two
+        fold into F = y y_pp + y_p (1 + xi (dPhi_out - L) - y_p) + y - (y / phi)^2."""
         phi_out, dphi = self._frame(tau)
         L = phi_out - 1.0
         yp_full, ypp = self._derivs(y, L, slot)
@@ -808,20 +814,17 @@ class _DilatedEngine(_Engine):
         yi, p, tmp = y[1:-1], self._pi, self._tmp
         np.multiply(self._xii, L, out=p)
         p += 1.0
-        # F = yi ypp + (2 - p - yp) yp + yi (1 - yi / p^2) + yp xii dphi, left to right
+        # F = yi ypp + yp (1 + xii (dphi - L) - yp) + yi - (yi / p)^2, left to right
         np.multiply(yi, ypp, out=F)
-        np.subtract(2.0, p, out=tmp)
+        np.multiply(self._xii, dphi - L, out=tmp)
+        tmp += 1.0
         tmp -= yp
         tmp *= yp
         F += tmp
-        np.multiply(p, p, out=tmp)
-        np.divide(yi, tmp, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        tmp *= yi
-        F += tmp
-        np.multiply(yp, self._xii, out=tmp)
-        tmp *= dphi
-        F += tmp
+        F += yi
+        np.divide(yi, p, out=tmp)
+        tmp *= tmp
+        F -= tmp
         return F, yp_full, ypp
 
     def step(self, dt_max):

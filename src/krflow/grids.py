@@ -42,39 +42,26 @@ def check_grid(x, min_nodes=2):
 # derivative stencils
 # ---------------------------------------------------------------------------
 
-def interior_weights(x):
-    """Three-point first/second derivative weights at nodes 1..n-2.
-
-    Returns (W1, W2), each of shape (3, n-2): weights for u[i-1], u[i], u[i+1].
-    """
-    x = np.asarray(x, dtype=float)
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    W1 = np.empty((3, x.size - 2))
-    W1[0] = -h2 / (h1 * (h1 + h2))
-    W1[1] = (h2 - h1) / (h1 * h2)
-    W1[2] = h1 / (h2 * (h1 + h2))
-    W2 = np.empty_like(W1)
-    W2[0] = 2.0 / (h1 * (h1 + h2))
-    W2[1] = -2.0 / (h1 * h2)
-    W2[2] = 2.0 / (h2 * (h1 + h2))
-    return W1, W2
+def difference_weights(x):
+    """Three-point weights (A, B, C, E) at nodes 1..n-2 in difference form:
+    with d = diff(u), u_x = A d[:-1] + B d[1:] and u_xx = C d[1:] - E d[:-1]
+    (exact for quadratics)."""
+    h = np.diff(np.asarray(x, dtype=float))
+    h1, h2 = h[:-1], h[1:]
+    s = h1 + h2
+    return h2 / (h1 * s), h1 / (h2 * s), 2.0 / (h2 * s), 2.0 / (h1 * s)
 
 
-def apply_weights(W, u, out=None, tmp=None):
-    """Apply 3-point weights (shape (3, n-2)) to u, returning values at 1..n-2.
-
-    The sum W[0] u[:-2] + W[1] u[1:-1] + W[2] u[2:] is built term by term in
-    out, with tmp as scratch (arrays of size n-2, allocated when not given).
-    """
-    if out is None:
-        out, tmp = np.empty_like(W[0]), np.empty_like(W[0])
-    np.multiply(W[0], u[:-2], out=out)
-    np.multiply(W[1], u[1:-1], out=tmp)
-    out += tmp
-    np.multiply(W[2], u[2:], out=tmp)
-    out += tmp
-    return out
+def difference_stencils(w, d, ux, uxx, tmp):
+    """u_x and u_xx at nodes 1..n-2 into ux and uxx from the differences
+    d = diff(u) and the weights w = difference_weights(x); tmp is scratch."""
+    A, B, C, E = w
+    np.multiply(A, d[:-1], out=ux)
+    np.multiply(B, d[1:], out=tmp)
+    ux += tmp
+    np.multiply(C, d[1:], out=uxx)
+    np.multiply(E, d[:-1], out=tmp)
+    uxx -= tmp
 
 
 def onesided_weights(d1, d2):
@@ -265,21 +252,20 @@ def pchip(x, y):
 def derivatives(x, u, slope_left=None, slope_right=None):
     """First and second derivative arrays on a nonuniform grid.
 
-    Interior nodes use the exact 3-point weights.  Endpoints use one-sided
-    3-point stencils unless a known slope is supplied, in which case the
-    endpoint keeps the exact slope and the adjacent node is upgraded to the
-    Hermite stencil fed by the exact boundary data.
+    Interior nodes use the exact 3-point weights in difference form (the
+    engines' stencils).  Endpoints use one-sided 3-point stencils unless a
+    known slope is supplied, in which case the endpoint keeps the exact slope
+    and the adjacent node is upgraded to the Hermite stencil fed by the exact
+    boundary data.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     n = x.size
     if n < 3:
         raise GridError("need at least 3 nodes for derivatives")
-    ux = np.empty(n)
-    uxx = np.empty(n)
-    W1, W2 = interior_weights(x)
-    ux[1:-1] = apply_weights(W1, u)
-    uxx[1:-1] = apply_weights(W2, u)
+    ux, uxx = np.empty(n), np.empty(n)
+    difference_stencils(difference_weights(x), np.diff(u), ux[1:-1], uxx[1:-1],
+                        np.empty(n - 2))
 
     for slope, (i0, i1, i2) in ((slope_left, (0, 1, 2)), (slope_right, (-1, -2, -3))):
         d1, d2 = x[i1] - x[i0], x[i2] - x[i0]

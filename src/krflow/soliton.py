@@ -101,11 +101,14 @@ class SolitonProfile:
 # ---------------------------------------------------------------------------
 
 def fik_y(phi):
-    """Stationary noncompact-soliton profile Y(phi) = (phi(phi-2) + sqrt2(phi-1) + 1)/(sqrt2 phi)."""
+    """Stationary noncompact-soliton profile
+    Y(phi) = (phi(phi-2) + sqrt2(phi-1) + 1)/(sqrt2 phi), evaluated in the
+    factored form (phi - 1)(phi + sqrt2 - 1)/(sqrt2 phi): exactly 0 at the
+    section phi = 1, in five array operations."""
     phi = np.asarray(phi, dtype=float)
     if np.any(phi < 1.0 - 1e-12):
         raise ValueError("fik_y is defined for phi >= 1")
-    out = (phi * (phi - 2.0) + SQRT2 * (phi - 1.0) + 1.0) / (SQRT2 * phi)
+    out = (phi - 1.0) * (phi + (SQRT2 - 1.0)) / (SQRT2 * phi)
     return out if out.ndim else float(out)
 
 

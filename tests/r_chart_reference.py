@@ -2,16 +2,16 @@
 the unscaled engine's analytic endpoint motion a(t) = a0 - t, b(t) = b0 - 3t.
 
 It steps phi(r, t) itself, by explicit RK2 on its own graded r-mesh with
-Robin closures, and recovers the endpoint values from the interior; nothing
-of the engines is shared.  Used by test_flow.py.
+Robin closures, and recovers the endpoint values from the interior; of the
+engines it shares only the three-point stencil weights (grids.derivatives).
+Used by test_flow.py.
 """
 
 import numpy as np
 
 from krflow.flow import FlowPositivityError
 from krflow.geometry import RadialProfile
-from krflow.grids import (apply_weights, cumint_inverse_linear, derivatives,
-                          interior_weights, onesided_weights)
+from krflow.grids import cumint_inverse_linear, derivatives
 
 
 def r_coordinate_reference(profile: RadialProfile, t_end):
@@ -48,20 +48,14 @@ def r_coordinate_reference(profile: RadialProfile, t_end):
     hi = r > S[-1]
     phi[hi] = b0 - (b0 - f_int[-1]) * np.exp(-(r[hi] - S[-1]))
 
-    W1, W2 = interior_weights(r)
-    w1_lo, _ = onesided_weights(r[1] - r[0], r[2] - r[0])
-    w1_hi, _ = onesided_weights(r[-2] - r[-1], r[-3] - r[-1])
-
     def rhs(p):
-        pr = apply_weights(W1, p)
-        prr = apply_weights(W2, p)
+        # one-sided three-point phi_r at the ends
+        pr, prr = derivatives(r, p)
         F = np.empty_like(p)
-        F[1:-1] = prr / pr + pr / p[1:-1] - 2.0
-        pr0 = w1_lo @ p[:3]
-        prN = w1_hi @ p[-1:-4:-1]
-        F[0] = pr0 / p[0] - 1.0          # phi_rr/phi_r -> +1
-        F[-1] = prN / p[-1] - 3.0        # phi_rr/phi_r -> -1
-        return F, pr
+        F[1:-1] = prr[1:-1] / pr[1:-1] + pr[1:-1] / p[1:-1] - 2.0
+        F[0] = pr[0] / p[0] - 1.0          # phi_rr/phi_r -> +1
+        F[-1] = pr[-1] / p[-1] - 3.0       # phi_rr/phi_r -> -1
+        return F, pr[1:-1]
 
     h = np.minimum(np.diff(r)[:-1], np.diff(r)[1:])
     t = 0.0

@@ -14,8 +14,8 @@ from krflow.flow import (ConfigError, FlowConfig, FlowSetupError, load_config,
                          make_initial, parse_config_text, run_flow, write_artifacts,
                          _DilatedEngine, _UnscaledEngine, _dilated_engine_on)
 from krflow.geometry import RadialProfile, curvature, validate_profile
-from krflow.grids import (apply_weights, derivatives, hermite_boundary,
-                          interior_weights, pchip, window_mesh)
+from krflow.grids import (derivatives, difference_weights, hermite_boundary, pchip,
+                          window_mesh)
 from krflow.soliton import cao_koiso_profile, cao_koiso_u, find_cao_koiso_constant, fik_y
 from krflow.states import DilatedState
 from r_chart_reference import r_coordinate_reference
@@ -305,17 +305,18 @@ def test_anchor_track_gauge_measurement():
 def _reference_rhs(eng, u, t):
     """The unscaled rhs with numpy temporaries and numpy-scalar stencils."""
     a, b, D = eng.domain(t)
-    W1, W2 = interior_weights(eng.xi)
+    A, B, C, E = difference_weights(eng.xi)
     fi = a + eng.xi[1:-1] * D
     ui = u[1:-1]
-    uf = apply_weights(W1, u) / D
-    uff = apply_weights(W2, u) / (D * D)
+    d = np.diff(u) / D
+    uf = A * d[:-1] + B * d[1:]
+    uff = (C * d[1:] - E * d[:-1]) / D
     d1, d2 = eng.xi[1] * D, eng.xi[2] * D
     uf[0], uff[0], _ = hermite_boundary(d1, d2, 0.0, 1.0, u[1], u[2])
     d1, d2 = (eng.xi[-2] - 1.0) * D, (eng.xi[-3] - 1.0) * D
     uf[-1], uff[-1], _ = hermite_boundary(d1, d2, 0.0, -1.0, u[-2], u[-3])
-    vframe = -1.0 - 2.0 * eng.xi[1:-1]
-    F = ui * uff - uf * uf + 2.0 * uf - (ui / fi) ** 2 + uf * vframe
+    c = 1.0 - 2.0 * eng.xi[1:-1]
+    F = ui * uff + uf * (c - uf) - (ui / fi) ** 2
     return F, np.concatenate(([1.0], uf, [-1.0])), uff
 
 
@@ -342,18 +343,20 @@ def test_unscaled_rhs_and_anchor_rate_match_reference_bit_for_bit():
 
 def _reference_dilated_rhs(eng, y, tau):
     """The dilated rhs with numpy temporaries and numpy-scalar stencils: E[y]
-    on the window [1, Phi_out], plus the stretch term of a moving window."""
+    on the window [1, Phi_out], plus the stretch term of a moving window,
+    folded into one expression."""
     eta = eng.xi
     if eng.truncated:
         L, dphi = eng.phi_outer() - 1.0, 0.0
     else:
         pm = eng.b3a * np.exp(tau) + 3.0
         L, dphi = pm - 1.0, pm - 3.0
-    W1, W2 = interior_weights(eta)
+    A, B, C, E = difference_weights(eta)
     p = 1.0 + eta[1:-1] * L
     yi = y[1:-1]
-    yp = apply_weights(W1, y) / L
-    ypp = apply_weights(W2, y) / (L * L)
+    d = np.diff(y) / L
+    yp = A * d[:-1] + B * d[1:]
+    ypp = (C * d[1:] - E * d[:-1]) / L
     d1, d2 = eta[1] * L, eta[2] * L
     yp[0], ypp[0], _ = hermite_boundary(d1, d2, 0.0, 1.0, y[1], y[2])
     if eng.truncated:
@@ -362,8 +365,8 @@ def _reference_dilated_rhs(eng, y, tau):
         d1, d2 = (eta[-2] - 1.0) * L, (eta[-3] - 1.0) * L
         yp[-1], ypp[-1], _ = hermite_boundary(d1, d2, 0.0, -1.0, y[-2], y[-3])
         yp_out = -1.0
-    E = yi * ypp + (2.0 - p - yp) * yp + yi * (1.0 - yi / p ** 2)
-    return E + yp * eta[1:-1] * dphi, np.concatenate(([1.0], yp, [yp_out])), ypp
+    F = yi * ypp + yp * (1.0 + eta[1:-1] * (dphi - L) - yp) + yi - (yi / p) ** 2
+    return F, np.concatenate(([1.0], yp, [yp_out])), ypp
 
 
 @pytest.mark.parametrize("truncated", [False, True], ids=["full", "truncated"])

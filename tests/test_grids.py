@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from krflow import grids
-from krflow.grids import (GridError, affine_interp, apply_weights, gauss_kronrod21,
-                          hermite_boundary, interior_weights, pchip, tridiagonal_solver,
-                          window_mesh)
+from krflow.grids import (GridError, affine_interp, derivatives, difference_stencils,
+                          difference_weights, gauss_kronrod21, hermite_boundary, pchip,
+                          tridiagonal_solver, window_mesh)
 from krflow.soliton import fik_y
 
 
@@ -51,15 +51,49 @@ def test_hermite_boundary_on_floats_matches_numpy_scalars():
             assert got == ref
 
 
-def test_apply_weights_in_place_matches_temporaries():
-    rng = np.random.default_rng(11)
-    xi = _mesh(rng, 300)
-    u = rng.standard_normal(xi.size)
-    out, tmp = np.empty(xi.size - 2), np.empty(xi.size - 2)
-    for W in interior_weights(xi):
-        want = W[0] * u[:-2] + W[1] * u[1:-1] + W[2] * u[2:]
-        assert np.array_equal(apply_weights(W, u, out, tmp), want)
-        assert np.array_equal(apply_weights(W, u), want)
+def _weight_form(x):
+    """The three-point stencils as the weights of u[i-1], u[i], u[i+1]: the
+    form the difference weights replaced, kept as their reference."""
+    h1 = x[1:-1] - x[:-2]
+    h2 = x[2:] - x[1:-1]
+    W1 = (-h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2)))
+    W2 = (2.0 / (h1 * (h1 + h2)), -2.0 / (h1 * h2), 2.0 / (h2 * (h1 + h2)))
+    return W1, W2
+
+
+def test_difference_stencils_are_exact_for_quadratics_and_match_the_weight_form():
+    rng = np.random.default_rng(13)
+    eps = np.finfo(float).eps
+    sizes = list(range(3, 12)) + list(rng.integers(12, 3001, 120)) + [3000]
+    for n in sizes:
+        # a random mesh graded toward its left end by a random power
+        s = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]))
+        s = s ** rng.uniform(1.0, 3.0)
+        x = np.unique(rng.uniform(-5.0, 5.0) + rng.uniform(0.1, 10.0) * s)
+        m = x.size - 2
+        w = A, B, C, E = difference_weights(x)
+        ux, uxx, tmp = np.empty(m), np.empty(m), np.empty(m)
+        # a quadratic, to rounding: the error a stencil makes from the
+        # rounded values alone, on the scale of the quadratic's terms
+        al, be, ga = rng.standard_normal(3)
+        u = al + be * x + ga * x * x
+        difference_stencils(w, np.diff(u), ux, uxx, tmp)
+        scale = np.abs(al) + np.abs(be * x) + np.abs(ga * x * x)
+        near = np.maximum(np.maximum(scale[:-2], scale[1:-1]), scale[2:])
+        xi = x[1:-1]
+        assert np.all(np.abs(ux - (be + 2.0 * ga * xi))
+                      <= 8.0 * eps * (near * (A + B) + abs(be) + np.abs(2.0 * ga * xi))), n
+        assert np.all(np.abs(uxx - 2.0 * ga)
+                      <= 8.0 * eps * (near * (C + E) + abs(2.0 * ga))), n
+        # the weight form, on values whose u_ff is set by the spacing
+        v = rng.standard_normal(x.size)
+        difference_stencils(w, np.diff(v), ux, uxx, tmp)
+        for got, W in zip((ux, uxx), _weight_form(x)):
+            want = W[0] * v[:-2] + W[1] * v[1:-1] + W[2] * v[2:]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+        # derivatives() takes its interior values from the same stencils
+        dx, dxx = derivatives(x, v)
+        assert np.array_equal(dx[1:-1], ux) and np.array_equal(dxx[1:-1], uxx)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 126, 254, 255, 256, 2046])

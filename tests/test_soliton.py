@@ -20,7 +20,8 @@ C_KC = 0.527619519896963   # root of e^{2C}(2-C^2) = 3C^2+4C+2, frozen
 # ---------------------------------------------------------------------------
 
 def test_fik_values():
-    assert fik_y(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert fik_y(1.0) == 0.0
+    assert fik_y(np.array([1.0]))[0] == 0.0
     assert fik_y(2.0) == pytest.approx((2.0 + RT2) / 4.0, abs=1e-15)
     y, yp, ypp = fik_y_derivs(1.0)
     assert y == pytest.approx(0.0, abs=1e-15)
@@ -28,6 +29,18 @@ def test_fik_values():
     assert ypp == pytest.approx(RT2 - 2.0, abs=1e-15)
     with pytest.raises(ValueError):
         fik_y(0.5)
+
+
+def test_fik_factored_form_matches_the_expanded_closed_form():
+    # fik_y evaluates (phi - 1)(phi + sqrt2 - 1)/(sqrt2 phi); the expanded
+    # (phi (phi - 2) + sqrt2 (phi - 1) + 1)/(sqrt2 phi) is the same
+    # polynomial, and the two must agree to a few units in the last place
+    rng = np.random.default_rng(7)
+    phi = np.concatenate([np.linspace(1.0, 3.0, 20001), 1.0 + np.geomspace(1e-12, 1.0, 2001),
+                          10.0 ** rng.uniform(0.0, 3.0, 20000), [1e3]])
+    old = (phi * (phi - 2.0) + RT2 * (phi - 1.0) + 1.0) / (RT2 * phi)
+    new = fik_y(phi)
+    assert np.all(np.abs(new - old) <= 4.0 * np.spacing(np.maximum(np.abs(old), 1.0)))
 
 
 def test_fik_derivs_match_finite_differences():
