@@ -24,12 +24,12 @@ from . import analysis
 from .barriers import (BARRIER_DELTA, LAMBDA_INIT, barrier_residual_sub,
                        barrier_residual_sup, barrier_y1, class_c_check,
                        comparison_check, full_operator)
-from .flow import FlowConfig, make_initial, run_flow
+from .flow import FlowConfig, _dilated_engine_on, make_initial, run_flow
 from .geometry import curvature
 from .grids import window_mesh
-from .soliton import (SQRT2, closed_form_weight_integral, fik_y, fik_y_derivs,
-                      find_cao_koiso_constant, find_fik_constant,
-                      weight_integral, _bisect_root)
+from .soliton import (SQRT2, cao_koiso_profile, closed_form_weight_integral, fik_y,
+                      fik_y_derivs, find_cao_koiso_constant, find_fik_constant,
+                      weight_integral, _cao_koiso_reduced_root)
 from .states import DilatedState
 
 __all__ = ["AcceptanceContext", "CriterionResult", "Check", "CRITERIA",
@@ -63,10 +63,10 @@ class AcceptanceContext:
     """Lazy cache of the expensive runs shared between criteria."""
 
     def __init__(self, level="full"):
-        # krflow imports scipy.integrate on first use: quad for the FIK
-        # constant (an infinite range) and solve_ivp for the r-coordinate
-        # shooting; import it here so that no criterion's runtime clause (A1,
-        # A4, A11) times a one-off library import instead of its computation
+        # find_fik_constant (A1) imports scipy.integrate on first use, for
+        # quad over an infinite range, and no other criterion loads scipy;
+        # import it here so that A1's runtime clause times its computation,
+        # not a one-off library import
         import scipy.integrate
         self.level = level
         self._cache = {}
@@ -134,9 +134,7 @@ def crit_a1(ctx):
 def crit_a2(ctx):
     t0 = time.perf_counter()
     c = find_cao_koiso_constant()
-    oracle = _bisect_root(lambda C: np.exp(2 * C) * (2 - C * C)
-                          - (3 * C * C + 4 * C + 2), 0.5, 1.0, 1e-14)
-    dev = abs(c - oracle)
+    dev = abs(c - _cao_koiso_reduced_root())
     dt = time.perf_counter() - t0
     return _result("A2", "compact soliton constant", [
         Check("C", c, "in (0.5, 1)", 0.5 < c < 1.0),
@@ -146,7 +144,6 @@ def crit_a2(ctx):
 
 
 def crit_a3(ctx):
-    from .flow import _REMESH_DTAU, _dilated_engine_on
     t0 = time.perf_counter()
     phi = np.geomspace(1.0, 100.0, 20001)
     y, yp, ypp = fik_y_derivs(phi)
@@ -155,12 +152,10 @@ def crit_a3(ctx):
     n = 1024
     grid = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, n)
     eng = _dilated_engine_on(DilatedState(0.0, grid, fik_y(grid), truncated=True), n)
-    tau_meshed = eng.tau
     while eng.tau < 1.0:
         eng.step(1.0 - eng.tau)
-        if eng.tau - tau_meshed >= _REMESH_DTAU - 1e-12:    # as run_flow remeshes
+        if eng.remesh_due():
             eng.remesh()
-            tau_meshed = eng.tau
     drift = float(np.max(np.abs(eng.y - fik_y(eng.phi_nodes()))))
     dt = time.perf_counter() - t0
     return _result("A3", "stationarity of the dilated fixed point", [
@@ -171,13 +166,13 @@ def crit_a3(ctx):
 
 
 def crit_a4(ctx):
-    from .soliton import cao_koiso_profile
     t0 = time.perf_counter()
     arts, run_s = ctx.kc_run()
     ref = cao_koiso_profile(8193).profile
     worst = 0.0
-    for label, (rad, _) in arts.snapshots.items():
-        t = 1.0 - np.exp(-label)
+    # the oracle at the snapshot's own tau, the first step's at or past its label
+    for rad, dil in arts.snapshots.values():
+        t = 1.0 - np.exp(-dil.tau)
         oracle = (1.0 - t) * np.interp(rad.f / (1.0 - t), ref.f, ref.u)
         worst = max(worst, float(np.max(np.abs(rad.u - oracle)) / np.max(rad.u)))
     dt = time.perf_counter() - t0

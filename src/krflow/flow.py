@@ -29,14 +29,16 @@ by ROS2, at the fixed step _DTAU (0.005) in tau; the unscaled frame keeps
 explicit RK2 (midpoint) under a local CFL bound, with the same halving.
 Meshes cluster in the inner window [a, a + K (T - t)] on a
 CFL-equidistributed spacing law with a resolution floor, and are rebuilt by
-monotone cubic interpolation every _REMESH_INTERVAL (200) accepted RK2
-steps, or every _REMESH_DTAU (0.02) of tau in a run stepped by ROS2 alone.
-The mesh law, with its constants (K, the window's least share of the nodes,
-the floor and the outer grading), is grids.window_mesh; the remesh spacings
-and the [1, 3] window on which runs are compared with Y are fixed next to
-_Engine.  A frame (_UnscaledEngine, _DilatedEngine) supplies only its domain
-and velocity, rhs, outer boundary data, remesh window, measurements and
-step (the unscaled one with its CFL bound).
+monotone cubic interpolation when the primary engine's own clock says so
+(remesh_due): every _REMESH_INTERVAL (200) accepted RK2 steps, or every
+_REMESH_DTAU (0.02) of tau in a run stepped by ROS2 alone.  The mesh law,
+with its constants (K, the window's least share of the nodes, the floor and
+the outer grading), is grids.window_mesh; the remesh spacings and the
+[1, 3] window on which runs are compared with Y are fixed next to _Engine.
+A frame (_UnscaledEngine, _DilatedEngine) supplies only its domain and
+velocity, rhs, outer boundary data, remesh window, measurements and step
+(the unscaled one with its CFL bound and remesh clock).  The unscaled
+engine keeps the gauge origin too: its first measurement reads C = 0.
 
 In a coupled run (engine = both) the unscaled engine is the primary.  The
 dilated engine lags it and catches up by advance_to, in ceil(gap / _DTAU)
@@ -60,7 +62,7 @@ import sys
 import time
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -131,6 +133,11 @@ _GRID_N_MAX = 65_536
 _ENGINES = ("unscaled", "dilated", "both")
 
 
+def _snap_label(tau):
+    """A snapshot's tau as its file names write it."""
+    return f"{tau:g}"
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     a0: float
@@ -193,10 +200,13 @@ class FlowConfig:
             if self.stop_tau <= tau0:
                 errs.append(f"stop_tau = {self.stop_tau} does not exceed the "
                             f"starting dilated time {tau0:.6g}")
-            outside = [f"{s:g}" for s in self.snap_taus if not tau0 < s <= self.stop_tau]
+            outside = [_snap_label(s) for s in self.snap_taus if not tau0 < s <= self.stop_tau]
             if outside:
                 errs.append(f"snap_taus {', '.join(outside)} outside the run's "
                             f"(tau0, stop_tau] = ({tau0:.6g}, {self.stop_tau:g}]")
+            labels = sorted(_snap_label(s) for s in set(self.snap_taus))
+            if len(set(labels)) < len(labels):
+                errs.append(f"snap_taus {self.snap_taus} share file labels: {', '.join(labels)}")
         if isinstance(self.record_every, int) and self.record_every < 1:
             errs.append("record_every must be >= 1")
         if self.engine not in _ENGINES:
@@ -410,6 +420,7 @@ class _Engine:
     def _set_mesh(self, xi, u):
         self.xi = xi
         self.u = u
+        self._t_meshed = self.t
         self._w = difference_weights(xi)
         self._xii = xi[1:-1]
         # offsets of the two nodes next to each end, in units of the frame length
@@ -522,6 +533,10 @@ class _Engine:
         self.step_count += 1
 
     # remesh ------------------------------------------------------------
+    def remesh_due(self):
+        """True once _REMESH_DTAU of frame time has passed since the last mesh."""
+        return self.t - self._t_meshed >= _REMESH_DTAU - 1e-12
+
     def remesh(self):
         """New nodes by the mesh law, values resampled by monotone cubics with
         the end data re-imposed exactly; FlowRemeshError if that fails."""
@@ -565,6 +580,7 @@ class _UnscaledEngine(_Engine):
         self.cfl = cfl
         self.anchor_r = 0.0
         self.anchor_f = 0.5 * (a0 + b0)
+        self._rho2_0 = None     # the gauge origin, set by the first measurement
         a, _, D = self.domain(state.t)
         super().__init__(state.t, n, (state.profile.f - a) / D, state.profile.u.copy())
 
@@ -626,6 +642,10 @@ class _UnscaledEngine(_Engine):
                 np.max(2.0 * self.u[1:-1] / (h * h) + adv / h))
             self._cfl_next = self.step_count + 8
         return min(self._cfl_dt, 0.25 * (self.T - self.t))
+
+    def remesh_due(self):
+        """True every _REMESH_INTERVAL accepted steps."""
+        return self.step_count % _REMESH_INTERVAL == 0
 
     def step(self, dt_max):
         """One midpoint step of at most dt_max, starting at the CFL-stable
@@ -739,6 +759,8 @@ class _UnscaledEngine(_Engine):
         j = min(max(j, 3), f.size - 3)
         r2, rj = self.r_of(2.0 * Tt, f[j])
         rho2 = r2 + tau
+        if self._rho2_0 is None:
+            self._rho2_0 = rho2
         dj = f[1:j + 1] - a
         gj = 1.0 / dj - 1.0 / self.u[1:j + 1]
         g0 = -0.5 * uffa
@@ -751,7 +773,7 @@ class _UnscaledEngine(_Engine):
                            sup_err_c0=sup0, sup_err_c1=sup1, max_F=max_F,
                            min_yphi=float(np.min(uf)),
                            max_yphi=float(np.max(uf)),
-                           gauge_C=-rho2, max_rm=max_rm, dt=dt_last)
+                           gauge_C=self._rho2_0 - rho2, max_rm=max_rm, dt=dt_last)
         anch = AnchorSample(step=self.step_count, t=self.t, tau=tau,
                             anchor_f=self.anchor_f, anchor_r=self.anchor_r,
                             rho2=rho2, log_fw=log_fw)
@@ -916,13 +938,6 @@ class RunArtifacts:
         return self.series[int(np.argmin(np.abs(taus - tau)))]
 
 
-def _gauge_rebase(series):
-    """Shift gauge_C by one additive constant so the first record reads 0."""
-    off = next((r.gauge_C for r in series if np.isfinite(r.gauge_C)), 0.0)
-    return [replace(r, gauge_C=r.gauge_C - off) if np.isfinite(r.gauge_C) else r
-            for r in series]
-
-
 def run_flow(cfg: FlowConfig) -> RunArtifacts:
     """Evolve from the configured initial data to tau = stop_tau.
 
@@ -934,12 +949,10 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     t_start = time.perf_counter()
     state0 = make_initial(cfg)
     T = state0.T
-    tau0 = -np.log(T)
-    t_stop = T - np.exp(-cfg.stop_tau)
 
     d0 = analysis.dilate(state0)
     lambda0 = fit_lambda0(d0)
-    monitor = SandwichMonitor(lambda0, tau0)
+    monitor = SandwichMonitor(lambda0, d0.tau)
 
     use_unscaled = cfg.engine in ("unscaled", "both")
     use_dilated = cfg.engine in ("dilated", "both")
@@ -947,13 +960,9 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     ue = (_UnscaledEngine(state0, cfg.a0, cfg.b0, cfg.cfl, cfg.grid_n)
           if use_unscaled else None)
 
-    # In a coupled run the dilated engine lags the primary and catches up
-    # (follow) only where its state is read: at a joint remesh, at a cross
-    # record of the truncated window and at the end.  Its truncated window's
-    # outer value is the primary's value at the cut, linear between the
-    # primary's steps: stored after each of them while the window is cut,
-    # and before each joint remesh, which may cut it; catching up drops the
-    # values the dilated engine has passed.
+    # A coupled run's dilated engine catches up (follow) as the module
+    # docstring says.  The cut values are also stored before each joint
+    # remesh, which may cut the window; catching up drops those it passed.
     cut_taus, cut_vals = [], []
 
     def store_cut_value():
@@ -989,12 +998,12 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
                             outer_bc=outer_bc if use_unscaled else None)
 
     primary = ue if use_unscaled else de
-    t_end = t_stop if use_unscaled else cfg.stop_tau    # in the primary's time
+    t_end = T - np.exp(-cfg.stop_tau) if use_unscaled else cfg.stop_tau   # primary's time
     series, anchors, snaps, cross = [], [], {}, []
     pending_snaps = sorted(set(cfg.snap_taus))
     status, failing = "completed", None
     dt_last = 0.0
-    tau_now = tau_meshed = primary.tau
+    tau_now = primary.tau
 
     def record():
         if use_unscaled:
@@ -1052,10 +1061,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             k = primary.step_count
             if coupled and de.truncated:
                 store_cut_value()
-            if use_unscaled:
-                remesh_now = k % _REMESH_INTERVAL == 0
-            else:
-                remesh_now = tau_now - tau_meshed >= _REMESH_DTAU - 1e-12
+            remesh_now = primary.remesh_due()
             unchecked.append((k, tau_now, primary.t, primary.u))
             if remesh_now or len(unchecked) >= block:
                 check_unchecked()
@@ -1066,7 +1072,6 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
                     follow()
                 for eng in filter(None, (ue, de)):
                     eng.remesh()
-                tau_meshed = tau_now
             while pending_snaps and tau_now >= pending_snaps[0] - 1e-12:
                 snapshot(pending_snaps.pop(0))
             if k % cfg.record_every == 0:
@@ -1080,7 +1085,6 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     check_unchecked()
     if not series or series[-1].step != primary.step_count:
         record()
-    series = _gauge_rebase(series)
 
     wall = time.perf_counter() - t_start
     manifest = {
@@ -1120,7 +1124,7 @@ def write_artifacts(arts: RunArtifacts, out_dir) -> dict:
 
     for label, (radial, dil) in arts.snapshots.items():
         for view, prof in (("radial", radial), ("dilated", RadialProfile(dil.phi, dil.y))):
-            paths.append(os.path.join(out_dir, f"snap_tau{label:g}_{view}.csv"))
+            paths.append(os.path.join(out_dir, f"snap_tau{_snap_label(label)}_{view}.csv"))
             write_profile_csv(prof, paths[-1])
 
     arts.manifest["artifacts"] = [os.path.basename(q) for q in paths + ["manifest.json"]]

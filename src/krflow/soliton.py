@@ -79,12 +79,6 @@ class SolitonSpec:
         if self.C <= 0:
             raise ValueError("C must be positive")
 
-    def canonical(self) -> bool:
-        """True if C satisfies the constraint of the named family."""
-        if self.base == "M":
-            return 0.5 < self.C < 1.0
-        return abs(self.C - SQRT2) <= 1e-9
-
 
 @dataclass(frozen=True)
 class SolitonProfile:
@@ -202,16 +196,22 @@ def find_fik_constant():
     return c
 
 
+def _cao_koiso_reduced_root():
+    """Root on [0.5, 1.0] of e^{2C} (2 - C^2) = 3C^2 + 4C + 2, the condition
+    int_1^3 (2-s) s e^{-Cs} ds = 0 reduced by the closed-form antiderivative."""
+    return _bisect_root(lambda C: np.exp(2 * C) * (2 - C * C) - (3 * C * C + 4 * C + 2),
+                        0.5, 1.0, 1e-14)
+
+
 def find_cao_koiso_constant():
     """Root of int_1^3 (2-s) s e^{-Cs} ds = 0 on [0.5, 1.0].
 
-    The closed-form antiderivative reduces the condition to
-    e^{2C} (2 - C^2) = 3C^2 + 4C + 2, used as the independent oracle; the
-    quadrature root and the oracle root must agree to 1e-8.
+    The root of the reduced equation (_cao_koiso_reduced_root) is the
+    independent oracle; the quadrature root and the oracle root must agree
+    to 1e-8.
     """
     c = _weight_root(0.5, 1.0, upper=3.0)
-    oracle = _bisect_root(lambda C: np.exp(2 * C) * (2 - C * C) - (3 * C * C + 4 * C + 2),
-                          0.5, 1.0, 1e-14)
+    oracle = _cao_koiso_reduced_root()
     if abs(c - oracle) > 1e-8:
         raise RuntimeError(f"quadrature root {c!r} vs transcendental root {oracle!r}")
     if not (0.5 < c < 1.0):

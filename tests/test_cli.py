@@ -131,6 +131,16 @@ def test_evolve_bad_kahler_class_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_evolve_colliding_snapshot_labels_exit_2(tmp_path, capsys):
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text("a0 = 1.0\nb0 = 10.0\nstop_tau = 0.05\n"
+                    "snap_taus = 0.01000001, 0.01000002\n")
+    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "share file labels" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_evolve_unknown_key_exits_2(tmp_path, capsys):
     cfgp = tmp_path / "bad.cfg"
     cfgp.write_text("a0 = 1.0\nb0 = 10.0\ngirdn = 256\n")

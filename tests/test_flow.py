@@ -70,6 +70,17 @@ def test_config_validation():
             FlowConfig(a0=1.0, b0=10.0, stop_tau=0.05, snap_taus=snaps).validate()
 
 
+def test_config_rejects_snapshots_whose_file_labels_collide(tmp_path):
+    # both would be written to snap_tau0.01_*.csv; equal values are one snapshot
+    with pytest.raises(ConfigError, match="share file labels: 0.01, 0.01"):
+        FlowConfig(a0=1.0, b0=10.0, stop_tau=0.05, snap_taus=(0.01000001, 0.01000002))
+    FlowConfig(a0=1.0, b0=10.0, stop_tau=0.05, snap_taus=(0.01, 0.01, 0.0100001))
+    arts = run_flow(small_cfg(grid_n=128, stop_tau=0.02, snap_taus=(0.01, 0.01, 0.0100001)))
+    assert len(arts.snapshots) == 2
+    manifest = write_artifacts(arts, tmp_path)
+    assert sorted(manifest["artifacts"]) == sorted(os.listdir(tmp_path))
+
+
 @pytest.mark.parametrize("value", [2.5, 10.5, 256.0, float("nan"), True, False, "256"])
 @pytest.mark.parametrize("key", ["grid_n", "record_every", "max_steps"])
 def test_config_rejects_non_integer_counts(key, value):
@@ -226,6 +237,25 @@ def test_step_unscaled_self_similar_oracle():
     assert rel < 1e-3
 
 
+def test_unscaled_snapshot_lies_past_its_label():
+    # the unscaled frame snapshots at the first accepted step at or past the
+    # label's tau, so the self-similar oracle belongs at the snapshot's tau
+    ref = cao_koiso_profile(8193).profile
+    label = -math.log(1.0 - 0.3)
+    arts = run_flow(FlowConfig(a0=1.0, b0=3.0, initial_kind="cao_koiso", grid_n=256,
+                               cfl=0.5, stop_tau=label + 0.01, record_every=1000,
+                               snap_taus=(label,)))
+    rad, dil = arts.snapshots[label]
+    assert dil.tau > label
+
+    def rel_err(tau):
+        Tt = math.exp(-tau)
+        oracle = Tt * np.interp(rad.f / Tt, ref.f, ref.u)
+        return float(np.max(np.abs(rad.u - oracle)) / np.max(rad.u))
+
+    assert rel_err(dil.tau) < rel_err(label)
+
+
 def test_step_dilated_identity_and_stationarity():
     phi = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, 512)
     eng = _dilated_engine_on(DilatedState(0.0, phi, fik_y(phi), truncated=True), phi.size)
@@ -286,6 +316,37 @@ def test_remesh_dilated_state():
     assert d2.phi.size == 400
     assert d2.y[0] == 0.0 and d2.y[-1] == fik_y(phi)[-1] and d2.truncated
     assert err < 1e-4
+
+
+def test_engines_keep_their_own_remesh_clocks():
+    from krflow import flow
+    eng = _unscaled_engine(small_cfg(grid_n=128))
+    due = []
+    for _ in range(2 * flow._REMESH_INTERVAL):
+        eng.step(1.0)
+        due.append(eng.remesh_due())
+    assert [k + 1 for k, d in enumerate(due) if d] == [200, 400]
+    # the dilated engine counts tau from its last mesh, which a remesh resets
+    phi = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, 128)
+    de = _dilated_engine_on(DilatedState(0.0, phi, fik_y(phi), truncated=True), 128)
+    steps = 0
+    while not de.remesh_due():
+        de.step(1.0)
+        steps += 1
+    assert steps == round(flow._REMESH_DTAU / flow._DTAU)
+    de.remesh()
+    assert not de.remesh_due()
+    de.step(1.0)
+    assert not de.remesh_due()
+
+
+def test_gauge_origin_is_the_first_measurement():
+    eng = _unscaled_engine(small_cfg(grid_n=128))
+    rec0, anch0 = eng.measure(0.0)
+    eng.step(1e-3)
+    rec1, anch1 = eng.measure(1e-3)
+    assert rec0.gauge_C == 0.0
+    assert rec1.gauge_C == anch0.rho2 - anch1.rho2
 
 
 def test_anchor_track_gauge_measurement():
