@@ -63,10 +63,10 @@ class AcceptanceContext:
     """Lazy cache of the expensive runs shared between criteria."""
 
     def __init__(self, level="full"):
-        # find_fik_constant (A1) imports scipy.integrate on first use, for
-        # quad over an infinite range, and no other criterion loads scipy;
-        # import it here so that A1's runtime clause times its computation,
-        # not a one-off library import
+        # A1 and A2 check the closed-form constants by root-finding on
+        # scipy's quad, imported on first use, and no other criterion loads
+        # scipy; import it here so that their runtime clauses time the
+        # computation, not a one-off library import
         import scipy.integrate
         self.level = level
         self._cache = {}

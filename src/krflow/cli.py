@@ -6,6 +6,8 @@ Exit codes: 0 success, 2 usage/config error, 3 runtime/analysis failure.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
 from . import analysis
@@ -16,6 +18,22 @@ from .soliton import (cao_koiso_profile, fik_profile, soliton_ode_residual,
                       write_soliton_metadata)
 
 USAGE_ERROR, RUNTIME_ERROR = 2, 3
+
+
+def _output_error(e: OSError) -> int:
+    print(f"error: cannot write output: {e}", file=sys.stderr)
+    return USAGE_ERROR
+
+
+def _window(text):
+    """argparse type of --window: 'lo:hi', two finite floats with lo < hi."""
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'lo:hi', got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"need finite lo < hi, got {text!r}")
+    return lo, hi
 
 
 def cmd_soliton(args) -> int:
@@ -36,8 +54,11 @@ def cmd_soliton(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     residual = soliton_ode_residual(prof)
-    write_profile_csv(prof.profile, args.out)
-    write_soliton_metadata(prof, args.out + ".meta", residual=residual)
+    try:
+        write_profile_csv(prof.profile, args.out)
+        write_soliton_metadata(prof, args.out + ".meta", residual=residual)
+    except OSError as e:
+        return _output_error(e)
     print(f"family = {args.family}")
     print(f"C = {prof.spec.C:.10f}")
     print(f"residual = {residual:.6g}")
@@ -52,11 +73,18 @@ def cmd_evolve(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return USAGE_ERROR
     try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as e:
+        return _output_error(e)
+    try:
         arts = run_flow(cfg)
     except (FlowSetupError, ConfigError) as e:
         print(f"setup error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    manifest = write_artifacts(arts, args.out_dir)
+    try:
+        manifest = write_artifacts(arts, args.out_dir)
+    except OSError as e:
+        return _output_error(e)
     print(f"status = {arts.status}")
     print(f"steps = {manifest['steps']}")
     print(f"records = {manifest['records']}")
@@ -73,15 +101,14 @@ def cmd_evolve(args) -> int:
 def cmd_analyze(args) -> int:
     try:
         series = analysis.read_series_csv(args.series)
-        window = None
-        if args.window:
-            lo, hi = (float(v) for v in args.window.split(":"))
-            window = (lo, hi)
-        rep = analysis.blowup_rates(series, window=window)
+        rep = analysis.blowup_rates(series, window=args.window)
     except (analysis.AnalysisError, OSError, ValueError) as e:
         print(f"analysis error: {e}", file=sys.stderr)
         return RUNTIME_ERROR
-    analysis.write_report(rep, args.report)
+    try:
+        analysis.write_report(rep, args.report)
+    except OSError as e:
+        return _output_error(e)
     print(analysis.report_kv(rep))
     print()
     print(analysis.format_report(rep))
@@ -117,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="fit blow-up rates from a series CSV")
     a.add_argument("--series", required=True)
     a.add_argument("--report", required=True)
-    a.add_argument("--window", default=None, help="fit window 'lo:hi' in tau")
+    a.add_argument("--window", type=_window, default=None,
+                   help="fit window 'lo:hi' in tau")
     a.set_defaults(fn=cmd_analyze)
 
     v = sub.add_parser("verify", help="run the acceptance criteria")

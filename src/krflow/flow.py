@@ -74,7 +74,7 @@ from .geometry import (LogProfile, RadialProfile, curvature, read_profile_csv,
 from .grids import (affine_interp, check_grid, cumint_inverse_linear, difference_stencils,
                     difference_weights, hermite_boundary, hermite_cubic_coeffs, pchip,
                     tridiagonal_solver, window_mesh)
-from .soliton import _cao_koiso_constant_cached, cao_koiso_u, fik_y, fik_y_derivs
+from .soliton import _cao_koiso_reduced_root, cao_koiso_u, fik_y, fik_y_derivs
 from .states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
 __all__ = [
@@ -306,7 +306,7 @@ def _perturbed_cao_koiso(cfg: FlowConfig):
     # the bridge replaces the profile on [3 - w, b0], w at least 0.6
     w = min(max(0.6, 4.0 * (b0 - 3.0)), 1.5)
     x0 = 3.0 - w
-    c_kc = _cao_koiso_constant_cached()
+    c_kc = _cao_koiso_reduced_root()
     # the value from the formula, the slope and curvature from the soliton
     # ODE u_f = (C - 1/f) u + 2 - f and its derivative
     u0 = float(cao_koiso_u([x0])[0])

@@ -8,10 +8,9 @@ weights (second order on smooth grids), and degenerate boundaries (value 0,
 known slope) get Hermite-enhanced stencils so that accuracy does not
 collapse to first order there.
 
-Two routines are ports that repeat a reference implementation operation for
-operation, so that their results agree with it bit for bit: `pchip`
-(scipy's PchipInterpolator) and `gauss_kronrod21` (QUADPACK's 21-point
-panel dqk21).
+One routine is a port that repeats a reference implementation operation
+for operation, so that its results agree with it bit for bit: `pchip`
+(scipy's PchipInterpolator).
 """
 
 from __future__ import annotations
@@ -329,69 +328,6 @@ def cumint_inverse_linear(x, u):
     out[0] = 0.0
     np.cumsum(seg, out=out[1:])
     return out
-
-
-# QUADPACK's 21-point Gauss-Kronrod panel: Kronrod abscissae (the even
-# positions 1, 3, ..., 9 are the 10-point Gauss nodes) and weights, and the
-# Gauss weights, in QUADPACK's order (largest abscissa first, centre last)
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-        0.000000000000000000000000000000000)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208980238285, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-_EPMACH = 2.220446049250313e-16          # d1mach(4)
-_UFLOW = 2.2250738585072014e-308         # d1mach(1)
-
-
-def gauss_kronrod21(f, a, b):
-    """QUADPACK's dqk21: the 21-point Kronrod integral of f over [a, b] with
-    its error estimate, operation for operation (Piessens et al.,
-    *QUADPACK*, Springer 1983).
-
-    f takes the array of the 21 abscissae (centre first, then the points
-    left and right of it) and returns the values there.  Returns the Python
-    floats (result, abserr, resabs, resasc): the Kronrod result, the error
-    estimate, the integral of |f| and the integral of |f - mean|, which
-    adaptive QAGS calls defabs and resabs in its first-panel test.
-    """
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    absc = [hlgth * x for x in _XGK[:10]]
-    fv = np.asarray(f(np.array([centr] + [centr - x for x in absc]
-                               + [centr + x for x in absc])), dtype=float).tolist()
-    fc, fv1, fv2 = fv[0], fv[1:11], fv[11:]
-    resg = 0.0
-    resk = _WGK[10] * fc
-    resabs = abs(resk)
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):     # Gauss nodes first
-        fsum = fv1[j] + fv2[j]
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    result = resk * hlgth
-    resabs = resabs * abs(hlgth)
-    resasc = resasc * abs(hlgth)
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    return result, abserr, resabs, resasc
 
 
 # ---------------------------------------------------------------------------

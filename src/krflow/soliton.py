@@ -18,21 +18,18 @@ Two distinguished values of C:
 * compact family ("cao-koiso"): the profile must return to zero at f = 3
   (so that the outer slope is u_f = 2 - f = -1); the root lies in (1/2, 1).
 
-Constant finding uses adaptive quadrature as the primary path and the
-closed-form antiderivative only as an independent cross-check.
-
-Every adaptive quadrature over a finite range starts from one numpy port of
-QUADPACK's first Gauss-Kronrod panel (grids.gauss_kronrod21) and returns it
-when adaptive QAGS would stop after that panel, which is then exactly the
-value scipy's quad returns; only a panel that fails QAGS's test, and the
-infinite range of the noncompact constant (QAGI), call scipy's quad (that
-panel and grids.pchip are the package's two ports).  Profiles and the
-Cao-Koiso flow data (cao_koiso_u) evaluate the integrating-factor formula at
-the points they need, so they too are built from numpy alone.  scipy's quad
-and solve_ivp are imported inside the functions that call them (_quad,
-_shoot_once): importing scipy takes most of krflow's import time and about
-50 MB of memory, and only the FIK constant, the r-coordinate shooting and
-the checks that use them pay for it, on first use.  fik_y and fik_y_derivs,
+Runs, profiles and the CLI take both constants from their closed forms:
+sqrt(2), and the root of the reduced equation
+e^{2C} (2 - C^2) = 3C^2 + 4C + 2 (_cao_koiso_reduced_root), the compact
+condition with the antiderivative written out.  Root-finding on adaptive
+quadrature (find_fik_constant, find_cao_koiso_constant) is the independent
+check of those closed forms.  Profiles and the Cao-Koiso flow data
+(cao_koiso_u) evaluate the integrating-factor formula at the points they
+need, so they are built from numpy alone.  scipy's quad and solve_ivp are
+imported inside the functions that call them (_quad, _shoot_once):
+importing scipy takes most of krflow's import time and about 50 MB of
+memory, and only the quadrature checks, the r-coordinate shooting and the
+criteria that use them pay for it, on first use.  fik_y and fik_y_derivs,
 which every run calls, are closed forms.
 """
 
@@ -44,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import RadialProfile, to_radial, LogProfile
-from .grids import cumulative_gl5, derivatives, gauss_kronrod21, interval_gl5
+from .grids import cumulative_gl5, derivatives, interval_gl5
 
 __all__ = [
     "SolitonSpec", "SolitonProfile", "SolitonPositivityError",
@@ -126,19 +123,7 @@ def _weight(s, C):
 
 
 def _quad(fn, upper, epsrel):
-    """int_1^upper fn(s) ds as scipy's quad(fn, 1, upper, epsabs=_EPSABS,
-    epsrel=epsrel, limit=200) returns it, as a Python float.
-
-    On a finite range QAGS starts with one 21-point Gauss-Kronrod panel and
-    returns it when (abserr <= max(epsabs, epsrel |result|) and abserr !=
-    resasc) or abserr == 0; that panel is computed here with numpy, and
-    quad is called only when the test fails or the range is infinite.
-    """
-    if np.isfinite(upper):
-        result, abserr, _, resasc = gauss_kronrod21(fn, 1.0, upper)
-        if ((abserr <= max(_EPSABS, epsrel * abs(result)) and abserr != resasc)
-                or abserr == 0.0):
-            return result
+    """int_1^upper fn(s) ds by scipy's adaptive quad, as a Python float."""
     from scipy.integrate import quad
     return quad(fn, 1.0, upper, epsabs=_EPSABS, epsrel=epsrel, limit=200)[0]
 
@@ -188,27 +173,27 @@ def _weight_root(lo, hi, upper=np.inf):
 
 
 def find_fik_constant():
-    """Root of int_1^inf (2-s) s e^{-Cs} ds = 0 on [1.2, 1.6], cross-checked
-    against the analytic root sqrt(2) of the closed form."""
+    """Root of int_1^inf (2-s) s e^{-Cs} ds = 0 on [1.2, 1.6] by quadrature:
+    the independent check of the closed-form root sqrt(2) that profiles use."""
     c = _weight_root(1.2, 1.6)
     if abs(c - SQRT2) > 1e-10:
         raise RuntimeError(f"quadrature root {c!r} disagrees with closed-form root sqrt(2)")
     return c
 
 
+@lru_cache(maxsize=1)
 def _cao_koiso_reduced_root():
-    """Root on [0.5, 1.0] of e^{2C} (2 - C^2) = 3C^2 + 4C + 2, the condition
+    """The compact-soliton constant that profiles and runs use: the root on
+    [0.5, 1.0] of e^{2C} (2 - C^2) = 3C^2 + 4C + 2, the condition
     int_1^3 (2-s) s e^{-Cs} ds = 0 reduced by the closed-form antiderivative."""
     return _bisect_root(lambda C: np.exp(2 * C) * (2 - C * C) - (3 * C * C + 4 * C + 2),
                         0.5, 1.0, 1e-14)
 
 
 def find_cao_koiso_constant():
-    """Root of int_1^3 (2-s) s e^{-Cs} ds = 0 on [0.5, 1.0].
-
-    The root of the reduced equation (_cao_koiso_reduced_root) is the
-    independent oracle; the quadrature root and the oracle root must agree
-    to 1e-8.
+    """Root of int_1^3 (2-s) s e^{-Cs} ds = 0 on [0.5, 1.0] by quadrature:
+    the independent check of the reduced root (_cao_koiso_reduced_root) that
+    profiles and runs use; the two must agree to 1e-8.
     """
     c = _weight_root(0.5, 1.0, upper=3.0)
     oracle = _cao_koiso_reduced_root()
@@ -217,16 +202,6 @@ def find_cao_koiso_constant():
     if not (0.5 < c < 1.0):
         raise RuntimeError(f"compact soliton constant {c!r} outside (1/2, 1)")
     return c
-
-
-@lru_cache(maxsize=1)
-def _fik_constant_cached():
-    return find_fik_constant()
-
-
-@lru_cache(maxsize=1)
-def _cao_koiso_constant_cached():
-    return find_cao_koiso_constant()
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +245,7 @@ def _integrating_factor_u(f, C):
 def cao_koiso_u(f):
     """The compact-soliton potential u(f) at non-decreasing points f, clipped
     to [1, 3]; u(1) = 0 and u(3) vanishes up to rounding."""
-    return _integrating_factor_u(np.clip(f, 1.0, 3.0), _cao_koiso_constant_cached())[0]
+    return _integrating_factor_u(np.clip(f, 1.0, 3.0), _cao_koiso_reduced_root())[0]
 
 
 def _noncompact_profile(C, f_end, n) -> SolitonProfile:
@@ -322,7 +297,7 @@ def soliton_quadrature(C, f_end, n) -> SolitonProfile:
 
 def cao_koiso_profile(n) -> SolitonProfile:
     """Compact-soliton profile on [1, 3]: u(1) = u(3) = 0, u > 0 inside."""
-    return soliton_quadrature(_cao_koiso_constant_cached(), 3.0, n)
+    return soliton_quadrature(_cao_koiso_reduced_root(), 3.0, n)
 
 
 def fik_profile(n, f_max=50.0) -> SolitonProfile:
@@ -330,7 +305,7 @@ def fik_profile(n, f_max=50.0) -> SolitonProfile:
     (representation choice)."""
     if not (np.isfinite(f_max) and f_max > 1.0):
         raise ValueError(f"f_max must be finite and above 1, got {f_max}")
-    return _noncompact_profile(_fik_constant_cached(), f_max, n)
+    return _noncompact_profile(SQRT2, f_max, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,3 +239,52 @@ def test_evolve_max_steps_reports_step_count(tmp_path, capsys):
     rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(tmp_path / "o")])
     assert rc == 3
     assert "run did not complete: max_steps at step 7\n" in capsys.readouterr().err
+
+
+_GOLDEN_SERIES = str(Path(__file__).parent / "data" / "golden" / "unscaled" / "series.csv")
+
+
+@pytest.mark.parametrize("window", ["5", "a:b", "1:2:3", "6.5:5"])
+def test_analyze_malformed_window_is_a_usage_error(tmp_path, capsys, window):
+    rep = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as ex:
+        main(["analyze", "--series", _GOLDEN_SERIES, "--report", str(rep),
+              "--window", window])
+    assert ex.value.code == 2
+    assert "argument --window" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def _assert_one_line_output_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+def test_evolve_unwritable_out_dir_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    import krflow.cli
+    monkeypatch.setattr(krflow.cli, "run_flow", lambda cfg: pytest.fail("the run started"))
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text("a0 = 1.0\nb0 = 10.0\ngrid_n = 128\n")
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(blocker)])
+    assert rc == 2
+    _assert_one_line_output_error(capsys)
+
+
+def test_soliton_unwritable_out_exits_2(tmp_path, capsys):
+    rc = main(["soliton", "--family", "fik", "--n", "256",
+               "--out", str(tmp_path / "missing" / "fik.csv")])
+    assert rc == 2
+    _assert_one_line_output_error(capsys)
+
+
+def test_analyze_unwritable_report_exits_2(tmp_path, capsys):
+    from krflow.analysis import write_series_csv
+    from test_analysis import synthetic_series
+    series = tmp_path / "series.csv"
+    write_series_csv(synthetic_series(), series)
+    rc = main(["analyze", "--series", str(series),
+               "--report", str(tmp_path / "missing" / "r.json")])
+    assert rc == 2
+    _assert_one_line_output_error(capsys)

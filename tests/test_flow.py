@@ -16,7 +16,7 @@ from krflow.flow import (ConfigError, FlowConfig, FlowSetupError, load_config,
 from krflow.geometry import RadialProfile, curvature, validate_profile
 from krflow.grids import (derivatives, difference_weights, hermite_boundary, pchip,
                           window_mesh)
-from krflow.soliton import cao_koiso_profile, cao_koiso_u, find_cao_koiso_constant, fik_y
+from krflow.soliton import _cao_koiso_reduced_root, cao_koiso_profile, cao_koiso_u, fik_y
 from krflow.states import DilatedState
 from r_chart_reference import r_coordinate_reference
 
@@ -157,7 +157,7 @@ def test_cao_koiso_initial_state_solves_the_soliton_ode(n):
     st = make_initial(FlowConfig(a0=1.0, b0=3.0, initial_kind="cao_koiso", grid_n=n))
     f, u = st.profile.f, st.profile.u
     u_f = derivatives(f, u, 1.0, -1.0)[0]
-    res = u_f + u / f - find_cao_koiso_constant() * u + f - 2.0
+    res = u_f + u / f - _cao_koiso_reduced_root() * u + f - 2.0
     assert np.max(np.abs(res)) < 0.1 * np.max(np.diff(f)) ** 2
 
 
@@ -636,8 +636,8 @@ _SOLITON_PROBE = """
 import json, os, sys, tempfile
 from krflow.cli import main
 with tempfile.TemporaryDirectory() as out:
-    code = main(["soliton", "--family", "cao-koiso", "--n", "1024",
-                 "--out", os.path.join(out, "kc.csv")])
+    code = main(["soliton", "--family", sys.argv[1], "--n", "1024",
+                 "--out", os.path.join(out, "profile.csv")])
 print(json.dumps({"code": code,
                   "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
@@ -674,8 +674,9 @@ def test_cao_koiso_runs_never_import_scipy(kind, b0):
     assert out["scipy"] == []
 
 
-def test_cao_koiso_soliton_command_never_imports_scipy():
-    out = _probe(_SOLITON_PROBE, "")
+@pytest.mark.parametrize("family", ["fik", "cao-koiso"])
+def test_soliton_command_never_imports_scipy(family):
+    out = _probe(_SOLITON_PROBE, family)
     assert out["code"] == 0
     assert out["scipy"] == []
 

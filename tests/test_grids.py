@@ -3,7 +3,7 @@ import pytest
 
 from krflow import grids
 from krflow.grids import (GridError, affine_interp, derivatives, difference_stencils,
-                          difference_weights, gauss_kronrod21, hermite_boundary, pchip,
+                          difference_weights, hermite_boundary, pchip,
                           tridiagonal_solver, window_mesh)
 from krflow.soliton import fik_y
 
@@ -138,35 +138,6 @@ def test_pchip_matches_scipy_bit_for_bit():
         got = pchip(x, y)(q)
         assert np.array_equal(got, want), (n, kind)
         assert np.array_equal(np.signbit(got), np.signbit(want)), (n, kind)
-
-
-def test_gauss_kronrod21_is_quads_first_panel():
-    # quad (QAGS) stops after one 21-point panel exactly when the panel
-    # passes its accuracy test, and then returns that panel's result and
-    # error estimate: both must be the port's, bit for bit
-    from scipy.integrate import quad
-    rng = np.random.default_rng(31)
-    fns = [lambda s, p: np.exp(-p * s) * (2.0 - s) * s,
-           lambda s, p: np.sin(p * s) ** 2,
-           lambda s, p: 1.0 / (p + s * s)]
-    one_panel = more = 0
-    for k in range(600):
-        fn, p = fns[k % 3], rng.uniform(0.2, 3.0)
-        a, b = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 6.0)
-        epsabs, epsrel = 10.0 ** rng.uniform(-14, -8), 10.0 ** rng.uniform(-13, -6)
-        result, abserr, resabs, resasc = gauss_kronrod21(lambda s: fn(s, p), a, b)
-        assert all(type(v) is float for v in (result, abserr, resabs, resasc))
-        got = quad(fn, a, b, args=(p,), epsabs=epsabs, epsrel=epsrel, limit=200,
-                   full_output=1)
-        passes = ((abserr <= max(epsabs, epsrel * abs(result)) and abserr != resasc)
-                  or abserr == 0.0)
-        assert passes == (got[2]["neval"] == 21), k
-        if passes:
-            one_panel += 1
-            assert (got[0], got[1]) == (result, abserr), k
-        else:
-            more += 1
-    assert one_panel > 100 and more > 100
 
 
 @pytest.mark.parametrize("x, y", [

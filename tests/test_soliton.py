@@ -78,39 +78,18 @@ def test_weight_integral_against_closed_form():
     assert weight_integral(2.0) == pytest.approx(0.25 * np.exp(-2.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("C", [0.5, 0.75, 1.0, RT2, 2.0])
-def test_weight_integral_is_quads_value(C):
-    # the numpy Gauss-Kronrod panel stands in for quad wherever QAGS stops
-    # after its first panel; elsewhere (large upper, infinite range) quad is
-    # called: either way the value is quad's, bit for bit, as a float
-    from scipy.integrate import quad
-    from krflow import soliton
-    fallbacks = 0
-    for upper in (1.5, 2.0, 3.0, 5.0, 8.0, 12.0, np.inf):
-        got = weight_integral(C, upper)
-        want = quad(soliton._weight, 1.0, upper, args=(C,), epsabs=1e-13,
-                    epsrel=1e-12, limit=200)[0]
-        assert type(got) is float and got == want, upper
-        # the Newton step's derivative integral, at quad's default epsrel
-        dfn = lambda s: -s * soliton._weight(s, C)
-        assert soliton._quad(dfn, upper, 1.49e-8) == \
-            quad(dfn, 1.0, upper, epsabs=1e-13, limit=200)[0]
-        fallbacks += quad(soliton._weight, 1.0, upper, args=(C,), epsabs=1e-13,
-                          epsrel=1e-12, limit=200, full_output=1)[2]["neval"] > 21
-    assert fallbacks >= (1 if C < 1.0 else 2)
-
-
-def test_cao_koiso_constant_equals_the_quad_path(monkeypatch):
-    from krflow import soliton
-    c = find_cao_koiso_constant()
-    # a panel that never passes QAGS's test sends every integral to quad
-    monkeypatch.setattr(soliton, "gauss_kronrod21",
-                        lambda f, a, b: (0.0, np.inf, 0.0, 0.0))
-    assert type(c) is float and c == find_cao_koiso_constant()
-
-
 def test_find_fik_constant():
     assert abs(find_fik_constant() - RT2) < 1e-10
+
+
+def test_profiles_take_the_closed_form_constants():
+    # runs and profiles use sqrt(2) and the reduced root; the quadrature
+    # roots only check them
+    from krflow.soliton import SQRT2, _cao_koiso_reduced_root
+    assert fik_profile(128).spec.C == SQRT2
+    c = _cao_koiso_reduced_root()
+    assert cao_koiso_profile(128).spec.C == c
+    assert abs(c - find_cao_koiso_constant()) <= 1e-14
 
 
 def test_find_cao_koiso_constant():
