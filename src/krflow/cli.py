@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--series", required=True)
     a.add_argument("--report", required=True)
     a.add_argument("--window", type=_window, default=None,
-                   help="fit window 'lo:hi' in tau")
+                   help="fit window 'lo:hi' in tau; a negative lo needs the "
+                        "form --window=lo:hi")
     a.set_defaults(fn=cmd_analyze)
 
     v = sub.add_parser("verify", help="run the acceptance criteria")

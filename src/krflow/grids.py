@@ -1,6 +1,8 @@
-"""Nonuniform finite-difference stencils, adapted 1D meshes, quadrature
-helpers, and the monotone cubic interpolant that remeshing and file-read
-initial data use.
+"""Nonuniform finite-difference stencils, adapted 1D meshes, two running
+integrals (`cumulative_gl5`, 5-point Gauss-Legendre on each interval, for
+the Cao-Koiso potential; `cumint_inverse_linear`, the exact integral of 1/u
+for piecewise-linear u, for the r coordinate), and the monotone cubic
+interpolant that remeshing and file-read initial data use.
 
 Everything here works on plain numpy arrays; nothing here imports scipy.
 Grids are strictly increasing; derivative formulas use exact nonuniform
@@ -289,20 +291,16 @@ _GL5_W = np.array([0.23692688505618908, 0.47862867049936647, 0.5688888888888889,
                    0.47862867049936647, 0.23692688505618908])
 
 
-def interval_gl5(fn, x):
-    """5-point Gauss-Legendre integral of fn over each interval of the grid x."""
+def cumulative_gl5(fn, x):
+    """Cumulative integral of fn from x[0] along the grid (value 0 at x[0]),
+    by 5-point Gauss-Legendre on each interval."""
     x = np.asarray(x, dtype=float)
     mid = 0.5 * (x[1:] + x[:-1])
     half = 0.5 * (x[1:] - x[:-1])
     pts = mid[:, None] + half[:, None] * _GL5_X[None, :]
-    return half * (fn(pts) @ _GL5_W)
-
-
-def cumulative_gl5(fn, x):
-    """Cumulative integral of fn from x[0] along the grid (value 0 at x[0])."""
     out = np.empty(len(x))
     out[0] = 0.0
-    np.cumsum(interval_gl5(fn, x), out=out[1:])
+    np.cumsum(half * (fn(pts) @ _GL5_W), out=out[1:])
     return out
 
 

@@ -23,9 +23,12 @@ sqrt(2), and the root of the reduced equation
 e^{2C} (2 - C^2) = 3C^2 + 4C + 2 (_cao_koiso_reduced_root), the compact
 condition with the antiderivative written out.  Root-finding on adaptive
 quadrature (find_fik_constant, find_cao_koiso_constant) is the independent
-check of those closed forms.  Profiles and the Cao-Koiso flow data
-(cao_koiso_u) evaluate the integrating-factor formula at the points they
-need, so they are built from numpy alone.  scipy's quad and solve_ivp are
+check of those closed forms.  Each profile comes from its one formula:
+fik_profile samples the closed form Y (fik_y), and cao_koiso_profile, like
+the Cao-Koiso flow data, evaluates the integrating-factor formula
+(cao_koiso_u) at its nodes, so both are built from numpy alone.  The
+r-coordinate shooting (soliton_shoot_r) and soliton_ode_residual check them
+independently.  scipy's quad and solve_ivp are
 imported inside the functions that call them (_quad, _shoot_once):
 importing scipy takes most of krflow's import time and about 50 MB of
 memory, and only the quadrature checks, the r-coordinate shooting and the
@@ -41,14 +44,14 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import RadialProfile, to_radial, LogProfile
-from .grids import cumulative_gl5, derivatives, interval_gl5
+from .grids import cumulative_gl5, derivatives
 
 __all__ = [
-    "SolitonSpec", "SolitonProfile", "SolitonPositivityError",
-    "SolitonConstructionError", "fik_y", "fik_y_derivs",
-    "soliton_ode_residual", "soliton_quadrature", "find_fik_constant",
-    "find_cao_koiso_constant", "cao_koiso_profile", "cao_koiso_u", "soliton_shoot_r",
-    "weight_integral", "closed_form_weight_integral", "write_soliton_metadata",
+    "SolitonSpec", "SolitonProfile", "SolitonConstructionError", "fik_y",
+    "fik_y_derivs", "soliton_ode_residual", "find_fik_constant",
+    "find_cao_koiso_constant", "fik_profile", "cao_koiso_profile", "cao_koiso_u",
+    "soliton_shoot_r", "weight_integral", "closed_form_weight_integral",
+    "write_soliton_metadata",
 ]
 
 SQRT2 = float(np.sqrt(2.0))
@@ -56,12 +59,9 @@ _EPSABS = 1e-13                  # absolute tolerance of every adaptive quadratu
 _SHOOT_WINDOW = (-12.0, 8.0)     # r-range of every shot
 
 
-class SolitonPositivityError(RuntimeError):
-    """The candidate profile leaves the admissible cone u > 0."""
-
-
 class SolitonConstructionError(RuntimeError):
-    """No admissible profile exists for the requested (C, f_end)."""
+    """The r-coordinate shooting (soliton_shoot_r) diverged or stopped short
+    of covering its window."""
 
 
 @dataclass(frozen=True)
@@ -217,95 +217,36 @@ def soliton_ode_residual(p: SolitonProfile, u_f=None) -> float:
     return float(np.max(np.abs(res[1:-1])))
 
 
-def _tail_integral_on_grid(f, C):
-    """T(f_j) = int_{f_j}^{inf} (2-s) s e^{-Cs} ds at every grid node.
-
-    Accumulated from the far end (where the remainder is below double
-    precision), so the exponentially small tail values never suffer
-    cancellation against the O(1) head of the integral.
-    """
-    s_far = f[-1] + 80.0 / C
-    ext = np.concatenate([f, np.linspace(f[-1], s_far, 400)[1:]])
-    seg = interval_gl5(lambda s: _weight(s, C), ext)
-    rev = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-    return rev[:len(f)]
-
-
-def _integrating_factor_u(f, C):
-    """(u, I) at non-decreasing points f >= 1: I(f) = int_1^f (2-s) s e^{-Cs} ds
-    by 5-point Gauss-Legendre panels between the points, u = e^{Cf} I / f.
-    1 to f[0] takes 64 panels (empty if f[0] = 1), so a lone point is as
-    accurate as a dense grid (one panel over [1, 2.4] is off by 5e-12)."""
-    f = np.asarray(f, dtype=float)
+def cao_koiso_u(f):
+    """The compact-soliton potential u(f) = e^{Cf} I(f) / f at non-decreasing
+    points f, clipped to [1, 3], with I(f) = int_1^f (2-s) s e^{-Cs} ds by
+    5-point Gauss-Legendre panels between the points.  1 to f[0] takes 64
+    panels (empty if f[0] = 1), so a lone point is as accurate as a dense grid
+    (one panel over [1, 2.4] is off by 5e-12).  u(1) = 0 and u(3) vanishes up
+    to rounding."""
+    C = _cao_koiso_reduced_root()
+    f = np.asarray(np.clip(f, 1.0, 3.0), dtype=float)
     lead = np.linspace(1.0, f[0], 65)
     cum = cumulative_gl5(lambda s: _weight(s, C), np.concatenate((lead, f[1:])))[64:]
-    return np.exp(C * f) * cum / f, cum
-
-
-def cao_koiso_u(f):
-    """The compact-soliton potential u(f) at non-decreasing points f, clipped
-    to [1, 3]; u(1) = 0 and u(3) vanishes up to rounding."""
-    return _integrating_factor_u(np.clip(f, 1.0, 3.0), _cao_koiso_reduced_root())[0]
-
-
-def _noncompact_profile(C, f_end, n) -> SolitonProfile:
-    """The decaying solution u = -e^{Cf} T(f) / f on n nodes of [1, f_end],
-    T the tail integral; u(1) = 0 holds at a root C of the full integral."""
-    f = np.linspace(1.0, float(f_end), n)
-    u = -np.exp(C * f) * _tail_integral_on_grid(f, C) / f
-    u[0] = 0.0
-    return SolitonProfile(SolitonSpec(C, "L"), RadialProfile(f, u))
-
-
-def soliton_quadrature(C, f_end, n) -> SolitonProfile:
-    """Integrating-factor solution u(1) = 0 on [1, f_end] with n nodes.
-
-    f_end=None (or inf) requests the noncompact profile, which is only
-    admissible at the root C where the full weight integral vanishes; it is
-    then built from the tail integral so the exponential factor never
-    amplifies quadrature roundoff.
-    """
-    if C <= 0:
-        raise ValueError("C must be positive")
-    if n < 64:
-        raise ValueError("need n >= 64 nodes")
-    unbounded = f_end is None or not np.isfinite(f_end)
-    if unbounded or C * f_end > 30.0:
-        # exponential-factor regime: only the decaying (tail) solution is
-        # representable, and it satisfies u(1)=0 only at a root of the integral
-        i_inf = weight_integral(C)
-        if abs(i_inf) > 1e-11:
-            raise SolitonConstructionError(
-                f"no admissible profile with u(1)=0 for C={C:.12g}: "
-                f"int_1^inf (2-s)s e^(-Cs) ds = {i_inf:+.3e}, so u grows like e^(Cf)/f")
-        return _noncompact_profile(C, 50.0 if unbounded else f_end, n)
-    f = np.linspace(1.0, float(f_end), n)
-    u, cum = _integrating_factor_u(f, C)
-    scale = np.max(np.abs(cum))
-    neg = cum < -1e-10 * scale
-    if np.any(neg[1:]):
-        k = 1 + int(np.argmax(neg[1:]))
-        f_lost = float(np.interp(0.0, [cum[k], cum[k - 1]], [f[k], f[k - 1]]))
-        raise SolitonPositivityError(f"loses positivity at f = {f_lost:.8g}")
-    u[0] = 0.0
-    base = "L"
-    if abs(cum[-1]) <= 1e-10 * scale:
-        u[-1] = 0.0
-        base = "M"
-    return SolitonProfile(SolitonSpec(C, base), RadialProfile(f, u))
+    return np.exp(C * f) * cum / f
 
 
 def cao_koiso_profile(n) -> SolitonProfile:
-    """Compact-soliton profile on [1, 3]: u(1) = u(3) = 0, u > 0 inside."""
-    return soliton_quadrature(_cao_koiso_reduced_root(), 3.0, n)
+    """Compact-soliton profile cao_koiso_u on n nodes of [1, 3]:
+    u(1) = u(3) = 0, u > 0 inside."""
+    f = np.linspace(1.0, 3.0, n)
+    u = cao_koiso_u(f)
+    u[0] = u[-1] = 0.0
+    return SolitonProfile(SolitonSpec(_cao_koiso_reduced_root(), "M"), RadialProfile(f, u))
 
 
 def fik_profile(n, f_max=50.0) -> SolitonProfile:
-    """Noncompact-soliton profile truncated at a finite f_max > 1
-    (representation choice)."""
+    """Noncompact-soliton profile Y (fik_y) on n nodes of [1, f_max],
+    truncated at a finite f_max > 1 (representation choice)."""
     if not (np.isfinite(f_max) and f_max > 1.0):
         raise ValueError(f"f_max must be finite and above 1, got {f_max}")
-    return _noncompact_profile(SQRT2, f_max, n)
+    f = np.linspace(1.0, float(f_max), n)
+    return SolitonProfile(SolitonSpec(SQRT2, "L"), RadialProfile(f, fik_y(f)))
 
 
 # ---------------------------------------------------------------------------

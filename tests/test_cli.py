@@ -255,6 +255,27 @@ def test_analyze_malformed_window_is_a_usage_error(tmp_path, capsys, window):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("argv, code", [(["--window=-1:2"], 0), (["--window", "-1:2"], 2)])
+def test_analyze_negative_window_needs_the_equals_form(tmp_path, capsys, argv, code):
+    # argparse reads a separate value that starts with '-' and is not a plain
+    # number as an option, so a window below tau = 0 is written --window=lo:hi
+    from krflow.analysis import write_series_csv
+    from test_analysis import synthetic_series
+    series = tmp_path / "series.csv"
+    write_series_csv(synthetic_series(tau0=-2.0, tau1=4.0), series)
+    rep = tmp_path / "r.json"
+    args = ["analyze", "--series", str(series), "--report", str(rep)] + argv
+    if code == 0:
+        assert main(args) == 0
+        assert json.loads(rep.read_text())["fit_window"] == [-1.0, 2.0]
+    else:
+        with pytest.raises(SystemExit) as ex:
+            main(args)
+        assert ex.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert not rep.exists()
+
+
 def _assert_one_line_output_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1

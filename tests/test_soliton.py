@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from krflow.geometry import curvature, validate_profile
-from krflow.soliton import (SolitonPositivityError, SolitonConstructionError,
-                            SolitonProfile, SolitonSpec, cao_koiso_profile, cao_koiso_u,
+from krflow.soliton import (SolitonProfile, SolitonSpec, cao_koiso_profile, cao_koiso_u,
                             closed_form_weight_integral, fik_profile, fik_y,
                             fik_y_derivs, find_cao_koiso_constant,
                             find_fik_constant, soliton_ode_residual,
-                            soliton_quadrature, soliton_shoot_r,
-                            weight_integral)
+                            soliton_shoot_r, weight_integral)
 from krflow.geometry import RadialProfile
 
 RT2 = np.sqrt(2.0)
@@ -102,17 +100,21 @@ def test_find_cao_koiso_constant():
 
 
 # ---------------------------------------------------------------------------
-# quadrature construction
+# profile construction
 # ---------------------------------------------------------------------------
 
-def test_quadrature_matches_fik_closed_form():
-    p = soliton_quadrature(RT2, 50.0, 2048)
-    assert np.max(np.abs(p.profile.u - fik_y(p.profile.f))) < 1e-8
+@pytest.mark.parametrize("n, f_max", [(64, 1.5), (256, 20.0), (2048, 50.0)])
+def test_fik_profile_samples_the_closed_form(n, f_max):
+    p = fik_profile(n, f_max)
+    f = p.profile.f
+    assert np.array_equal(f, np.linspace(1.0, f_max, n))
+    assert np.array_equal(p.profile.u, fik_y(f))
+    assert p.profile.u[0] == 0.0
     assert p.spec.base == "L"
 
 
 def test_quadrature_cao_koiso_endpoint():
-    p = soliton_quadrature(find_cao_koiso_constant(), 3.0, 1024)
+    p = cao_koiso_profile(1024)
     u, f = p.profile.u, p.profile.f
     assert u[-1] == 0.0
     assert np.all(u[1:-1] > 0)
@@ -124,19 +126,9 @@ def test_quadrature_cao_koiso_endpoint():
     assert abs(uf[-1] + 1.0) < 1e-3
 
 
-def test_quadrature_positivity_loss():
-    with pytest.raises(SolitonPositivityError, match="loses positivity at f ="):
-        soliton_quadrature(0.45, 3.0, 256)
-
-
-def test_quadrature_unbounded_wrong_constant():
-    with pytest.raises(SolitonConstructionError, match="e\\^\\(Cf\\)"):
-        soliton_quadrature(3.0, None, 256)
-
-
 def test_quadrature_node_doubling_invariance():
-    a = soliton_quadrature(C_KC, 3.0, 1025)
-    b = soliton_quadrature(C_KC, 3.0, 2049)
+    a = cao_koiso_profile(1025)
+    b = cao_koiso_profile(2049)
     assert np.max(np.abs(b.profile.u[::2] - a.profile.u)) < 1e-10
 
 
@@ -212,7 +204,7 @@ def test_residual_zero_profile():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_shoot_fik_matches_quadrature():
+def test_shoot_fik_matches_closed_form():
     p = soliton_shoot_r(RT2)
     f = p.profile.f
     mask = (f > 1.0 + 1e-6) & (f < p.profile.b)
@@ -226,7 +218,7 @@ def test_shoot_cao_koiso_reaches_outer_zero():
     p = soliton_shoot_r(C_KC)
     assert p.profile.b > 3.0 - 2e-3
     assert p.profile.u[-1] < 1e-3
-    # cross-check against the quadrature construction in (f, u)
+    # cross-check against the integrating-factor profile in (f, u)
     q = cao_koiso_profile(4097)
     mask = (p.profile.f > 1.001) & (p.profile.f < 2.995)
     uq = np.interp(p.profile.f[mask], q.profile.f, q.profile.u)
