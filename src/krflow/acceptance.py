@@ -24,7 +24,7 @@ from . import analysis
 from .barriers import (BARRIER_DELTA, LAMBDA_INIT, barrier_residual_sub,
                        barrier_residual_sup, barrier_y1, class_c_check,
                        comparison_check, full_operator)
-from .flow import FlowConfig, _dilated_engine_on, make_initial, run_flow
+from .flow import FlowConfig, _DilatedEngine, make_initial, run_flow
 from .geometry import curvature
 from .grids import window_mesh
 from .soliton import (SQRT2, cao_koiso_profile, closed_form_weight_integral, fik_y,
@@ -151,12 +151,12 @@ def crit_a3(ctx):
 
     n = 1024
     grid = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, n)
-    eng = _dilated_engine_on(DilatedState(0.0, grid, fik_y(grid), truncated=True), n)
+    eng = _DilatedEngine(DilatedState(0.0, grid, fik_y(grid), truncated=True), n)
     while eng.tau < 1.0:
         eng.step(1.0 - eng.tau)
         if eng.remesh_due():
             eng.remesh()
-    drift = float(np.max(np.abs(eng.y - fik_y(eng.phi_nodes()))))
+    drift = float(np.max(np.abs(eng.y - fik_y(eng.nodes()))))
     dt = time.perf_counter() - t0
     return _result("A3", "stationarity of the dilated fixed point", [
         Check("max |E[Y]|", resid, "<= 1e-10", resid <= 1e-10),

@@ -204,8 +204,12 @@ def read_anchor_csv(path):
 
 
 def write_report(report: RatesReport, path):
+    """The report as strict JSON: a non-finite value (the gauge fit of a
+    dilated-only series) is written as null."""
+    rep = {k: None if isinstance(v, float) and not np.isfinite(v) else v
+           for k, v in asdict(report).items()}
     with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
+        json.dump(rep, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def report_kv(report: RatesReport) -> str:

@@ -82,8 +82,9 @@ class ClassCResult:
 
 
 def class_c_check(d) -> ClassCResult:
-    """Strict membership y > Y - phi^2/5; margin is the nodewise minimum gap."""
-    margin = float(np.min(d.y - (fik_y(d.phi) - d.phi ** 2 / 5.0)))
+    """Strict membership y > Y - phi^2/5, the subsolution at the start of its
+    clock; margin is the nodewise minimum gap."""
+    margin = float(np.min(d.y - barrier_y1(d.phi, 0.0)))
     return ClassCResult(margin > 0.0, margin)
 
 

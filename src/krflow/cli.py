@@ -12,7 +12,8 @@ import sys
 
 from . import analysis
 from .acceptance import AcceptanceContext, run_acceptance
-from .flow import ConfigError, FlowSetupError, load_config, run_flow, write_artifacts
+from .flow import (_GRID_N_MAX, ConfigError, FlowSetupError, load_config, run_flow,
+                   write_artifacts)
 from .geometry import write_profile_csv
 from .soliton import (cao_koiso_profile, fik_profile, soliton_ode_residual,
                       write_soliton_metadata)
@@ -37,8 +38,8 @@ def _window(text):
 
 
 def cmd_soliton(args) -> int:
-    if args.n < 64:
-        print(f"error: node count {args.n} below minimum 64", file=sys.stderr)
+    if not 64 <= args.n <= _GRID_N_MAX:
+        print(f"error: node count {args.n} outside [64, {_GRID_N_MAX}]", file=sys.stderr)
         return USAGE_ERROR
     if args.family == "cao-koiso" and args.f_max is not None:
         print("error: --f-max applies only to --family fik", file=sys.stderr)

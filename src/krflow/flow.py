@@ -569,17 +569,16 @@ class _Engine:
 
 
 class _UnscaledEngine(_Engine):
-    """u(f, t) on the moving domain [a0 - t, b0 - 3t], with the anchor ODE,
+    """u(f, t) on the moving domain [T - t, b0 - 3t] (T = a0), with the anchor ODE,
     stepped by explicit RK2 (midpoint) under a local CFL bound.  The anchor
     starts mid-domain, at r = 0."""
 
-    def __init__(self, state: FlowState, a0, b0, cfl, n):
-        self.a0 = a0
+    def __init__(self, state: FlowState, b0, cfl, n):
         self.b0 = b0
         self.T = state.T
         self.cfl = cfl
         self.anchor_r = 0.0
-        self.anchor_f = 0.5 * (a0 + b0)
+        self.anchor_f = 0.5 * (state.T + b0)
         self._rho2_0 = None     # the gauge origin, set by the first measurement
         a, _, D = self.domain(state.t)
         super().__init__(state.t, n, (state.profile.f - a) / D, state.profile.u.copy())
@@ -599,15 +598,13 @@ class _UnscaledEngine(_Engine):
 
     def domain(self, t=None):
         t = self.t if t is None else t
-        a = self.a0 - t
+        a = self.T - t
         b = self.b0 - 3.0 * t
         return a, b, b - a
 
-    def f_nodes(self, t=None):
+    def nodes(self, t=None):
         a, _, D = self.domain(t)
         return a + self.xi * D
-
-    nodes = f_nodes
 
     def rhs(self, u, t, slot=0):
         """(F, u_f, u_ff) at time t, in the slot's buffers; F and u_ff on the
@@ -681,7 +678,7 @@ class _UnscaledEngine(_Engine):
     def _phi_t_at(self, x, t, u, uf):
         """phi_t = u_f + u/f - 2 at an interior point x (anchor ODE), with u
         and u_f interpolated linearly on the nodes at time t, as np.interp
-        on f_nodes(t) would."""
+        on nodes(t) would."""
         a, _, D = self.domain(t)
         g, v = affine_interp(x, a, D, self._xi_list, uf, u)
         return g + v / x - 2.0
@@ -709,7 +706,7 @@ class _UnscaledEngine(_Engine):
     def r_of(self, *xs):
         """r-coordinates of interior points, via r = anchor_r + int df/u, from
         one cumulative integral."""
-        f = self.f_nodes()[1:-1]
+        f = self.nodes()[1:-1]
         u = self.u[1:-1]
         S = cumint_inverse_linear(f, u)
         def at(xx):
@@ -725,7 +722,7 @@ class _UnscaledEngine(_Engine):
         return [self.anchor_r + at(float(x)) - r_anchor for x in xs]
 
     def state(self) -> FlowState:
-        return FlowState(RadialProfile(self.f_nodes(), self.u.copy()), t=self.t, T=self.T)
+        return FlowState(RadialProfile(self.nodes(), self.u.copy()), t=self.t, T=self.T)
 
     def dilated_rows(self, ts, us):
         """analysis.dilate as a block: (phi, y) = (f, u) / (T - t) at each time
@@ -741,7 +738,7 @@ class _UnscaledEngine(_Engine):
         a, b, D = self.domain()
         Tt = self.T - self.t
         tau = self.tau
-        f = self.f_nodes()
+        f = self.nodes()
         uf, uff = self._derivs(self.u, D)
         uffa = hermite_boundary(f[1] - f[0], f[2] - f[0], self.u[0], 1.0,
                                 self.u[1], self.u[2])[2]
@@ -781,40 +778,45 @@ class _UnscaledEngine(_Engine):
 
 
 class _DilatedEngine(_Engine):
-    """y(phi, tau) on [1, Phi_out(tau)]; the core's t is tau and its u is y.
+    """y(phi, tau) on [1, Phi_out(tau)], built from the state s; the core's t
+    is tau and its u is y.  The window rules:
 
-    Phi_out follows the true outer boundary Phi_max(tau) = b3a e^tau + 3 until
-    a remesh finds it past phi_cut; from then on (or from the start, for a
-    truncated window) the window is static and the outer node carries the
-    Dirichlet value outer_bc(tau); a window that can truncate needs outer_bc.
+    - a truncated s keeps the static window [1, s.phi_max]; its outer node
+      holds s.y[-1], or takes outer_bc(tau) when one is given;
+    - else a phi_cut < s.phi[-2] starts the window so truncated at phi_cut,
+      with the interpolated end value;
+    - else Phi_out is Phi_max = b3a e^tau + 3 through s's last node, until a
+      remesh finds it past phi_cut and cuts it there (a window cut inside
+      its last cell would end where y ~ 0); such a window needs outer_bc.
     """
 
-    def __init__(self, tau, phi, y, b3a, n, truncated, phi_cut=np.inf, outer_bc=None):
-        self.b3a = float(b3a)
-        self.truncated = bool(truncated)
+    def __init__(self, s: DilatedState, n, phi_cut=np.inf, outer_bc=None):
+        phi, y = s.phi, s.y
+        self.b3a = (s.phi_max - 3.0) * np.exp(-s.tau)
+        self.truncated = bool(s.truncated or phi_cut < phi[-2])
+        if s.truncated:
+            phi_cut = s.phi_max
+        elif self.truncated:
+            keep = phi < phi_cut
+            phi, y = np.append(phi[keep], phi_cut), np.append(y[keep], np.interp(phi_cut, phi, y))
         self.phi_cut = float(phi_cut)
+        if outer_bc is None and self.truncated:
+            outer_bc = lambda tau, v=float(y[-1]): v
         self.outer_bc = outer_bc            # callable tau -> outer Dirichlet value
-        self._static_out = float(phi[-1])
-        super().__init__(float(tau), n, (phi - 1.0) / (phi[-1] - 1.0),
-                         np.asarray(y, dtype=float))
+        super().__init__(float(s.tau), n, (phi - 1.0) / (phi[-1] - 1.0), y)
 
     tau = property(lambda self: self.t)
     y = property(lambda self: self.u)
 
     def _frame(self, tau=None):
-        """(Phi_out, dPhi_out / dtau) at dilated time tau."""
+        """(Phi_out, dPhi_out / dtau) at dilated time tau (now by default)."""
         if self.truncated:
-            return self._static_out, 0.0
+            return self.phi_cut, 0.0
         pm = self.b3a * np.exp(self.t if tau is None else tau) + 3.0
         return pm, pm - 3.0
 
-    def phi_outer(self, tau=None):
-        return self._frame(tau)[0]
-
-    def phi_nodes(self, tau=None):
-        return 1.0 + self.xi * (self.phi_outer(tau) - 1.0)
-
-    nodes = phi_nodes
+    def nodes(self, t=None):
+        return 1.0 + self.xi * (self._frame(t)[0] - 1.0)
 
     def _outer_value(self, tau):
         return float(self.outer_bc(tau))
@@ -867,54 +869,39 @@ class _DilatedEngine(_Engine):
     def _remesh_nodes(self, spl, phi_old):
         # switch to the static truncated window once the true boundary passes
         # it, when the new mesh is built
-        switch = not self.truncated and self.phi_outer() >= self.phi_cut
-        phi_out = self.phi_cut if switch else self.phi_outer()
+        phi_out = min(self._frame()[0], self.phi_cut)
         u_of = lambda d: np.clip(spl(np.clip(1.0 + d, phi_old[0], phi_old[-1])), 0.0, None)
         # the blow-up frame is the unscaled one at T - t = 1
         phi_new = window_mesh(u_of, 1.0, phi_out, 1.0, self.n)
-        if switch:
-            self.truncated = True
-            self._static_out = phi_out
+        self.truncated = bool(phi_out == self.phi_cut)
         return 1.0, phi_out - 1.0, np.minimum(phi_new, phi_old[-1])
 
     def state(self) -> DilatedState:
-        return DilatedState(self.t, self.phi_nodes(), self.u.copy(),
+        return DilatedState(self.t, self.nodes(), self.u.copy(),
                             truncated=self.truncated)
 
     def dilated_rows(self, taus, ys):
         """(phi, y) at each tau in taus for the matching profile in ys, on the
         current mesh, one row each, as the unscaled engine's dilated_rows."""
-        return np.stack([self.phi_nodes(tau) for tau in taus]), np.stack(ys)
+        return np.stack([self.nodes(tau) for tau in taus]), np.stack(ys)
 
     def measure(self, dtau_last, t_origin_T):
-        phi = self.phi_nodes()
+        phi = self.nodes()
         Tt = np.exp(-self.t)
-        yp, ypp = self._derivs(self.u, self.phi_outer() - 1.0)
+        yp, ypp = self._derivs(self.u, self._frame()[0] - 1.0)
         ypp1 = hermite_boundary(phi[1] - phi[0], phi[2] - phi[0], self.u[0], 1.0,
                                 self.u[1], self.u[2])[2]
         lam2 = (-1.0 - ypp1) / Tt
         R0 = -2.0 * ypp1 / Tt
         sup0, sup1, max_rm = self._fik_window(phi, self.u, yp, ypp)
         return SeriesRecord(step=self.step_count, t=t_origin_T - Tt, tau=self.t,
-                            a=Tt, b=Tt * self.phi_outer(),
+                            a=Tt, b=Tt * self._frame()[0],
                             R_sigma0=R0, lambda2_sigma0=lam2,
                             sup_err_c0=sup0, sup_err_c1=sup1,
                             max_F=float(np.max(self.u / phi)),
                             min_yphi=float(np.min(yp)),
                             max_yphi=float(np.max(yp)),
                             gauge_C=np.nan, max_rm=max_rm, dt=dtau_last * Tt)
-
-
-def _dilated_engine_on(s: DilatedState, n, outer_value=None):
-    """Dilated engine on a bare state, remeshing to n nodes.  A state flagged
-    truncated keeps a static window, its outer value held or taken from
-    outer_value (a callable of tau); any other window follows Phi_max."""
-    if s.truncated:
-        bc = outer_value or (lambda tau, v=float(s.y[-1]): v)
-        return _DilatedEngine(s.tau, s.phi, s.y, 0.0, n, True, phi_cut=s.phi_max,
-                              outer_bc=bc)
-    b3a = (s.phi_max - 3.0) * np.exp(-s.tau)     # Phi_max = b3a e^tau + 3
-    return _DilatedEngine(s.tau, s.phi, s.y, b3a, n, False)
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +944,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     use_unscaled = cfg.engine in ("unscaled", "both")
     use_dilated = cfg.engine in ("dilated", "both")
     coupled = use_unscaled and use_dilated
-    ue = (_UnscaledEngine(state0, cfg.a0, cfg.b0, cfg.cfl, cfg.grid_n)
+    ue = (_UnscaledEngine(state0, cfg.b0, cfg.cfl, cfg.grid_n)
           if use_unscaled else None)
 
     # A coupled run's dilated engine catches up (follow) as the module
@@ -983,19 +970,10 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
         del cut_taus[:-1], cut_vals[:-1]
 
     de = None
-    if use_dilated:
-        phi_c, y_c = d0.phi, d0.y
-        phi_cut = cfg.phi_cut if use_unscaled else np.inf
-        # a window cut inside its last cell would end where y ~ 0: it follows
-        # Phi_max, as one cut beyond it does, until a remesh switches it over
-        truncated = phi_cut < d0.phi[-2]
-        if truncated:
-            keep = d0.phi < phi_cut
-            phi_c = np.append(d0.phi[keep], phi_cut)
-            y_c = np.append(d0.y[keep], np.interp(phi_cut, d0.phi, d0.y))
-        de = _DilatedEngine(d0.tau, phi_c, y_c, cfg.b0 - 3.0 * cfg.a0, cfg.grid_n,
-                            truncated, phi_cut=phi_cut,
-                            outer_bc=outer_bc if use_unscaled else None)
+    if coupled:
+        de = _DilatedEngine(d0, cfg.grid_n, phi_cut=cfg.phi_cut, outer_bc=outer_bc)
+    elif use_dilated:
+        de = _DilatedEngine(d0, cfg.grid_n)
 
     primary = ue if use_unscaled else de
     t_end = T - np.exp(-cfg.stop_tau) if use_unscaled else cfg.stop_tau   # primary's time
@@ -1015,7 +993,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
         # a dilated engine that failed to catch up is not compared
         if coupled and de.truncated and tau_now - de.t <= 1e-12:
             du = analysis.dilate(ue.state())
-            pd = de.phi_nodes()
+            pd = de.nodes()
             m = pd <= 5.0
             diff = np.interp(pd[m], du.phi, du.y) - de.y[m]
             mw = pd <= _WINDOW_HI

@@ -188,42 +188,14 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return d
 
 
-def _hermite_spline(x, y, hk, mk, dk):
-    """The piecewise cubic with values y and slopes dk at the nodes x, as a
-    callable spl(xn) giving the value of the cubic of the interval holding
-    each query point, the end intervals extrapolating.  hk and mk are the
-    interval widths and secant slopes.  The coefficients, the interval
-    choice and the power sum are those of scipy's CubicHermiteSpline and
-    PPoly (1.17), operation for operation.
-    """
-    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
-    c = (y[:-1], dk[:-1], (mk - dk[:-1]) / hk - t, t / hk)    # c[k] multiplies s**k
-    last = x.size - 2
-
-    def spl(xn):
-        xn = np.asarray(xn, dtype=float)
-        i = np.clip(np.searchsorted(x, xn, side="right") - 1, 0, last)
-        s = xn - x[i]
-        # scipy's power sum, not Horner's rule, so the rounding is the same:
-        # res = 0 + sum_k c[k] s**k, with s**k built by repeated multiplication
-        res = 0.0
-        for k in range(4):
-            term = c[k][i]
-            if k:
-                z = s if k == 1 else z * s
-                term = term * z
-            res = res + term
-        return res
-    return spl
-
-
 def pchip(x, y):
     """Monotone piecewise-cubic Hermite interpolant of y over the grid x.
 
     The node slopes are Fritsch & Butland's weighted harmonic means (SIAM J.
     Sci. Stat. Comput. 5 (1984) 300), zero at a local extremum or flat
     segment, with shape-preserving one-sided end slopes; two nodes give the
-    line.  Returns a callable spl(xn) (see `_hermite_spline`).  The
+    line.  Returns a callable spl(xn) giving the value of the cubic of the
+    interval holding each query point, the end intervals extrapolating.  The
     arithmetic is scipy's PchipInterpolator's (1.17), operation for
     operation, so the two agree bit for bit.  x must be strictly increasing
     and y finite (GridError otherwise).
@@ -247,7 +219,25 @@ def pchip(x, y):
             dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
         dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
         dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
-    return _hermite_spline(x, y, hk, mk, dk)
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    c = (y[:-1], dk[:-1], (mk - dk[:-1]) / hk - t, t / hk)    # c[k] multiplies s**k
+    last = x.size - 2
+
+    def spl(xn):
+        xn = np.asarray(xn, dtype=float)
+        i = np.clip(np.searchsorted(x, xn, side="right") - 1, 0, last)
+        s = xn - x[i]
+        # scipy's power sum, not Horner's rule, so the rounding is the same:
+        # res = 0 + sum_k c[k] s**k, with s**k built by repeated multiplication
+        res = 0.0
+        for k in range(4):
+            term = c[k][i]
+            if k:
+                z = s if k == 1 else z * s
+                term = term * z
+            res = res + term
+        return res
+    return spl
 
 
 def derivatives(x, u, slope_left=None, slope_right=None):

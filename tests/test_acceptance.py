@@ -65,14 +65,14 @@ def test_stationary_fik_blowup_constants():
     # stationary run: (T-t) R and (T-t) lambda2 sit at the closed-form values
     # 4 - 2 sqrt2 and 1 - sqrt2 up to stencil error, constant in tau
     import numpy as np
-    from krflow.flow import _dilated_engine_on
+    from krflow.flow import _DilatedEngine
     from krflow.grids import window_mesh
     from krflow.soliton import fik_y
     from krflow.states import DilatedState
 
     n = 512
     grid = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, n)
-    eng = _dilated_engine_on(DilatedState(0.0, grid, fik_y(grid), truncated=True), n)
+    eng = _DilatedEngine(DilatedState(0.0, grid, fik_y(grid), truncated=True), n)
     rt2 = np.sqrt(2.0)
     vals = []
     for _ in range(3):

@@ -7,7 +7,7 @@ from krflow.analysis import (AnalysisError, blowup_rates, dilate, format_report,
                              type_one_monitor, write_anchor_csv, write_report,
                              write_series_csv)
 from krflow.flow import (FlowConfig, make_initial, run_flow, _Engine,
-                         _UnscaledEngine, _dilated_engine_on)
+                         _DilatedEngine, _UnscaledEngine)
 from krflow.geometry import RadialProfile
 from krflow.grids import derivatives
 from krflow.soliton import fik_y
@@ -166,6 +166,24 @@ def test_report_json(tmp_path):
                          "gauge_slope", "decay_rate_delta0", "fit_window"}
 
 
+def test_report_json_is_strict_for_a_series_without_gauge(tmp_path):
+    # a dilated-only series has no gauge: its fit is NaN, written as null
+    import json
+    from dataclasses import replace
+    rep = blowup_rates([replace(r, gauge_C=np.nan) for r in synthetic_series()],
+                       window=(5.0, 6.5))
+    assert np.isnan(rep.gauge_slope)
+    p = tmp_path / "report.json"
+    write_report(rep, p)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(p.read_text(), parse_constant=reject)
+    assert data["gauge_slope"] is None and data["gauge_fit_residual"] is None
+    assert data["limit_R_times_Tt"] == rep.limit_R_times_Tt
+
+
 def test_read_series_rejects_garbage(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("nope\n")
@@ -207,12 +225,12 @@ def test_dilate_commutes_with_stepping():
     d0 = dilate(s)
     # advance the unscaled engine by steps of at most dt, then compare dilations
     dt = 2e-4
-    ue = _UnscaledEngine(s, cfg.a0, cfg.b0, cfg.cfl, cfg.grid_n)
+    ue = _UnscaledEngine(s, cfg.b0, cfg.cfl, cfg.grid_n)
     for _ in range(30):
         ue.step(dt)
     s1 = ue.state()
     tau1 = -np.log(s.T - s1.t)
-    de = _dilated_engine_on(d0, d0.phi.size)
+    de = _DilatedEngine(d0, d0.phi.size)
     de.advance_to(tau1)
     d1 = de.state()
     da = dilate(s1)

@@ -50,6 +50,16 @@ def test_soliton_node_minimum(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("family", ["fik", "cao-koiso"])
+def test_soliton_node_maximum(tmp_path, capsys, family):
+    from krflow.flow import _GRID_N_MAX
+    rc = main(["soliton", "--family", family, "--n", str(_GRID_N_MAX + 1),
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: node count 65537 outside [64, 65536]\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unknown_level_exits_2(tmp_path):
     with pytest.raises(SystemExit) as ex:
         main(["verify", "--level", "bogus"])

@@ -12,7 +12,7 @@ from krflow import analysis
 from krflow.barriers import SandwichMonitor
 from krflow.flow import (ConfigError, FlowConfig, FlowSetupError, load_config,
                          make_initial, parse_config_text, run_flow, write_artifacts,
-                         _DilatedEngine, _UnscaledEngine, _dilated_engine_on)
+                         _DilatedEngine, _UnscaledEngine)
 from krflow.geometry import RadialProfile, curvature, validate_profile
 from krflow.grids import (derivatives, difference_weights, hermite_boundary, pchip,
                           window_mesh)
@@ -32,7 +32,7 @@ def small_cfg(**kw):
 def _unscaled_engine(cfg, n=None):
     """The run's unscaled engine on the config's initial data, remeshing to
     n nodes (grid_n by default)."""
-    return _UnscaledEngine(make_initial(cfg), cfg.a0, cfg.b0, cfg.cfl, n or cfg.grid_n)
+    return _UnscaledEngine(make_initial(cfg), cfg.b0, cfg.cfl, n or cfg.grid_n)
 
 
 def _remesh_error(eng):
@@ -231,7 +231,7 @@ def test_step_unscaled_self_similar_oracle():
         eng.step(1e-4)
     t = eng.t
     assert t > 5e-3
-    f = eng.f_nodes()
+    f = eng.nodes()
     oracle = (1.0 - t) * np.interp(f / (1.0 - t), ref.f, ref.u)
     rel = np.max(np.abs(eng.u - oracle)) / np.max(eng.u)
     assert rel < 1e-3
@@ -258,18 +258,18 @@ def test_unscaled_snapshot_lies_past_its_label():
 
 def test_step_dilated_identity_and_stationarity():
     phi = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, 512)
-    eng = _dilated_engine_on(DilatedState(0.0, phi, fik_y(phi), truncated=True), phi.size)
+    eng = _DilatedEngine(DilatedState(0.0, phi, fik_y(phi), truncated=True), phi.size)
     y0 = eng.y
     eng.advance_to(0.0)
     assert eng.y is y0 and eng.step_count == 0
     eng.advance_to(0.05)
     assert eng.tau == pytest.approx(0.05)
-    assert np.max(np.abs(eng.y - fik_y(eng.phi_nodes()))) < 5e-5
+    assert np.max(np.abs(eng.y - fik_y(eng.nodes()))) < 5e-5
 
 
 def test_step_dilated_full_domain_boundary_growth():
     d = analysis.dilate(make_initial(small_cfg()))
-    eng = _dilated_engine_on(d, d.phi.size)
+    eng = _DilatedEngine(d, d.phi.size)
     eng.advance_to(d.tau + 0.01)
     d2 = eng.state()
     assert d2.phi_max == pytest.approx((10.0 - 3.0) * np.exp(d2.tau) + 3.0, rel=1e-9)
@@ -280,11 +280,53 @@ def test_step_dilated_sandwich_preserved():
     from krflow.barriers import barrier_y1, barrier_y2, fit_lambda0
     d = analysis.dilate(make_initial(small_cfg()))
     lambda0 = fit_lambda0(d)
-    eng = _dilated_engine_on(d, d.phi.size)
+    eng = _DilatedEngine(d, d.phi.size)
     eng.advance_to(d.tau + 0.02)
     d2 = eng.state()
     assert np.all(barrier_y1(d2.phi, d2.tau) <= d2.y + 1e-8)
     assert np.all(d2.y <= barrier_y2(d2.phi, d2.tau, lambda0) + 1e-8)
+
+
+@pytest.mark.parametrize("case", ["truncated", "growing", "cut_at_start", "cut_in_last_cell"])
+def test_dilated_window_rules(case):
+    # where the engine's window ends and what its outer node holds, from
+    # construction through three steps and the first remesh; the state
+    # starts at tau = log 2, so b3a e^tau + 3 runs through its last node
+    d = analysis.dilate(make_initial(small_cfg(a0=0.5, b0=5.0, grid_n=128, stop_tau=1.0)))
+    assert d.tau == pytest.approx(math.log(2.0))
+    grow = lambda tau: (d.phi_max - 3.0) * np.exp(tau - d.tau) + 3.0
+    mid = 0.5 * (d.phi[-2] + d.phi[-1])
+    y_cut = float(np.interp(6.0, d.phi, d.y))
+    phi = np.linspace(1.0, 20.0, 300)
+    bc = lambda tau: 0.1 + tau
+    # state, constructor keywords, then (truncated, window end, outer value)
+    # while stepping and after the remesh
+    s, kw, before, after = {
+        # a truncated state keeps its window whatever the cut
+        "truncated": (DilatedState(d.tau, phi, fik_y(phi), truncated=True),
+                      dict(phi_cut=5.0, outer_bc=bc),
+                      (True, lambda tau: 20.0, bc), (True, lambda tau: 20.0, bc)),
+        "growing": (d, {}, (False, grow, lambda tau: 0.0), (False, grow, lambda tau: 0.0)),
+        "cut_at_start": (d, dict(phi_cut=6.0), (True, lambda tau: 6.0, lambda tau: y_cut),
+                         (True, lambda tau: 6.0, lambda tau: y_cut)),
+        # a cut inside the last cell waits for the first remesh past it
+        "cut_in_last_cell": (d, dict(phi_cut=mid, outer_bc=bc),
+                             (False, grow, lambda tau: 0.0), (True, lambda tau: mid, bc)),
+    }[case]
+    eng = _DilatedEngine(s, 128, **kw)
+    assert eng.tau == s.tau and eng.truncated == before[0]
+    assert eng.nodes()[-1] == pytest.approx(before[1](eng.tau), rel=1e-12)
+    for _ in range(3):
+        eng.step(1.0)
+        truncated, end, outer = before
+        assert eng.truncated == truncated
+        assert eng.nodes()[-1] == pytest.approx(end(eng.tau), rel=1e-12)
+        assert eng.y[-1] == outer(eng.tau)
+    eng.remesh()
+    truncated, end, outer = after
+    assert eng.truncated == truncated == eng.state().truncated
+    assert eng.nodes()[-1] == pytest.approx(end(eng.tau), rel=1e-12)
+    assert eng.y[-1] == outer(eng.tau)
 
 
 def test_remesh_contracts():
@@ -310,7 +352,7 @@ def test_remesh_contracts():
 def test_remesh_dilated_state():
     # a truncated window keeps its outer value through a remesh
     phi = np.linspace(1.0, 20.0, 300)
-    eng = _dilated_engine_on(DilatedState(0.0, phi, fik_y(phi), truncated=True), 400)
+    eng = _DilatedEngine(DilatedState(0.0, phi, fik_y(phi), truncated=True), 400)
     err = _remesh_error(eng)
     d2 = eng.state()
     assert d2.phi.size == 400
@@ -328,7 +370,7 @@ def test_engines_keep_their_own_remesh_clocks():
     assert [k + 1 for k, d in enumerate(due) if d] == [200, 400]
     # the dilated engine counts tau from its last mesh, which a remesh resets
     phi = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, 128)
-    de = _dilated_engine_on(DilatedState(0.0, phi, fik_y(phi), truncated=True), 128)
+    de = _DilatedEngine(DilatedState(0.0, phi, fik_y(phi), truncated=True), 128)
     steps = 0
     while not de.remesh_due():
         de.step(1.0)
@@ -395,7 +437,7 @@ def test_unscaled_rhs_and_anchor_rate_match_reference_bit_for_bit():
         for g, w in zip(got, _reference_rhs(eng, u, t)):
             assert np.array_equal(g, w)
         # anchor ODE: one bracket lookup against np.interp on the nodes
-        uf, f = got[1], eng.f_nodes(t)
+        uf, f = got[1], eng.nodes(t)
         xs = list(f[1:-1:7]) + list(rng.uniform(f[1], f[-2], 100))
         for x in xs:
             want = np.interp(x, f, uf) + np.interp(x, f, u) / x - 2.0
@@ -408,7 +450,7 @@ def _reference_dilated_rhs(eng, y, tau):
     folded into one expression."""
     eta = eng.xi
     if eng.truncated:
-        L, dphi = eng.phi_outer() - 1.0, 0.0
+        L, dphi = eng._frame()[0] - 1.0, 0.0
     else:
         pm = eng.b3a * np.exp(tau) + 3.0
         L, dphi = pm - 1.0, pm - 3.0
@@ -435,14 +477,7 @@ def test_dilated_rhs_matches_reference_bit_for_bit(truncated):
     cfg = small_cfg()
     d = analysis.dilate(make_initial(cfg))
     n = cfg.grid_n
-    if truncated:
-        keep = d.phi < 20.0
-        phi = np.append(d.phi[keep], 20.0)
-        y = np.append(d.y[keep], np.interp(20.0, d.phi, d.y))
-        eng = _DilatedEngine(d.tau, phi, y, 0.0, n, True, phi_cut=20.0,
-                             outer_bc=lambda tau: float(y[-1]))
-    else:
-        eng = _DilatedEngine(d.tau, d.phi, d.y, cfg.b0 - 3.0 * cfg.a0, n, False)
+    eng = _DilatedEngine(d, n, phi_cut=6.0) if truncated else _DilatedEngine(d, n)
     for _ in range(30):
         eng.step(1.0)
     eng.remesh()
@@ -464,7 +499,7 @@ def test_dilated_rows_match_per_step_view():
         Tt = eng.T - eng.t
         ts.append(eng.t)
         us.append(eng.u)
-        views.append((eng.f_nodes() / Tt, eng.u / Tt))
+        views.append((eng.nodes() / Tt, eng.u / Tt))
     phi, y = eng.dilated_rows(ts, us)
     for r, (p, yy) in enumerate(views):
         assert np.array_equal(phi[r], p) and np.array_equal(y[r], yy)
@@ -473,13 +508,13 @@ def test_dilated_rows_match_per_step_view():
     assert d.tau == -np.log(eng.T - eng.t) == eng.tau
 
     # the dilated engine: its own nodes on the moving window, per step
-    eng = _dilated_engine_on(analysis.dilate(make_initial(small_cfg())), 256)
+    eng = _DilatedEngine(analysis.dilate(make_initial(small_cfg())), 256)
     taus, ys, views = [], [], []
     for _ in range(5):
         eng.step(1.0)
         taus.append(eng.tau)
         ys.append(eng.y)
-        views.append((eng.phi_nodes(), eng.y.copy()))
+        views.append((eng.nodes(), eng.y.copy()))
     phi, y = eng.dilated_rows(taus, ys)
     assert len({p[-1] for p, _ in views}) == 5          # the window grew each step
     for r, (p, yy) in enumerate(views):
@@ -712,7 +747,7 @@ def test_substep_limit_ends_the_run_with_partial_artifacts(monkeypatch, tmp_path
     assert manifest["failing_step"] == arts.failing_step
     assert (tmp_path / "series.csv").exists()
     d0 = analysis.dilate(make_initial(FlowConfig(a0=1.0, b0=9.93, grid_n=128)))
-    eng = _dilated_engine_on(d0, 128)
+    eng = _DilatedEngine(d0, 128)
     with pytest.raises(flow.FlowRunError) as ex:
         eng.advance_to(d0.tau + 1.0)
     assert (ex.value.step, ex.value.t) == (1, eng.t) and eng.t > d0.tau
@@ -738,7 +773,7 @@ def test_substep_limit_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
 def test_a_positivity_halving_inside_advance_to_still_reaches_the_target():
     from krflow import flow
     d0 = analysis.dilate(make_initial(FlowConfig(a0=1.0, b0=9.93, grid_n=128)))
-    eng = _dilated_engine_on(d0, 128)
+    eng = _DilatedEngine(d0, 128)
     target = eng.t + flow._DTAU                 # one step's gap
     rhs, spoiled, dts = eng.rhs, [], []
 
@@ -810,7 +845,7 @@ def test_outer_value_at_each_stage_is_the_primarys_interpolated_value(monkeypatc
     def spy_ustep(self, dt_max):
         dt = ustep(self, dt_max)
         Tt = self.T - self.t
-        primary.append((self.tau, np.interp(cut * Tt, self.f_nodes(), self.u) / Tt))
+        primary.append((self.tau, np.interp(cut * Tt, self.nodes(), self.u) / Tt))
         return dt
 
     def spy_outer(self, tau):
@@ -841,14 +876,11 @@ def _ros2_engine(truncated):
     moves in tau."""
     d = analysis.dilate(make_initial(small_cfg()))
     if truncated:
-        keep = d.phi < 6.0
-        phi = np.append(d.phi[keep], 6.0)
-        y = np.append(d.y[keep], np.interp(6.0, d.phi, d.y))
-        g = lambda tau: float(y[-1]) * (1.0 + 0.3 * np.sin(5.0 * tau))
-        eng = _dilated_engine_on(DilatedState(d.tau, phi, y, truncated=True), 256,
-                                 outer_value=g)
+        y_cut = float(np.interp(6.0, d.phi, d.y))
+        g = lambda tau: y_cut * (1.0 + 0.3 * np.sin(5.0 * tau))
+        eng = _DilatedEngine(d, 256, phi_cut=6.0, outer_bc=g)
     else:
-        eng = _dilated_engine_on(d, 256)
+        eng = _DilatedEngine(d, 256)
     for _ in range(3):
         eng.step(1.0)
     assert eng.truncated == truncated
@@ -923,8 +955,8 @@ def test_ros2_is_second_order_in_time_with_moving_outer_data(monkeypatch):
 
     def errors():
         def run(k):
-            eng = _dilated_engine_on(DilatedState(0.0, phi, y0.copy(), truncated=True), n,
-                                     outer_value=g)
+            eng = _DilatedEngine(DilatedState(0.0, phi, y0.copy(), truncated=True), n,
+                                 outer_bc=g)
             for _ in range(k):
                 eng._ros2_step(0.4 / k)
             assert eng.tau == pytest.approx(0.4, abs=1e-12)
@@ -977,15 +1009,15 @@ def test_remesh_failure_ends_the_run_with_partial_artifacts(monkeypatch, tmp_pat
         eng.remesh()
     assert isinstance(ex.value.__cause__, GridError)
     assert ex.value.status == "remesh_failure" and ex.value.step == 0
-    # a growing dilated window whose remesh would cut it keeps its frame
-    # when the mesh law fails
+    # a growing dilated window whose remesh would cut it (the cut lies
+    # inside its last cell) keeps its frame when the mesh law fails
     _failing_second_mesh(monkeypatch)
     d0 = analysis.dilate(make_initial(FlowConfig(a0=1.0, b0=9.93, grid_n=128)))
-    de = _DilatedEngine(d0.tau, d0.phi, d0.y, 9.93 - 3.0, 128, False,
-                        phi_cut=9.0, outer_bc=lambda tau: 0.0)
+    de = _DilatedEngine(d0, 128, phi_cut=0.5 * (d0.phi[-2] + d0.phi[-1]),
+                        outer_bc=lambda tau: 0.0)
     with pytest.raises(flow.FlowRemeshError):
         de.remesh()
-    assert not de.truncated and de.phi_outer() == d0.phi[-1]
+    assert not de.truncated and de.nodes()[-1] == d0.phi[-1]
 
 
 def test_remesh_failure_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
@@ -1038,7 +1070,7 @@ def test_step_dilated_from_unscaled_callable():
     phi = np.linspace(1.0, 20.0, 400)
     d = DilatedState(0.0, phi, fik_y(phi), truncated=True)
     outer = lambda tau: float(fik_y(20.0))
-    eng = _dilated_engine_on(d, phi.size, outer_value=outer)
+    eng = _DilatedEngine(d, phi.size, outer_bc=outer)
     eng.advance_to(0.02)
     assert eng.tau == pytest.approx(0.02)
     assert eng.y[-1] == pytest.approx(fik_y(20.0))
