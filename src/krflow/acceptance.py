@@ -156,7 +156,7 @@ def crit_a3(ctx):
         eng.step(1.0 - eng.tau)
         if eng.remesh_due():
             eng.remesh()
-    drift = float(np.max(np.abs(eng.y - fik_y(eng.nodes()))))
+    drift = float(np.max(np.abs(eng.u - fik_y(eng.nodes()))))
     dt = time.perf_counter() - t0
     return _result("A3", "stationarity of the dilated fixed point", [
         Check("max |E[Y]|", resid, "<= 1e-10", resid <= 1e-10),

@@ -35,10 +35,16 @@ _REMESH_DTAU (0.02) of tau in a run stepped by ROS2 alone.  The mesh law,
 with its constants (K, the window's least share of the nodes, the floor and
 the outer grading), is grids.window_mesh; the remesh spacings and the
 [1, 3] window on which runs are compared with Y are fixed next to _Engine.
-A frame (_UnscaledEngine, _DilatedEngine) supplies only its domain and
-velocity, rhs, outer boundary data, remesh window, measurements and step
-(the unscaled one with its CFL bound and remesh clock).  The unscaled
-engine keeps the gauge origin too: its first measurement reads C = 0.
+
+The core also reads every state through its dilated view: the inner end
+x[0] of a frame's nodes x is T - t unscaled and 1 dilated, so the view is
+(phi, y) = (x, u) / x[0], and a frame adds only its time_left (T - t, or
+e^-tau).  Snapshots (views), the monitor's rows (dilated_rows) and the
+record fields both frames share are the core's.  A frame (_UnscaledEngine,
+_DilatedEngine) supplies its motion (domain and velocity, rhs, outer
+boundary data, remesh window, step and remesh clock) and its own record
+fields: the unscaled one t, b, dt, the gauge (its first measurement reads
+C = 0) and the anchor sample; the dilated one t = T - e^-tau, b and dt.
 
 In a coupled run (engine = both) the unscaled engine is the primary.  The
 dilated engine lags it and catches up by advance_to, in ceil(gap / _DTAU)
@@ -403,9 +409,12 @@ class _Engine:
     u (y) at normalised nodes xi in [0, 1].  The inner end is pinned at
     u = 0 with slope +1; the outer end is pinned at u = 0 with slope -1
     unless the frame is truncated, when it carries the Dirichlet value
-    _outer_value(t).  A frame supplies rhs(), _remesh_nodes(), nodes() and
-    measure(), and its step(): the dilated frame steps only by ROS2
-    (_ros2_step), the unscaled frame by explicit RK2 under its CFL bound.
+    _outer_value(t).  The core reads the state through its dilated view
+    (x, u) / x[0] of the nodes x = nodes(): views(), dilated_rows() and
+    _record(), the record fields both frames share.  A frame supplies its
+    motion (nodes(), rhs(), _remesh_nodes() and its step(): the dilated
+    frame steps only by ROS2, the unscaled frame by explicit RK2 under its
+    CFL bound), tau and time_left, and measure() with its own fields.
     """
 
     truncated = False
@@ -553,19 +562,55 @@ class _Engine:
         u_new[1:-1] = np.maximum(u_new[1:-1], 1e-300)
         self._set_mesh((x_new - lo) / L, u_new)
 
-    # measurements -------------------------------------------------------
-    @staticmethod
-    def _fik_window(phi, y, yp, ypp):
-        """(sup|y - Y|, sup|y_p - Y_p|, max reduced |Rm|) over phi <= _WINDOW_HI
-        of the dilated view, with y_p at every node, y_pp at interior ones."""
+    # reading the state ----------------------------------------------------
+    def views(self):
+        """(RadialProfile, DilatedState) of the state: the unscaled profile
+        (x, u) time_left / x[0] and the dilated view (x, u) / x[0]."""
+        x = self.nodes()
+        x0 = x[0]
+        s = self.time_left / x0
+        return (RadialProfile(x * s, self.u * s),
+                DilatedState(self.tau, x / x0, self.u / x0, truncated=self.truncated))
+
+    def dilated_rows(self, ts, us):
+        """The dilated view at each time in ts of the matching values in us,
+        on the current mesh, one row each."""
+        u = np.stack(us)
+        x = np.broadcast_to(self.nodes(np.array(ts)[:, None]), u.shape)
+        x0 = x[:, :1]
+        return x / x0, u / x0
+
+    def _record(self, L, **own):
+        """The SeriesRecord of the state for frame length L, with the frame's
+        own fields (t, b, gauge_C, dt), and u_ff at the inner end.
+
+        The section curvatures come in frame units and are divided by
+        s = time_left / x[0]; the window errors and the reduced |Rm| read
+        the dilated view phi = x / x[0], y = u / x[0], y_p = u_f,
+        y_pp = x[0] u_ff over phi <= _WINDOW_HI.
+        """
+        x, u = self.nodes(), self.u
+        x0 = x[0]
+        s = self.time_left / x0
+        uf, uff = self._derivs(u, L)
+        uff0 = hermite_boundary(x[1] - x0, x[2] - x0, u[0], 1.0, u[1], u[2])[2]
+        lam2 = -1.0 / x0 - uff0
+        R0 = 2.0 * (1.0 / x0 + lam2)
+        phi, y, ypp = x / x0, u / x0, x0 * uff
         mask = phi <= _WINDOW_HI
         yf, ypf, _ = fik_y_derivs(phi[mask])
-        sup0 = float(np.max(np.abs(y[mask] - yf)))
-        sup1 = float(np.max(np.abs(yp[mask] - ypf)))
         mi = mask[1:-1]
-        rm1, rm2, rm3 = reduced_rm(phi[1:-1][mi], y[1:-1][mi], yp[1:-1][mi], ypp[mi])
+        rm1, rm2, rm3 = reduced_rm(phi[1:-1][mi], y[1:-1][mi], uf[1:-1][mi], ypp[mi])
         rm = np.maximum(rm1, np.maximum(rm2, rm3))
-        return sup0, sup1, float(np.max(rm)) if rm.size else 0.0
+        with np.errstate(invalid="ignore"):
+            max_F = float(np.max(u / x))
+        return SeriesRecord(step=self.step_count, tau=self.tau, a=self.time_left,
+                            R_sigma0=R0 / s, lambda2_sigma0=lam2 / s,
+                            sup_err_c0=float(np.max(np.abs(y[mask] - yf))),
+                            sup_err_c1=float(np.max(np.abs(uf[mask] - ypf))),
+                            max_F=max_F, min_yphi=float(np.min(uf)),
+                            max_yphi=float(np.max(uf)),
+                            max_rm=float(np.max(rm)) if rm.size else 0.0, **own), uff0
 
 
 class _UnscaledEngine(_Engine):
@@ -593,8 +638,12 @@ class _UnscaledEngine(_Engine):
         self._fi = np.empty(xi.size - 2)
 
     @property
+    def time_left(self):
+        return self.T - self.t
+
+    @property
     def tau(self):
-        return -np.log(self.T - self.t)
+        return -np.log(self.time_left)
 
     def domain(self, t=None):
         t = self.t if t is None else t
@@ -721,57 +770,26 @@ class _UnscaledEngine(_Engine):
         r_anchor = at(float(self.anchor_f))
         return [self.anchor_r + at(float(x)) - r_anchor for x in xs]
 
-    def state(self) -> FlowState:
-        return FlowState(RadialProfile(self.nodes(), self.u.copy()), t=self.t, T=self.T)
-
-    def dilated_rows(self, ts, us):
-        """analysis.dilate as a block: (phi, y) = (f, u) / (T - t) at each time
-        in ts for the matching profile in us, on the current mesh, one row each."""
-        t = np.array(ts)
-        a, _, D = self.domain(t)
-        Tt = (self.T - t)[:, None]
-        phi = a[:, None] + self.xi * D[:, None]
-        phi /= Tt
-        return phi, np.stack(us) / Tt
-
     def measure(self, dt_last):
         a, b, D = self.domain()
-        Tt = self.T - self.t
-        tau = self.tau
+        Tt = self.time_left
         f = self.nodes()
-        uf, uff = self._derivs(self.u, D)
-        uffa = hermite_boundary(f[1] - f[0], f[2] - f[0], self.u[0], 1.0,
-                                self.u[1], self.u[2])[2]
-        lam2 = -1.0 / a - uffa
-        R0 = 2.0 * (1.0 / a + lam2)
-        # the dilated view: phi = f / Tt, y = u / Tt, y_p = u_f, y_pp = Tt u_ff
-        sup0, sup1, max_rm = self._fik_window(f / Tt, self.u / Tt, uf, Tt * uff)
-
-        with np.errstate(invalid="ignore"):
-            max_F = float(np.max(self.u / f))
-
         # inner expansion coefficient via the exact identity
         # log f_w = log d - r(f) - int_0^d (1/d' - 1/u) dd'
         j = int(np.searchsorted(f, a + 0.25 * Tt))
         j = min(max(j, 3), f.size - 3)
         r2, rj = self.r_of(2.0 * Tt, f[j])
-        rho2 = r2 + tau
+        rho2 = r2 + self.tau
         if self._rho2_0 is None:
             self._rho2_0 = rho2
+        rec, uffa = self._record(D, t=self.t, b=b, gauge_C=self._rho2_0 - rho2, dt=dt_last)
         dj = f[1:j + 1] - a
         gj = 1.0 / dj - 1.0 / self.u[1:j + 1]
         g0 = -0.5 * uffa
         corr = float(np.trapezoid(np.concatenate(([g0], gj)),
                                   np.concatenate(([0.0], dj))))
         log_fw = float(np.log(dj[-1]) - rj - corr)
-
-        rec = SeriesRecord(step=self.step_count, t=self.t, tau=tau, a=a, b=b,
-                           R_sigma0=R0, lambda2_sigma0=lam2,
-                           sup_err_c0=sup0, sup_err_c1=sup1, max_F=max_F,
-                           min_yphi=float(np.min(uf)),
-                           max_yphi=float(np.max(uf)),
-                           gauge_C=self._rho2_0 - rho2, max_rm=max_rm, dt=dt_last)
-        anch = AnchorSample(step=self.step_count, t=self.t, tau=tau,
+        anch = AnchorSample(step=self.step_count, t=self.t, tau=rec.tau,
                             anchor_f=self.anchor_f, anchor_r=self.anchor_r,
                             rho2=rho2, log_fw=log_fw)
         return rec, anch
@@ -787,7 +805,8 @@ class _DilatedEngine(_Engine):
       with the interpolated end value;
     - else Phi_out is Phi_max = b3a e^tau + 3 through s's last node, until a
       remesh finds it past phi_cut and cuts it there (a window cut inside
-      its last cell would end where y ~ 0); such a window needs outer_bc.
+      its last cell would end where y ~ 0); such a window needs outer_bc,
+      and without one the constructor raises ValueError.
     """
 
     def __init__(self, s: DilatedState, n, phi_cut=np.inf, outer_bc=None):
@@ -800,13 +819,16 @@ class _DilatedEngine(_Engine):
             keep = phi < phi_cut
             phi, y = np.append(phi[keep], phi_cut), np.append(y[keep], np.interp(phi_cut, phi, y))
         self.phi_cut = float(phi_cut)
+        if outer_bc is None and not self.truncated and self.phi_cut < np.inf:
+            raise ValueError(f"a window that a remesh cuts at phi_cut = {phi_cut:g} "
+                             f"needs outer_bc")
         if outer_bc is None and self.truncated:
             outer_bc = lambda tau, v=float(y[-1]): v
         self.outer_bc = outer_bc            # callable tau -> outer Dirichlet value
         super().__init__(float(s.tau), n, (phi - 1.0) / (phi[-1] - 1.0), y)
 
     tau = property(lambda self: self.t)
-    y = property(lambda self: self.u)
+    time_left = property(lambda self: np.exp(-self.t))
 
     def _frame(self, tau=None):
         """(Phi_out, dPhi_out / dtau) at dilated time tau (now by default)."""
@@ -876,32 +898,11 @@ class _DilatedEngine(_Engine):
         self.truncated = bool(phi_out == self.phi_cut)
         return 1.0, phi_out - 1.0, np.minimum(phi_new, phi_old[-1])
 
-    def state(self) -> DilatedState:
-        return DilatedState(self.t, self.nodes(), self.u.copy(),
-                            truncated=self.truncated)
-
-    def dilated_rows(self, taus, ys):
-        """(phi, y) at each tau in taus for the matching profile in ys, on the
-        current mesh, one row each, as the unscaled engine's dilated_rows."""
-        return np.stack([self.nodes(tau) for tau in taus]), np.stack(ys)
-
     def measure(self, dtau_last, t_origin_T):
-        phi = self.nodes()
-        Tt = np.exp(-self.t)
-        yp, ypp = self._derivs(self.u, self._frame()[0] - 1.0)
-        ypp1 = hermite_boundary(phi[1] - phi[0], phi[2] - phi[0], self.u[0], 1.0,
-                                self.u[1], self.u[2])[2]
-        lam2 = (-1.0 - ypp1) / Tt
-        R0 = -2.0 * ypp1 / Tt
-        sup0, sup1, max_rm = self._fik_window(phi, self.u, yp, ypp)
-        return SeriesRecord(step=self.step_count, t=t_origin_T - Tt, tau=self.t,
-                            a=Tt, b=Tt * self._frame()[0],
-                            R_sigma0=R0, lambda2_sigma0=lam2,
-                            sup_err_c0=sup0, sup_err_c1=sup1,
-                            max_F=float(np.max(self.u / phi)),
-                            min_yphi=float(np.min(yp)),
-                            max_yphi=float(np.max(yp)),
-                            gauge_C=np.nan, max_rm=max_rm, dt=dtau_last * Tt)
+        Tt = self.time_left
+        phi_out = self._frame()[0]
+        return self._record(phi_out - 1.0, t=t_origin_T - Tt, b=Tt * phi_out,
+                            gauge_C=np.nan, dt=dtau_last * Tt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -992,22 +993,13 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
         series.append(rec)
         # a dilated engine that failed to catch up is not compared
         if coupled and de.truncated and tau_now - de.t <= 1e-12:
-            du = analysis.dilate(ue.state())
+            du = ue.views()[1]
             pd = de.nodes()
             m = pd <= 5.0
-            diff = np.interp(pd[m], du.phi, du.y) - de.y[m]
+            diff = np.interp(pd[m], du.phi, du.y) - de.u[m]
             mw = pd <= _WINDOW_HI
-            de_err = float(np.max(np.abs(de.y[mw] - fik_y(pd[mw]))))
+            de_err = float(np.max(np.abs(de.u[mw] - fik_y(pd[mw]))))
             cross.append((rec.tau, float(np.max(np.abs(diff))), de_err))
-
-    def snapshot(label):
-        if use_unscaled:
-            st = ue.state()
-            snaps[label] = (st.profile, analysis.dilate(st))
-        else:
-            st = de.state()
-            Tt = np.exp(-st.tau)
-            snaps[label] = (RadialProfile(st.phi * Tt, st.y * Tt), st)
 
     # Steps reach the monitor a block at a time, so its per-call overhead
     # is paid once per block.  Nothing in the loop reads the log, and an
@@ -1051,7 +1043,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
                 for eng in filter(None, (ue, de)):
                     eng.remesh()
             while pending_snaps and tau_now >= pending_snaps[0] - 1e-12:
-                snapshot(pending_snaps.pop(0))
+                snaps[pending_snaps.pop(0)] = primary.views()
             if k % cfg.record_every == 0:
                 if coupled and de.truncated:
                     follow()

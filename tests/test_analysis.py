@@ -6,12 +6,10 @@ from krflow.analysis import (AnalysisError, blowup_rates, dilate, format_report,
                              read_anchor_csv, read_series_csv, sigma2_crosscheck,
                              type_one_monitor, write_anchor_csv, write_report,
                              write_series_csv)
-from krflow.flow import (FlowConfig, make_initial, run_flow, _Engine,
-                         _DilatedEngine, _UnscaledEngine)
+from krflow.flow import FlowConfig, make_initial, run_flow, _DilatedEngine, _UnscaledEngine
 from krflow.geometry import RadialProfile
-from krflow.grids import derivatives
 from krflow.soliton import fik_y
-from krflow.states import AnchorSample, FlowState, SeriesRecord
+from krflow.states import AnchorSample, DilatedState, FlowState, SeriesRecord
 
 RT2 = np.sqrt(2.0)
 
@@ -47,10 +45,11 @@ def test_dilate_requires_t_before_T():
 # ---------------------------------------------------------------------------
 
 def _fik_window(phi, y):
-    """(sup0, sup1) of the engines' comparison window, y_phi and y_phi_phi
-    from grid stencils with the inner slope +1 where y(1) = 0."""
-    yp, ypp = derivatives(phi, y, slope_left=1.0 if y[0] == 0.0 else None)
-    return _Engine._fik_window(phi, y, yp, ypp[1:-1])[:2]
+    """(sup0, sup1) of a record of the engines' shared record body, read on
+    a truncated dilated engine holding y on the nodes phi."""
+    eng = _DilatedEngine(DilatedState(0.0, phi, y, truncated=True), phi.size)
+    rec = eng.measure(0.0, 1.0)
+    return rec.sup_err_c0, rec.sup_err_c1
 
 
 def test_convergence_error_zero_on_fik():
@@ -228,12 +227,10 @@ def test_dilate_commutes_with_stepping():
     ue = _UnscaledEngine(s, cfg.b0, cfg.cfl, cfg.grid_n)
     for _ in range(30):
         ue.step(dt)
-    s1 = ue.state()
-    tau1 = -np.log(s.T - s1.t)
+    da = ue.views()[1]
     de = _DilatedEngine(d0, d0.phi.size)
-    de.advance_to(tau1)
-    d1 = de.state()
-    da = dilate(s1)
+    de.advance_to(da.tau)
+    d1 = de.views()[1]
     lo, hi = 1.0, 5.0
     grid = np.linspace(lo, hi, 300)
     ya = np.interp(grid, da.phi, da.y)

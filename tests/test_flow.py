@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,11 +13,12 @@ from krflow.barriers import SandwichMonitor
 from krflow.flow import (ConfigError, FlowConfig, FlowSetupError, load_config,
                          make_initial, parse_config_text, run_flow, write_artifacts,
                          _DilatedEngine, _UnscaledEngine)
-from krflow.geometry import RadialProfile, curvature, validate_profile
+from krflow.geometry import RadialProfile, curvature, reduced_rm, validate_profile
 from krflow.grids import (derivatives, difference_weights, hermite_boundary, pchip,
                           window_mesh)
-from krflow.soliton import _cao_koiso_reduced_root, cao_koiso_profile, cao_koiso_u, fik_y
-from krflow.states import DilatedState
+from krflow.soliton import (_cao_koiso_reduced_root, cao_koiso_profile, cao_koiso_u, fik_y,
+                            fik_y_derivs)
+from krflow.states import AnchorSample, DilatedState, FlowState, SeriesRecord
 from r_chart_reference import r_coordinate_reference
 
 RT2 = np.sqrt(2.0)
@@ -208,12 +209,12 @@ def test_make_initial_rejects_sub_barrier_data(tmp_path):
 def test_step_unscaled_moves_boundaries_exactly():
     eng = _unscaled_engine(small_cfg())
     eng.step(1e-4)
-    st2 = eng.state()
-    assert st2.t > 0
-    assert st2.profile.a == pytest.approx(1.0 - st2.t, abs=1e-15)
-    assert st2.profile.b == pytest.approx(10.0 - 3.0 * st2.t, abs=1e-14)
-    assert np.all(st2.profile.u[1:-1] > 0)
-    assert st2.profile.u[0] == 0.0 and st2.profile.u[-1] == 0.0
+    prof = eng.views()[0]
+    assert eng.t > 0
+    assert prof.a == pytest.approx(1.0 - eng.t, abs=1e-15)
+    assert prof.b == pytest.approx(10.0 - 3.0 * eng.t, abs=1e-14)
+    assert np.all(prof.u[1:-1] > 0)
+    assert prof.u[0] == 0.0 and prof.u[-1] == 0.0
 
 
 def test_step_unscaled_caps_unstable_dt():
@@ -259,19 +260,19 @@ def test_unscaled_snapshot_lies_past_its_label():
 def test_step_dilated_identity_and_stationarity():
     phi = window_mesh(lambda d: fik_y(1.0 + d), 1.0, 50.0, 1.0, 512)
     eng = _DilatedEngine(DilatedState(0.0, phi, fik_y(phi), truncated=True), phi.size)
-    y0 = eng.y
+    y0 = eng.u
     eng.advance_to(0.0)
-    assert eng.y is y0 and eng.step_count == 0
+    assert eng.u is y0 and eng.step_count == 0
     eng.advance_to(0.05)
     assert eng.tau == pytest.approx(0.05)
-    assert np.max(np.abs(eng.y - fik_y(eng.nodes()))) < 5e-5
+    assert np.max(np.abs(eng.u - fik_y(eng.nodes()))) < 5e-5
 
 
 def test_step_dilated_full_domain_boundary_growth():
     d = analysis.dilate(make_initial(small_cfg()))
     eng = _DilatedEngine(d, d.phi.size)
     eng.advance_to(d.tau + 0.01)
-    d2 = eng.state()
+    d2 = eng.views()[1]
     assert d2.phi_max == pytest.approx((10.0 - 3.0) * np.exp(d2.tau) + 3.0, rel=1e-9)
     assert d2.y[0] == 0.0 and d2.y[-1] == 0.0
 
@@ -282,7 +283,7 @@ def test_step_dilated_sandwich_preserved():
     lambda0 = fit_lambda0(d)
     eng = _DilatedEngine(d, d.phi.size)
     eng.advance_to(d.tau + 0.02)
-    d2 = eng.state()
+    d2 = eng.views()[1]
     assert np.all(barrier_y1(d2.phi, d2.tau) <= d2.y + 1e-8)
     assert np.all(d2.y <= barrier_y2(d2.phi, d2.tau, lambda0) + 1e-8)
 
@@ -321,12 +322,12 @@ def test_dilated_window_rules(case):
         truncated, end, outer = before
         assert eng.truncated == truncated
         assert eng.nodes()[-1] == pytest.approx(end(eng.tau), rel=1e-12)
-        assert eng.y[-1] == outer(eng.tau)
+        assert eng.u[-1] == outer(eng.tau)
     eng.remesh()
     truncated, end, outer = after
-    assert eng.truncated == truncated == eng.state().truncated
+    assert eng.truncated == truncated == eng.views()[1].truncated
     assert eng.nodes()[-1] == pytest.approx(end(eng.tau), rel=1e-12)
-    assert eng.y[-1] == outer(eng.tau)
+    assert eng.u[-1] == outer(eng.tau)
 
 
 def test_remesh_contracts():
@@ -334,18 +335,18 @@ def test_remesh_contracts():
     st = make_initial(cfg)
     eng = _unscaled_engine(cfg, 512)
     err = _remesh_error(eng)
-    st2 = eng.state()
-    assert st2.profile.n == 512
-    assert st2.profile.u[0] == 0.0 and st2.profile.u[-1] == 0.0
+    prof = eng.views()[0]
+    assert prof.n == 512
+    assert prof.u[0] == 0.0 and prof.u[-1] == 0.0
     assert err < 1e-4
     # curvature diagnostics move by no more than the interpolation error scale
     r1 = curvature(st.profile)
-    r2 = curvature(st2.profile)
+    r2 = curvature(prof)
     assert abs(r1.lambda2[0] - r2.lambda2[0]) < 1e-4
     # inner-window node fraction contract
     a, b = st.profile.a, st.profile.b
     W = min(10.0 * (st.T - st.t), b - a)
-    frac = np.mean(st2.profile.f <= a + W)
+    frac = np.mean(prof.f <= a + W)
     assert frac >= 0.25
 
 
@@ -354,7 +355,7 @@ def test_remesh_dilated_state():
     phi = np.linspace(1.0, 20.0, 300)
     eng = _DilatedEngine(DilatedState(0.0, phi, fik_y(phi), truncated=True), 400)
     err = _remesh_error(eng)
-    d2 = eng.state()
+    d2 = eng.views()[1]
     assert d2.phi.size == 400
     assert d2.y[0] == 0.0 and d2.y[-1] == fik_y(phi)[-1] and d2.truncated
     assert err < 1e-4
@@ -485,7 +486,7 @@ def test_dilated_rhs_matches_reference_bit_for_bit(truncated):
     assert eng.truncated == truncated
     rng = np.random.default_rng(3)
     for slot, tau in ((0, eng.tau), (1, eng.tau + 1e-4)):
-        y = eng.y * (1.0 + 1e-3 * rng.standard_normal(eng.y.size))
+        y = eng.u * (1.0 + 1e-3 * rng.standard_normal(eng.u.size))
         got = eng.rhs(y, tau, slot)
         for g, w in zip(got, _reference_dilated_rhs(eng, y, tau)):
             assert np.array_equal(g, w)
@@ -503,9 +504,14 @@ def test_dilated_rows_match_per_step_view():
     phi, y = eng.dilated_rows(ts, us)
     for r, (p, yy) in enumerate(views):
         assert np.array_equal(phi[r], p) and np.array_equal(y[r], yy)
-    d = analysis.dilate(eng.state())
+    # views(): the profile itself and analysis.dilate of its FlowState
+    rad, dil = eng.views()
+    d = analysis.dilate(FlowState(RadialProfile(eng.nodes(), eng.u), eng.t, eng.T))
+    assert np.array_equal(rad.f, eng.nodes()) and np.array_equal(rad.u, eng.u)
+    assert np.array_equal(dil.phi, d.phi) and np.array_equal(dil.y, d.y)
     assert np.array_equal(d.phi, views[-1][0]) and np.array_equal(d.y, views[-1][1])
-    assert d.tau == -np.log(eng.T - eng.t) == eng.tau
+    assert dil.tau == d.tau == -np.log(eng.T - eng.t) == eng.tau
+    assert dil.truncated is d.truncated is False
 
     # the dilated engine: its own nodes on the moving window, per step
     eng = _DilatedEngine(analysis.dilate(make_initial(small_cfg())), 256)
@@ -513,12 +519,120 @@ def test_dilated_rows_match_per_step_view():
     for _ in range(5):
         eng.step(1.0)
         taus.append(eng.tau)
-        ys.append(eng.y)
-        views.append((eng.nodes(), eng.y.copy()))
+        ys.append(eng.u)
+        views.append((eng.nodes(), eng.u.copy()))
     phi, y = eng.dilated_rows(taus, ys)
     assert len({p[-1] for p, _ in views}) == 5          # the window grew each step
     for r, (p, yy) in enumerate(views):
         assert np.array_equal(phi[r], p) and np.array_equal(y[r], yy)
+    # views(): the state itself and the profile (phi, y) e^-tau, on a growing
+    # and on a truncated window
+    cut = _DilatedEngine(DilatedState(0.5, views[-1][0], views[-1][1], truncated=True), 256)
+    for e in (eng, cut):
+        rad, dil = e.views()
+        Tt = np.exp(-e.tau)
+        assert np.array_equal(dil.phi, e.nodes()) and np.array_equal(dil.y, e.u)
+        assert np.array_equal(rad.f, dil.phi * Tt) and np.array_equal(rad.u, dil.y * Tt)
+        assert dil.tau == e.tau and dil.truncated is e.truncated
+    assert cut.truncated and not eng.truncated
+
+
+def _reference_window(phi, y, yp, ypp):
+    """(sup|y - Y|, sup|y_p - Y_p|, max reduced |Rm|) over phi <= 3, as each
+    frame's measure computed them before the shared record body."""
+    mask = phi <= 3.0
+    yf, ypf, _ = fik_y_derivs(phi[mask])
+    sup0 = float(np.max(np.abs(y[mask] - yf)))
+    sup1 = float(np.max(np.abs(yp[mask] - ypf)))
+    mi = mask[1:-1]
+    rm1, rm2, rm3 = reduced_rm(phi[1:-1][mi], y[1:-1][mi], yp[1:-1][mi], ypp[mi])
+    rm = np.maximum(rm1, np.maximum(rm2, rm3))
+    return sup0, sup1, float(np.max(rm)) if rm.size else 0.0
+
+
+def _reference_unscaled_measure(eng, dt_last):
+    """The unscaled frame's measure with its own section stencil and view
+    (phi, y) = (f, u) / (T - t), after the engine's first measurement."""
+    a, b, D = eng.domain()
+    Tt = eng.T - eng.t
+    tau = eng.tau
+    f = eng.nodes()
+    uf, uff = eng._derivs(eng.u, D)
+    uffa = hermite_boundary(f[1] - f[0], f[2] - f[0], eng.u[0], 1.0, eng.u[1], eng.u[2])[2]
+    lam2 = -1.0 / a - uffa
+    R0 = 2.0 * (1.0 / a + lam2)
+    sup0, sup1, max_rm = _reference_window(f / Tt, eng.u / Tt, uf, Tt * uff)
+    with np.errstate(invalid="ignore"):
+        max_F = float(np.max(eng.u / f))
+    j = int(np.searchsorted(f, a + 0.25 * Tt))
+    j = min(max(j, 3), f.size - 3)
+    r2, rj = eng.r_of(2.0 * Tt, f[j])
+    rho2 = r2 + tau
+    dj = f[1:j + 1] - a
+    gj = 1.0 / dj - 1.0 / eng.u[1:j + 1]
+    corr = float(np.trapezoid(np.concatenate(([-0.5 * uffa], gj)),
+                              np.concatenate(([0.0], dj))))
+    log_fw = float(np.log(dj[-1]) - rj - corr)
+    rec = SeriesRecord(step=eng.step_count, t=eng.t, tau=tau, a=a, b=b,
+                       R_sigma0=R0, lambda2_sigma0=lam2, sup_err_c0=sup0, sup_err_c1=sup1,
+                       max_F=max_F, min_yphi=float(np.min(uf)), max_yphi=float(np.max(uf)),
+                       gauge_C=eng._rho2_0 - rho2, max_rm=max_rm, dt=dt_last)
+    return rec, AnchorSample(step=eng.step_count, t=eng.t, tau=tau, anchor_f=eng.anchor_f,
+                             anchor_r=eng.anchor_r, rho2=rho2, log_fw=log_fw)
+
+
+def _reference_dilated_measure(eng, dtau_last, t_origin_T):
+    """The dilated frame's measure with its own section stencil, R = -2 y_pp(1)."""
+    phi = eng.nodes()
+    Tt = np.exp(-eng.t)
+    yp, ypp = eng._derivs(eng.u, eng._frame()[0] - 1.0)
+    ypp1 = hermite_boundary(phi[1] - phi[0], phi[2] - phi[0], eng.u[0], 1.0,
+                            eng.u[1], eng.u[2])[2]
+    sup0, sup1, max_rm = _reference_window(phi, eng.u, yp, ypp)
+    return SeriesRecord(step=eng.step_count, t=t_origin_T - Tt, tau=eng.t, a=Tt,
+                        b=Tt * eng._frame()[0], R_sigma0=-2.0 * ypp1 / Tt,
+                        lambda2_sigma0=(-1.0 - ypp1) / Tt, sup_err_c0=sup0, sup_err_c1=sup1,
+                        max_F=float(np.max(eng.u / phi)), min_yphi=float(np.min(yp)),
+                        max_yphi=float(np.max(yp)), gauge_C=np.nan, max_rm=max_rm,
+                        dt=dtau_last * Tt)
+
+
+@pytest.mark.parametrize("frame", ["unscaled", "dilated", "dilated_truncated"])
+def test_shared_record_body_matches_the_per_frame_formulas(frame):
+    # bit for bit, except the dilated R_sigma0, whose shared form
+    # 2 (1/x[0] + lambda2) rounds apart from -2 y_pp(1) by a few ulp
+    cfg = small_cfg(grid_n=128)
+    if frame == "unscaled":
+        eng = _unscaled_engine(cfg)
+        eng.measure(0.0)        # sets the gauge origin
+    else:
+        d = analysis.dilate(make_initial(cfg))
+        eng = _DilatedEngine(d, 128, **({"phi_cut": 6.0} if frame != "dilated" else {}))
+    for k in range(40):
+        eng.step(1.0 if frame != "unscaled" else 1e-3)
+        if k == 20:
+            eng.remesh()
+        if k % 10 != 9:
+            continue
+        if frame == "unscaled":
+            (got, anch), (want, anch_want) = (eng.measure(1e-3),
+                                              _reference_unscaled_measure(eng, 1e-3))
+            assert anch == anch_want
+        else:
+            got, want = eng.measure(0.005, 1.0), _reference_dilated_measure(eng, 0.005, 1.0)
+            R, R_want = got.R_sigma0, want.R_sigma0
+            assert abs(R - R_want) <= 4 * np.spacing(abs(R_want))
+            got, want = replace(got, R_sigma0=0.0), replace(want, R_sigma0=0.0)
+        assert np.array_equal(astuple(got), astuple(want), equal_nan=True)
+    assert eng.truncated == (frame == "dilated_truncated")
+
+
+def test_a_window_a_remesh_would_cut_needs_outer_bc():
+    # the cut of test_dilated_window_rules' cut_in_last_cell case, without
+    # the outer data the truncated window would need
+    d = analysis.dilate(make_initial(small_cfg(a0=0.5, b0=5.0, grid_n=128, stop_tau=1.0)))
+    with pytest.raises(ValueError, match="needs outer_bc"):
+        _DilatedEngine(d, 128, phi_cut=0.5 * (d.phi[-2] + d.phi[-1]))
 
 
 @pytest.mark.parametrize("engine", ["unscaled", "dilated", "both"])
@@ -793,7 +907,7 @@ def test_a_positivity_halving_inside_advance_to_still_reaches_the_target():
     assert spoiled and len(dts) == 2 and eng.step_count == 2
     assert dts[0] == pytest.approx(0.5 * (target - d0.tau), rel=1e-12)
     assert abs(eng.t - target) <= 1e-14
-    assert np.all(eng.y[1:-1] > 0.0)
+    assert np.all(eng.u[1:-1] > 0.0)
 
 
 def test_the_dilated_engine_catches_up_only_where_it_is_read(monkeypatch):
@@ -960,7 +1074,7 @@ def test_ros2_is_second_order_in_time_with_moving_outer_data(monkeypatch):
             for _ in range(k):
                 eng._ros2_step(0.4 / k)
             assert eng.tau == pytest.approx(0.4, abs=1e-12)
-            return eng.y
+            return eng.u
         ref = run(640)
         return np.array([np.max(np.abs(run(k) - ref)) for k in (10, 20, 40, 80)])
 
@@ -1073,7 +1187,7 @@ def test_step_dilated_from_unscaled_callable():
     eng = _DilatedEngine(d, phi.size, outer_bc=outer)
     eng.advance_to(0.02)
     assert eng.tau == pytest.approx(0.02)
-    assert eng.y[-1] == pytest.approx(fik_y(20.0))
+    assert eng.u[-1] == pytest.approx(fik_y(20.0))
 
 
 def test_make_initial_from_log_profile_file(tmp_path):

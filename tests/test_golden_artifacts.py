@@ -12,10 +12,16 @@ a changed byte; manifest.json is compared without its wall time.
 The files depend on the floating-point results of numpy and the C library
 (they were written on x86-64 with numpy 2.4 and scipy 1.17).  To record a
 deliberate change of the numbers, run `PYTHONPATH=src python
-tests/test_golden_artifacts.py`.
+tests/test_golden_artifacts.py`: it rewrites every file and prints, for
+each, "unchanged" or what moved against the file it replaced (the largest
+relative change of each CSV column that changed, or the manifest keys that
+changed, wall time aside).
 """
 
+import csv
+import io
 import json
+import math
 import os
 
 import pytest
@@ -64,6 +70,43 @@ def test_run_artifacts_match_golden_files(name, tmp_path):
     assert FlowConfig(**echo) == FlowConfig(**BASE, **RUNS[name])
 
 
+def _csv_change(old, new):
+    """The largest relative change |new - old| / max(|old|, |new|) of each
+    column that changed between two CSV files, as text."""
+    (head, *rows0), (head1, *rows1) = (list(csv.reader(io.StringIO(b.decode())))
+                                       for b in (old, new))
+    if head != head1 or len(rows0) != len(rows1):
+        return f"header or row count changed ({len(rows0)} -> {len(rows1)} rows)"
+    out = []
+    for k, col in enumerate(head):
+        worst = 0.0
+        for r0, r1 in zip(rows0, rows1):
+            if r0[k] != r1[k]:
+                try:
+                    x, y = float(r0[k]), float(r1[k])
+                    rel = abs(y - x) / max(abs(x), abs(y)) if x != y else 0.0
+                except ValueError:
+                    rel = math.inf
+                worst = max(worst, rel if rel == rel else math.inf)
+        if worst:
+            out.append(f"{col} {worst:.2g}")
+    return ", ".join(out) or "text changed, values equal"
+
+
+def _change(fname, old, new):
+    if fname != "manifest.json":
+        return "unchanged" if old == new else _csv_change(old, new)
+    old, new = json.loads(old), json.loads(new)
+    keys = sorted(k for k in old.keys() | new.keys()
+                  if k != "wall_time_s" and old.get(k) != new.get(k))
+    return "changed: " + ", ".join(keys) if keys else "unchanged"
+
+
 if __name__ == "__main__":
     for name in RUNS:
-        write_run(name, os.path.join(DATA, name))
+        out_dir = os.path.join(DATA, name)
+        old = {f: _read(os.path.join(out_dir, f)) for f in os.listdir(out_dir)}
+        for fname in write_run(name, out_dir)["artifacts"]:
+            new = _read(os.path.join(out_dir, fname))
+            print(f"{name}/{fname}:",
+                  _change(fname, old[fname], new) if fname in old else "new")
