@@ -4,6 +4,8 @@ Each criterion is a function of a shared context that lazily builds and
 caches the expensive runs (the canonical singularity run, the coupled
 two-engine runs, the compact-soliton self-similar run), so the suite can be
 driven either from pytest or from the command line with one set of artifacts.
+A criterion reads a run's values only once it has checked that the run
+completed; a run that stopped early fails that check instead.
 
 Tolerances are fixed here; nothing is calibrated at run time.
 run_acceptance(ctx) runs the criteria of ctx.level and prints each result
@@ -113,6 +115,13 @@ def _result(cid, label, checks, seconds):
                            tuple(checks), seconds)
 
 
+def _completed(arts, name="run"):
+    """The check that a criterion's run completed; a criterion reads the
+    values of its runs only when all of them pass it."""
+    ok = arts.status == "completed"
+    return Check(f"{name} {arts.status}", 1.0 if ok else 0.0, "completed", ok)
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -168,63 +177,72 @@ def crit_a3(ctx):
 def crit_a4(ctx):
     t0 = time.perf_counter()
     arts, run_s = ctx.kc_run()
-    ref = cao_koiso_profile(8193).profile
-    worst = 0.0
-    # the oracle at the snapshot's own tau, the first step's at or past its label
-    for rad, dil in arts.snapshots.values():
-        t = 1.0 - np.exp(-dil.tau)
-        oracle = (1.0 - t) * np.interp(rad.f / (1.0 - t), ref.f, ref.u)
-        worst = max(worst, float(np.max(np.abs(rad.u - oracle)) / np.max(rad.u)))
-    dt = time.perf_counter() - t0
-    return _result("A4", "self-similar shrinking oracle", [
-        Check("rel sup error to t=0.9", worst, "<= 0.01", worst <= 0.01),
-        Check("runtime s", run_s, "< 120", run_s < 120.0),
-    ], dt)
+    n_snaps, n_want = len(arts.snapshots), len(set(arts.manifest["config"]["snap_taus"]))
+    checks = [_completed(arts),
+              Check("snapshots", n_snaps, f"== {n_want}", n_snaps == n_want)]
+    if checks[0].ok:
+        ref = cao_koiso_profile(8193).profile
+        worst = 0.0
+        # the oracle at the snapshot's own tau, the first step's at or past its label
+        for rad, dil in arts.snapshots.values():
+            t = 1.0 - np.exp(-dil.tau)
+            oracle = (1.0 - t) * np.interp(rad.f / (1.0 - t), ref.f, ref.u)
+            worst = max(worst, float(np.max(np.abs(rad.u - oracle)) / np.max(rad.u)))
+        checks += [Check("rel sup error to t=0.9", worst, "<= 0.01", worst <= 0.01),
+                   Check("runtime s", run_s, "< 120", run_s < 120.0)]
+    return _result("A4", "self-similar shrinking oracle", checks, time.perf_counter() - t0)
 
 
 def crit_a5(ctx):
     t0 = time.perf_counter()
     arts, run_s = ctx.canonical()
-    e4 = arts.record_at_tau(4.0).sup_err_c0
-    e6 = arts.record_at_tau(6.0).sup_err_c0
-    rep = analysis.blowup_rates(arts.series, window=(5.0, 6.5))
-    dt = time.perf_counter() - t0
-    return _result("A5", "convergence to the stationary profile", [
-        Check("sup |y - Y| on [1,3] at tau=6", e6, "<= 0.05", e6 <= 0.05),
-        Check("err(4)/err(6)", e4 / e6, ">= 1.5", e4 / e6 >= 1.5),
-        Check("fitted delta0", rep.decay_rate_delta0, "> 0",
-              rep.decay_rate_delta0 > 0),
-        Check("runtime s", run_s, "< 600", run_s < 600.0),
-    ], dt)
+    checks = [_completed(arts)]
+    if checks[0].ok:
+        e4 = arts.record_at_tau(4.0).sup_err_c0
+        e6 = arts.record_at_tau(6.0).sup_err_c0
+        rep = analysis.blowup_rates(arts.series, window=(5.0, 6.5))
+        checks += [
+            Check("sup |y - Y| on [1,3] at tau=6", e6, "<= 0.05", e6 <= 0.05),
+            Check("err(4)/err(6)", e4 / e6, ">= 1.5", e4 / e6 >= 1.5),
+            Check("fitted delta0", rep.decay_rate_delta0, "> 0",
+                  rep.decay_rate_delta0 > 0),
+            Check("runtime s", run_s, "< 600", run_s < 600.0),
+        ]
+    return _result("A5", "convergence to the stationary profile", checks,
+                   time.perf_counter() - t0)
 
 
 def crit_a6(ctx):
     t0 = time.perf_counter()
     arts, _ = ctx.canonical()
-    r = arts.record_at_tau(6.0)
-    val = np.exp(-r.tau) * r.R_sigma0
-    target = 4.0 - 2.0 * SQRT2
-    dev = abs(val / target - 1.0)
-    return _result("A6", "scalar blow-up constant", [
-        Check("(T-t) R at the section, tau=6", val,
-              f"within 2% of {target:.6f}", dev <= 0.02),
-    ], time.perf_counter() - t0)
+    checks = [_completed(arts)]
+    if checks[0].ok:
+        r = arts.record_at_tau(6.0)
+        val = np.exp(-r.tau) * r.R_sigma0
+        target = 4.0 - 2.0 * SQRT2
+        dev = abs(val / target - 1.0)
+        checks.append(Check("(T-t) R at the section, tau=6", val,
+                            f"within 2% of {target:.6f}", dev <= 0.02))
+    return _result("A6", "scalar blow-up constant", checks, time.perf_counter() - t0)
 
 
 def crit_a7(ctx):
     t0 = time.perf_counter()
     arts, _ = ctx.canonical()
-    r = arts.record_at_tau(6.0)
-    val = np.exp(-r.tau) * r.lambda2_sigma0
-    target = 1.0 - SQRT2
-    dev = abs(val / target - 1.0)
-    tail = [rec for rec in arts.series if rec.tau >= 3.0]
-    neg = all(rec.lambda2_sigma0 < 0 for rec in tail)
-    return _result("A7", "transverse eigenvalue blow-up", [
-        Check("(T-t) lambda2 at the section, tau=6", val,
-              f"within 2% of {target:.6f}", dev <= 0.02),
-        Check("sign for tau >= 3", -1.0 if neg else 1.0, "negative", neg),
-    ], time.perf_counter() - t0)
+    checks = [_completed(arts)]
+    if checks[0].ok:
+        r = arts.record_at_tau(6.0)
+        val = np.exp(-r.tau) * r.lambda2_sigma0
+        target = 1.0 - SQRT2
+        dev = abs(val / target - 1.0)
+        tail = [rec for rec in arts.series if rec.tau >= 3.0]
+        neg = all(rec.lambda2_sigma0 < 0 for rec in tail)
+        checks += [
+            Check("(T-t) lambda2 at the section, tau=6", val,
+                  f"within 2% of {target:.6f}", dev <= 0.02),
+            Check("sign for tau >= 3", -1.0 if neg else 1.0, "negative", neg),
+        ]
+    return _result("A7", "transverse eigenvalue blow-up", checks, time.perf_counter() - t0)
 
 
 def crit_a8(ctx):
@@ -241,48 +259,58 @@ def crit_a8(ctx):
             lam_s = lam0 * np.exp(-0.5 * tau)
             sup_min = min(sup_min, float(np.min(barrier_residual_sup(phi, lam_s))))
     arts, _ = ctx.class_run()
-    nviol = len(arts.violations)
-    return _result("A8", "barrier certificates and sandwich", [
+    checks = [
         Check("max subsolution residual", sub_max, "< 0", sub_max < 0),
         Check("min supersolution residual", sup_min, "> 0", sup_min > 0),
-        Check("monitor violations", nviol, "== 0", nviol == 0),
-    ], time.perf_counter() - t0)
+        _completed(arts),
+    ]
+    if checks[-1].ok:
+        nviol = len(arts.violations)
+        checks.append(Check("monitor violations", nviol, "== 0", nviol == 0))
+    return _result("A8", "barrier certificates and sandwich", checks,
+                   time.perf_counter() - t0)
 
 
 def crit_a9(ctx):
     t0 = time.perf_counter()
     arts, _ = ctx.canonical()
-    rep = analysis.blowup_rates(arts.series, window=(5.0, 6.5))
-    target = SQRT2 - 1.0
-    recs = [r for r in arts.series if 5.0 <= r.tau <= 6.5]
-    inst = float(np.mean([-np.exp(-r.tau) * r.lambda2_sigma0 for r in recs]))
-    dev = abs(rep.gauge_slope / target - 1.0)
-    agree = abs(rep.gauge_slope - inst) / target
-    return _result("A9", "gauge drift slope", [
-        Check("lsq slope of C(tau) on [5, 6.5]", rep.gauge_slope,
-              f"within 5% of {target:.6f}", dev <= 0.05),
-        Check("|fit - instantaneous| / target", agree, "<= 0.05", agree <= 0.05),
-    ], time.perf_counter() - t0)
+    checks = [_completed(arts)]
+    if checks[0].ok:
+        rep = analysis.blowup_rates(arts.series, window=(5.0, 6.5))
+        target = SQRT2 - 1.0
+        recs = [r for r in arts.series if 5.0 <= r.tau <= 6.5]
+        inst = float(np.mean([-np.exp(-r.tau) * r.lambda2_sigma0 for r in recs]))
+        dev = abs(rep.gauge_slope / target - 1.0)
+        agree = abs(rep.gauge_slope - inst) / target
+        checks += [
+            Check("lsq slope of C(tau) on [5, 6.5]", rep.gauge_slope,
+                  f"within 5% of {target:.6f}", dev <= 0.05),
+            Check("|fit - instantaneous| / target", agree, "<= 0.05", agree <= 0.05),
+        ]
+    return _result("A9", "gauge drift slope", checks, time.perf_counter() - t0)
 
 
 def crit_a10(ctx):
     t0 = time.perf_counter()
     arts, _ = ctx.canonical()
-    first = arts.series[0]
-    f_bound = max(first.max_F, 1.0)
-    worst_F = max(r.max_F for r in arts.series)
-    worst_min_yphi = min(r.min_yphi for r in arts.series)
-    worst_max_yphi = max(r.max_yphi for r in arts.series)
-    lo_band = min(first.min_yphi, -1.0) - 1e-6
-    hi_band = max(first.max_yphi, f_bound) + 1e-6
-    return _result("A10", "maximum principles", [
-        Check("max F over run", worst_F, f"<= {f_bound + 1e-6:.6f}",
-              worst_F <= f_bound + 1e-6),
-        Check("min y_phi over run", worst_min_yphi, f">= {lo_band:.6f}",
-              worst_min_yphi >= lo_band),
-        Check("max y_phi over run", worst_max_yphi, f"<= {hi_band:.6f}",
-              worst_max_yphi <= hi_band),
-    ], time.perf_counter() - t0)
+    checks = [_completed(arts)]
+    if checks[0].ok:
+        first = arts.series[0]
+        f_bound = max(first.max_F, 1.0)
+        worst_F = max(r.max_F for r in arts.series)
+        worst_min_yphi = min(r.min_yphi for r in arts.series)
+        worst_max_yphi = max(r.max_yphi for r in arts.series)
+        lo_band = min(first.min_yphi, -1.0) - 1e-6
+        hi_band = max(first.max_yphi, f_bound) + 1e-6
+        checks += [
+            Check("max F over run", worst_F, f"<= {f_bound + 1e-6:.6f}",
+                  worst_F <= f_bound + 1e-6),
+            Check("min y_phi over run", worst_min_yphi, f">= {lo_band:.6f}",
+                  worst_min_yphi >= lo_band),
+            Check("max y_phi over run", worst_max_yphi, f"<= {hi_band:.6f}",
+                  worst_max_yphi <= hi_band),
+        ]
+    return _result("A10", "maximum principles", checks, time.perf_counter() - t0)
 
 
 def crit_a11(ctx):
@@ -304,47 +332,52 @@ def crit_a11(ctx):
 def crit_a12(ctx):
     t0 = time.perf_counter()
     arts, _ = ctx.canonical()
-    rep = analysis.type_one_monitor(arts.series)
-    return _result("A12", "type-I boundedness of reduced |Rm|", [
-        Check("running-max growth over last tau unit", rep.growth,
-              "< 1.10", rep.growth < 1.10),
-    ], time.perf_counter() - t0)
+    checks = [_completed(arts)]
+    if checks[0].ok:
+        rep = analysis.type_one_monitor(arts.series)
+        checks.append(Check("running-max growth over last tau unit", rep.growth,
+                            "< 1.10", rep.growth < 1.10))
+    return _result("A12", "type-I boundedness of reduced |Rm|", checks,
+                   time.perf_counter() - t0)
 
 
 def crit_a13(ctx):
     t0 = time.perf_counter()
     arts50, _ = ctx.coupled(50.0)
     arts100, _ = ctx.coupled(100.0)
-    c50 = np.array(arts50.cross_engine, dtype=float)
-    k2 = int(np.argmin(np.abs(c50[:, 0] - 2.0)))
-    cross2 = float(c50[k2, 1])
-    e50 = float(c50[-1, 2])
-    c100 = np.array(arts100.cross_engine, dtype=float)
-    e100 = float(c100[-1, 2])
-    sens = abs(e50 - e100) / e50
-    return _result("A13", "cross-engine agreement and truncation sensitivity", [
-        Check("sup diff on [1,5] at tau=2", cross2, "<= 1e-3", cross2 <= 1e-3),
-        Check("|err(50) - err(100)| / err(50)", sens, "< 0.10", sens < 0.10),
-    ], time.perf_counter() - t0)
+    checks = [_completed(arts50, "phi_cut=50 run"), _completed(arts100, "phi_cut=100 run")]
+    if all(c.ok for c in checks):
+        c50 = np.array(arts50.cross_engine, dtype=float)
+        k2 = int(np.argmin(np.abs(c50[:, 0] - 2.0)))
+        cross2 = float(c50[k2, 1])
+        e50 = float(c50[-1, 2])
+        c100 = np.array(arts100.cross_engine, dtype=float)
+        e100 = float(c100[-1, 2])
+        sens = abs(e50 - e100) / e50
+        checks += [
+            Check("sup diff on [1,5] at tau=2", cross2, "<= 1e-3", cross2 <= 1e-3),
+            Check("|err(50) - err(100)| / err(50)", sens, "< 0.10", sens < 0.10),
+        ]
+    return _result("A13", "cross-engine agreement and truncation sensitivity", checks,
+                   time.perf_counter() - t0)
 
 
 def crit_a14(ctx):
     t0 = time.perf_counter()
     arts, _ = ctx.class_run()
-    labels = sorted(arts.snapshots)
-    grid = np.linspace(1.0, 3.0, 201)
-    taus, yps = [], []
-    for lb in labels:
-        _, dil = arts.snapshots[lb]
-        taus.append(dil.tau)
-        yps.append(np.interp(grid, dil.phi, dil.y))
-    taus = np.array(taus)
-    yps = np.array(yps)
-    yms = np.array([barrier_y1(grid, t) for t in taus])
-    c_bound = 10.0
-    v_ok = comparison_check(taus, grid, yms, yps, c_bound)
-    checks = [Check("flow above subsolution barrier", 1.0 if v_ok.ordered else 0.0,
-                    "ordered", v_ok.ordered and v_ok.hypotheses_ok)]
+    checks = [_completed(arts)]
+    if checks[0].ok:
+        grid = np.linspace(1.0, 3.0, 201)
+        taus, yps = [], []
+        for lb in sorted(arts.snapshots):
+            _, dil = arts.snapshots[lb]
+            taus.append(dil.tau)
+            yps.append(np.interp(grid, dil.phi, dil.y))
+        taus = np.array(taus)
+        yms = np.array([barrier_y1(grid, t) for t in taus])
+        v_ok = comparison_check(taus, grid, yms, np.array(yps), c_bound=10.0)
+        checks.append(Check("flow above subsolution barrier", 1.0 if v_ok.ordered else 0.0,
+                            "ordered", v_ok.ordered and v_ok.hypotheses_ok))
 
     phi = np.linspace(1.0, 20.0, 301)
     tt = np.linspace(0.0, 2.0, 21)

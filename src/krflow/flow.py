@@ -1,4 +1,4 @@
-"""Time stepping of the potential flow: one engine core, two frames.
+"""Time stepping of the potential flow: one equation, one engine core, two frames.
 
 Unscaled frame: the slope field u(f, t) on the moving domain [a(t), b(t)]
 (a = a0 - t, b = b0 - 3t, imposed analytically) evolves, at fixed normalized
@@ -10,23 +10,38 @@ the chain-rule transcription of the r-coordinate potential equation
 phi_t = phi_rr/phi_r + phi_r/phi - 2 (via phi_t = u_f + u/f - 2 and
 phi_rr = u_f u).  An anchor point rides along by phi_t for the gauge.
 
-Dilated frame: the blow-up view y(phi, tau) on [1, Phi_max(tau)] with
-Phi_max = (b0 - 3a0) e^tau + 3 evolves by
+Dilated frame: the blow-up view y = u/(T - t) of phi = f/(T - t),
+tau = -log(T - t), on [1, Phi_max(tau)] with Phi_max = (b0 - 3a0) e^tau + 3
+evolves by
 
     d_tau y = y y_pp + (2 - phi - y_p) y_p + y (1 - y/phi^2)
 
-plus the frame-stretch advection term when the normalized coordinate rides
-the growing outer boundary; a truncated window stops at phi_cut and takes
+plus the frame-stretch advection y_p xi dPhi_max/dtau at fixed
+xi = (phi - 1)/(Phi_max - 1); a truncated window stops at phi_cut and takes
 its outer value from a Dirichlet source instead.
 
-The core (_Engine) is common to both frames: endpoints pinned at u = 0 with
-exact slopes +1 / -1 feeding Hermite stencils at the boundary-adjacent
-nodes, remeshing, and a linearly implicit ROS2 step: the tridiagonal
-Jacobian from three coloured differences of the frame's rhs, the dF/dt
-term, a cyclic-reduction solve (grids.tridiagonal_solver), and
-rejection-halving on interior positivity loss.  The dilated frame steps only
-by ROS2, at the fixed step _DTAU (0.005) in tau; the unscaled frame keeps
-explicit RK2 (midpoint) under a local CFL bound, with the same halving.
+One equation: on a frame's domain [x0, x1] of length L, at x = x0 + xi L,
+both read
+
+    F = u u_xx + u_x (v - u_x) + kappa u - (u / x)^2,
+
+the dilated one being the unscaled one plus the dilation term y (kappa = 1,
+else 0).  Both moving windows stretch self-similarly (adot = -1,
+bdot - adot = -2; dPhi_max/dtau = Phi_max - 3 = L - 2), so the advection
+coefficient is v = 1 - 2 xi in both frames, and v = 2 - phi = 1 - xi L on a
+truncated static window.  The nodes are rebuilt as x0 + xi L in both frames,
+so a node can differ from the one a frame was built on by rounding: on the
+canonical 2,048-node initial grid 58 nodes move, by at most 8.9e-16, in
+each frame, none of them in [1, 3].
+
+The core (_Engine) is common to both frames: the equation (rhs) and the
+nodes, endpoints pinned at u = 0 with exact slopes +1 / -1 feeding Hermite
+stencils at the boundary-adjacent nodes, remeshing, and a linearly implicit
+ROS2 step: the tridiagonal Jacobian from three coloured differences of the
+rhs, the dF/dt term, a cyclic-reduction solve (grids.tridiagonal_solver),
+and rejection-halving on interior positivity loss.  The dilated frame steps
+only by ROS2, at the fixed step _DTAU (0.005) in tau; the unscaled frame
+keeps explicit RK2 (midpoint) under a local CFL bound, with the same halving.
 Meshes cluster in the inner window [a, a + K (T - t)] on a
 CFL-equidistributed spacing law with a resolution floor, and are rebuilt by
 monotone cubic interpolation when the primary engine's own clock says so
@@ -41,10 +56,10 @@ x[0] of a frame's nodes x is T - t unscaled and 1 dilated, so the view is
 (phi, y) = (x, u) / x[0], and a frame adds only its time_left (T - t, or
 e^-tau).  Snapshots (views), the monitor's rows (dilated_rows) and the
 record fields both frames share are the core's.  A frame (_UnscaledEngine,
-_DilatedEngine) supplies its motion (domain and velocity, rhs, outer
-boundary data, remesh window, step and remesh clock) and its own record
-fields: the unscaled one t, b, dt, the gauge (its first measurement reads
-C = 0) and the anchor sample; the dilated one t = T - e^-tau, b and dt.
+_DilatedEngine) supplies only its domain(t) = (x0, x1, L), its kappa, its
+outer boundary data, its step and remesh clock and its own record fields:
+the unscaled one t, b, dt, the gauge (its first measurement reads C = 0)
+and the anchor sample; the dilated one t = T - e^-tau, b and dt.
 
 In a coupled run (engine = both) the unscaled engine is the primary.  The
 dilated engine lags it and catches up by advance_to, in ceil(gap / _DTAU)
@@ -402,22 +417,31 @@ _FD_EPS = 2.0 ** -26     # relative finite-difference increment, sqrt of the uni
 
 
 class _Engine:
-    """Core shared by the unscaled and the dilated frame: the mesh with its
-    stencils, the linearly implicit ROS2 step and remeshing.
+    """Core shared by the unscaled and the dilated frame: the equation, the
+    nodes, the stencils, the linearly implicit ROS2 step and remeshing.
 
     The state is the frame time t (tau in the dilated frame) and the values
-    u (y) at normalised nodes xi in [0, 1].  The inner end is pinned at
-    u = 0 with slope +1; the outer end is pinned at u = 0 with slope -1
-    unless the frame is truncated, when it carries the Dirichlet value
-    _outer_value(t).  The core reads the state through its dilated view
-    (x, u) / x[0] of the nodes x = nodes(): views(), dilated_rows() and
-    _record(), the record fields both frames share.  A frame supplies its
-    motion (nodes(), rhs(), _remesh_nodes() and its step(): the dilated
-    frame steps only by ROS2, the unscaled frame by explicit RK2 under its
-    CFL bound), tau and time_left, and measure() with its own fields.
+    u (y) at normalised nodes xi in [0, 1].  A frame supplies domain(t) =
+    (x0, x1, L), L = x1 - x0, and kappa; the core rebuilds the nodes
+    x = x0 + xi L from xi in both frames and evaluates
+
+        F = u u_xx + u_x (v - u_x) + kappa u - (u / x)^2,
+
+    with v = 1 - 2 xi on a moving window and 1 - xi L on a truncated static
+    one, kept per mesh.  The inner end is pinned at u = 0 with slope +1; the
+    outer one at u = 0 with slope -1, or, truncated, at the Dirichlet value
+    _outer_value(t).  A remesh builds its nodes by window_mesh(u_of, x0, x1,
+    x0, n), x0 being T - t in frame units, and cuts a window that reaches
+    phi_cut (the dilated frame's) there once the mesh law has succeeded.
+    views(), dilated_rows() and _record() read the state through its
+    dilated view (x, u) / x[0].  A frame also supplies its outer data, tau
+    and time_left, its step() (ROS2 dilated, explicit RK2 under a CFL bound
+    unscaled), its remesh clock and measure() with its own record fields.
     """
 
     truncated = False
+    kappa = 0.0
+    phi_cut = np.inf
 
     def __init__(self, t, n, xi, u):
         self.t = t
@@ -432,6 +456,7 @@ class _Engine:
         self._t_meshed = self.t
         self._w = difference_weights(xi)
         self._xii = xi[1:-1]
+        self._v = 1.0 - (self._xii * self.domain()[2] if self.truncated else 2.0 * self._xii)
         # offsets of the two nodes next to each end, in units of the frame length
         self._ends = (float(xi[1]), float(xi[2]),
                       float(xi[-2]) - 1.0, float(xi[-3]) - 1.0)
@@ -446,7 +471,32 @@ class _Engine:
         self._d = np.empty(n - 1)
         self._tmp = np.empty(n - 2)
 
+    def nodes(self, t=None):
+        x0, _, L = self.domain(t)
+        return x0 + self.xi * L
+
     # spatial operator -------------------------------------------------
+    def rhs(self, u, t, slot=0):
+        """(F, u_f, u_ff) at time t, in the slot's buffers; F and u_ff on the
+        interior nodes, u_f on all of them."""
+        x0, _, L = self.domain(t)
+        uf, uff = self._derivs(u, L, slot)
+        _, ufi, _, F = self._slots[slot]
+        ui, tmp = u[1:-1], self._tmp
+        # F = ui uff + uf (v - uf) + kappa ui - (ui / x)^2, left to right
+        np.multiply(ui, uff, out=F)
+        np.subtract(self._v, ufi, out=tmp)
+        tmp *= ufi
+        F += tmp
+        if self.kappa:
+            F += ui
+        np.multiply(self._xii, L, out=tmp)
+        tmp += x0
+        np.divide(ui, tmp, out=tmp)
+        tmp *= tmp
+        F -= tmp
+        return F, uf, uff
+
     def _derivs(self, u, L, slot=0):
         """(u_f at every node, u_ff at interior nodes) for frame length L, in
         the slot's buffers, Hermite-corrected next to the pinned ends; a
@@ -550,9 +600,16 @@ class _Engine:
         """New nodes by the mesh law, values resampled by monotone cubics with
         the end data re-imposed exactly; FlowRemeshError if that fails."""
         x_old = self.nodes()
+        x0, x1, L = self.domain()
+        x1 = min(x1, self.phi_cut)
         try:
             spl = pchip(x_old, self.u)
-            lo, L, x_new = self._remesh_nodes(spl, x_old)
+            u_of = lambda d: np.clip(spl(x0 + np.clip(d, 0.0, L)), 0.0, None)
+            # x0 is T - t in frame units: T - t unscaled, 1 dilated
+            x_new = window_mesh(u_of, x0, x1, x0, self.n)
+            # the window is cut, for good, once the mesh law has met its budget there
+            if x1 == self.phi_cut:
+                self.truncated = True
             u_new = _resample(spl, x_old, self.u, x_new,
                               slope_right=None if self.truncated else -1.0)
         except ValueError as e:
@@ -560,7 +617,7 @@ class _Engine:
         u_new[0] = 0.0
         u_new[-1] = self._outer_value(self.t) if self.truncated else 0.0
         u_new[1:-1] = np.maximum(u_new[1:-1], 1e-300)
-        self._set_mesh((x_new - lo) / L, u_new)
+        self._set_mesh((x_new - x0) / (x1 - x0), u_new)
 
     # reading the state ----------------------------------------------------
     def views(self):
@@ -580,9 +637,9 @@ class _Engine:
         x0 = x[:, :1]
         return x / x0, u / x0
 
-    def _record(self, L, **own):
-        """The SeriesRecord of the state for frame length L, with the frame's
-        own fields (t, b, gauge_C, dt), and u_ff at the inner end.
+    def _record(self, **own):
+        """The SeriesRecord of the state, with the frame's own fields (t, b,
+        gauge_C, dt), and u_ff at the inner end.
 
         The section curvatures come in frame units and are divided by
         s = time_left / x[0]; the window errors and the reduced |Rm| read
@@ -592,7 +649,7 @@ class _Engine:
         x, u = self.nodes(), self.u
         x0 = x[0]
         s = self.time_left / x0
-        uf, uff = self._derivs(u, L)
+        uf, uff = self._derivs(u, self.domain()[2])
         uff0 = hermite_boundary(x[1] - x0, x[2] - x0, u[0], 1.0, u[1], u[2])[2]
         lam2 = -1.0 / x0 - uff0
         R0 = 2.0 * (1.0 / x0 + lam2)
@@ -634,8 +691,6 @@ class _UnscaledEngine(_Engine):
         self._cfl_next = self.step_count
         self._cfl_dt = np.inf
         self._xi_list = xi.tolist()
-        self._c = 1.0 - 2.0 * self._xii
-        self._fi = np.empty(xi.size - 2)
 
     @property
     def time_left(self):
@@ -650,31 +705,6 @@ class _UnscaledEngine(_Engine):
         a = self.T - t
         b = self.b0 - 3.0 * t
         return a, b, b - a
-
-    def nodes(self, t=None):
-        a, _, D = self.domain(t)
-        return a + self.xi * D
-
-    def rhs(self, u, t, slot=0):
-        """(F, u_f, u_ff) at time t, in the slot's buffers; F and u_ff on the
-        interior nodes, u_f on all of them.  The frame velocity
-        adot + xi (bdot - adot) = -1 - 2 xi and the 2 u_f term fold into
-        F = u u_ff + u_f (c - u_f) - (u / f)^2 with c = 1 - 2 xi kept per mesh."""
-        a, b, D = self.domain(t)
-        uf, uff = self._derivs(u, D, slot)
-        _, ufi, _, F = self._slots[slot]
-        ui, fi, tmp = u[1:-1], self._fi, self._tmp
-        np.multiply(self._xii, D, out=fi)
-        fi += a
-        # F = ui uff + uf (c - uf) - (ui / fi)^2, left to right
-        np.multiply(ui, uff, out=F)
-        np.subtract(self._c, ufi, out=tmp)
-        tmp *= ufi
-        F += tmp
-        np.divide(ui, fi, out=tmp)
-        tmp *= tmp
-        F -= tmp
-        return F, uf, uff
 
     def stable_dt(self, uf):
         """CFL bound from u_f on all nodes, with a 5% cushion below the cfl
@@ -747,11 +777,6 @@ class _UnscaledEngine(_Engine):
         self.anchor_r, = self.r_of(f_new)
         self.anchor_f = f_new
 
-    def _remesh_nodes(self, spl, f_old):
-        a, b, D = self.domain()
-        u_of = lambda d: np.clip(spl(a + np.clip(d, 0.0, D)), 0.0, None)
-        return a, D, window_mesh(u_of, a, b, self.T - self.t, self.n)
-
     def r_of(self, *xs):
         """r-coordinates of interior points, via r = anchor_r + int df/u, from
         one cumulative integral."""
@@ -771,7 +796,7 @@ class _UnscaledEngine(_Engine):
         return [self.anchor_r + at(float(x)) - r_anchor for x in xs]
 
     def measure(self, dt_last):
-        a, b, D = self.domain()
+        a, b, _ = self.domain()
         Tt = self.time_left
         f = self.nodes()
         # inner expansion coefficient via the exact identity
@@ -782,7 +807,7 @@ class _UnscaledEngine(_Engine):
         rho2 = r2 + self.tau
         if self._rho2_0 is None:
             self._rho2_0 = rho2
-        rec, uffa = self._record(D, t=self.t, b=b, gauge_C=self._rho2_0 - rho2, dt=dt_last)
+        rec, uffa = self._record(t=self.t, b=b, gauge_C=self._rho2_0 - rho2, dt=dt_last)
         dj = f[1:j + 1] - a
         gj = 1.0 / dj - 1.0 / self.u[1:j + 1]
         g0 = -0.5 * uffa
@@ -829,49 +854,17 @@ class _DilatedEngine(_Engine):
 
     tau = property(lambda self: self.t)
     time_left = property(lambda self: np.exp(-self.t))
+    kappa = 1.0
 
-    def _frame(self, tau=None):
-        """(Phi_out, dPhi_out / dtau) at dilated time tau (now by default)."""
+    def domain(self, tau=None):
+        """(1, Phi_out, Phi_out - 1) at dilated time tau (now by default)."""
         if self.truncated:
-            return self.phi_cut, 0.0
+            return 1.0, self.phi_cut, self.phi_cut - 1.0
         pm = self.b3a * np.exp(self.t if tau is None else tau) + 3.0
-        return pm, pm - 3.0
-
-    def nodes(self, t=None):
-        return 1.0 + self.xi * (self._frame(t)[0] - 1.0)
+        return 1.0, pm, pm - 1.0
 
     def _outer_value(self, tau):
         return float(self.outer_bc(tau))
-
-    def _set_mesh(self, xi, u):
-        super()._set_mesh(xi, u)
-        self._pi = np.empty(xi.size - 2)
-
-    def rhs(self, y, tau, slot=0):
-        """(F, y_p, y_pp) at dilated time tau, in the slot's buffers, laid out
-        as the unscaled rhs: E[y] (barriers.full_operator) plus the
-        frame-stretch advection y_p xi dPhi_out/dtau of the moving window.
-        With phi = 1 + xi L on the window of length L = Phi_out - 1 the two
-        fold into F = y y_pp + y_p (1 + xi (dPhi_out - L) - y_p) + y - (y / phi)^2."""
-        phi_out, dphi = self._frame(tau)
-        L = phi_out - 1.0
-        yp_full, ypp = self._derivs(y, L, slot)
-        _, yp, _, F = self._slots[slot]
-        yi, p, tmp = y[1:-1], self._pi, self._tmp
-        np.multiply(self._xii, L, out=p)
-        p += 1.0
-        # F = yi ypp + yp (1 + xii (dphi - L) - yp) + yi - (yi / p)^2, left to right
-        np.multiply(yi, ypp, out=F)
-        np.multiply(self._xii, dphi - L, out=tmp)
-        tmp += 1.0
-        tmp -= yp
-        tmp *= yp
-        F += tmp
-        F += yi
-        np.divide(yi, p, out=tmp)
-        tmp *= tmp
-        F -= tmp
-        return F, yp_full, ypp
 
     def step(self, dt_max):
         """One ROS2 step of dt_max, or of _DTAU if dt_max is longer (by more
@@ -888,20 +881,9 @@ class _DilatedEngine(_Engine):
             self.step(gap / max(1, math.ceil(gap / _DTAU - 1e-9)))
         raise FlowRunError(self.step_count, self.t)
 
-    def _remesh_nodes(self, spl, phi_old):
-        # switch to the static truncated window once the true boundary passes
-        # it, when the new mesh is built
-        phi_out = min(self._frame()[0], self.phi_cut)
-        u_of = lambda d: np.clip(spl(np.clip(1.0 + d, phi_old[0], phi_old[-1])), 0.0, None)
-        # the blow-up frame is the unscaled one at T - t = 1
-        phi_new = window_mesh(u_of, 1.0, phi_out, 1.0, self.n)
-        self.truncated = bool(phi_out == self.phi_cut)
-        return 1.0, phi_out - 1.0, np.minimum(phi_new, phi_old[-1])
-
     def measure(self, dtau_last, t_origin_T):
         Tt = self.time_left
-        phi_out = self._frame()[0]
-        return self._record(phi_out - 1.0, t=t_origin_T - Tt, b=Tt * phi_out,
+        return self._record(t=t_origin_T - Tt, b=Tt * self.domain()[1],
                             gauge_C=np.nan, dt=dtau_last * Tt)[0]
 
 

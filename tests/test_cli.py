@@ -78,6 +78,26 @@ def test_quick_level_runs_the_documented_criteria():
         assert re.search(r"verify --level quick +# A1-A3, A8, A11, A14 ", fh.read())
 
 
+def test_criteria_fail_on_runs_that_did_not_complete():
+    # runs cut off by max_steps stand in for the cached A4 and A5 runs: no
+    # snapshot was taken and no record reaches the fit window, and each
+    # criterion prints a FAIL line on its run's status instead of reading it
+    from krflow.acceptance import AcceptanceContext, crit_a4, crit_a5
+    from krflow.flow import FlowConfig, run_flow
+    ctx = AcceptanceContext(level="full")
+    kc = run_flow(FlowConfig(a0=1.0, b0=3.0, initial_kind="cao_koiso", grid_n=128,
+                             cfl=0.5, stop_tau=2.0, snap_taus=(1.0, 2.0), max_steps=50))
+    canon = run_flow(FlowConfig(a0=1.0, b0=10.0, grid_n=128, max_steps=50))
+    ctx._cache.update(kc=(kc, 0.1), canonical=(canon, 0.1))
+    for crit, arts in ((crit_a4, kc), (crit_a5, canon)):
+        assert arts.status == "max_steps"
+        res = crit(ctx)
+        line = res.line()
+        assert not res.passed and line.split()[1] == "FAIL"
+        assert "run max_steps = 0 (VIOLATED: completed)" in line
+    assert "snapshots = 0 (VIOLATED: == 2)" in crit_a4(ctx).line()
+
+
 def test_readme_lists_every_config_key():
     # the README's config table: one row per FlowConfig field, in field
     # order, with the field's default as the config parser reads it

@@ -451,7 +451,7 @@ def _reference_dilated_rhs(eng, y, tau):
     folded into one expression."""
     eta = eng.xi
     if eng.truncated:
-        L, dphi = eng._frame()[0] - 1.0, 0.0
+        L, dphi = eng.domain()[1] - 1.0, 0.0
     else:
         pm = eng.b3a * np.exp(tau) + 3.0
         L, dphi = pm - 1.0, pm - 3.0
@@ -490,6 +490,28 @@ def test_dilated_rhs_matches_reference_bit_for_bit(truncated):
         got = eng.rhs(y, tau, slot)
         for g, w in zip(got, _reference_dilated_rhs(eng, y, tau)):
             assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+def test_dilated_rhs_is_the_unscaled_rhs_plus_y(n):
+    # d_tau (u / (T - t)) = d_t u + y at fixed xi: a dilated engine built on
+    # an unscaled engine's view has its xi, and its rhs is the unscaled rhs
+    # plus the dilation term, now and later on the same mesh
+    cfg = small_cfg(grid_n=n)
+    ue = _unscaled_engine(cfg)
+    for _ in range(300):
+        ue.step(1.0)
+        if ue.remesh_due():
+            ue.remesh()
+    de = _DilatedEngine(ue.views()[1], n)
+    assert np.max(np.abs(de.xi - ue.xi)) <= 2.3e-16
+    rng = np.random.default_rng(4)
+    for t in (ue.t, ue.t + 1e-4):
+        u = ue.u * (1.0 + 1e-3 * rng.standard_normal(n))
+        Fu = ue.rhs(u, t)[0].copy()
+        y = u / (ue.T - t)
+        Fd = de.rhs(y, -np.log(ue.T - t))[0]
+        assert np.all(np.abs(Fd - (Fu + y[1:-1])) <= 1e-9 * np.maximum(1.0, np.abs(Fd)))
 
 
 def test_dilated_rows_match_per_step_view():
@@ -585,12 +607,12 @@ def _reference_dilated_measure(eng, dtau_last, t_origin_T):
     """The dilated frame's measure with its own section stencil, R = -2 y_pp(1)."""
     phi = eng.nodes()
     Tt = np.exp(-eng.t)
-    yp, ypp = eng._derivs(eng.u, eng._frame()[0] - 1.0)
+    yp, ypp = eng._derivs(eng.u, eng.domain()[1] - 1.0)
     ypp1 = hermite_boundary(phi[1] - phi[0], phi[2] - phi[0], eng.u[0], 1.0,
                             eng.u[1], eng.u[2])[2]
     sup0, sup1, max_rm = _reference_window(phi, eng.u, yp, ypp)
     return SeriesRecord(step=eng.step_count, t=t_origin_T - Tt, tau=eng.t, a=Tt,
-                        b=Tt * eng._frame()[0], R_sigma0=-2.0 * ypp1 / Tt,
+                        b=Tt * eng.domain()[1], R_sigma0=-2.0 * ypp1 / Tt,
                         lambda2_sigma0=(-1.0 - ypp1) / Tt, sup_err_c0=sup0, sup_err_c1=sup1,
                         max_F=float(np.max(eng.u / phi)), min_yphi=float(np.min(yp)),
                         max_yphi=float(np.max(yp)), gauge_C=np.nan, max_rm=max_rm,

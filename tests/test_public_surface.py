@@ -1,7 +1,7 @@
 """The package's public surface: every name a module exports exists, and
 the demos that need no flow run still run."""
 
-import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -33,3 +33,20 @@ def test_demo_runs(tmp_path, script):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_finds_the_code_boundaries():
+    # perfbench/tracer.py wraps functions by module attribute path; resolve
+    # each path as it would, without installing it.  soliton.profile's only
+    # boundary, flow.cao_koiso_profile, is gone since flow stopped importing it.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    mods = {m: importlib.import_module(f"krflow.{m}") for m in ("flow", "barriers", "analysis")}
+    dead = [span for span, bounds in tracer.BOUNDARIES.items()
+            if not any(tracer._resolve(mods[m], dotted) for m, dotted, _ in bounds)]
+    assert dead in ([], ["soliton.profile"])
+    unresolved = [key for key, (m, dotted) in tracer.COUNTS.items()
+                  if tracer._resolve(mods[m], dotted) is None]
+    assert "flow.rhs_calls" in tracer.COUNTS and unresolved == []
