@@ -3,6 +3,8 @@
 Submodules:
   geometry  - metric profiles, coordinate changes, curvature
   soliton   - shrinking-soliton construction and constants
+  grids     - nonuniform stencils, adapted meshes, the monotone resample
+  states    - state and record types shared by the engines and analysis
   flow      - moving-boundary and dilated evolution engines
   analysis  - dilation, blow-up rate fits, the type-one monitor, series files
   barriers  - class membership, sub/supersolutions, comparison harness

@@ -195,6 +195,9 @@ class FlowConfig:
             raise ConfigError("; ".join(errs))
         if self.a0 <= 0 or self.b0 <= self.a0:
             errs.append(f"need 0 < a0 < b0, got a0={self.a0}, b0={self.b0}")
+        elif not (1e-30 <= self.a0 and self.b0 <= 1e30):    # the flow is scale-covariant
+            errs.append(f"need 1e-30 <= a0 and b0 <= 1e30 (rescale the class), "
+                        f"got a0={self.a0}, b0={self.b0}")
         if self.initial_kind not in _INITIAL_KINDS:
             errs.append(f"initial_kind must be one of {_INITIAL_KINDS}")
         if self.initial_kind == "cao_koiso":

@@ -29,7 +29,7 @@ def test_criterion(cid, fn, ctx):
 
 def test_record_identity_and_c1_trend(ctx):
     import numpy as np
-    arts, _ = ctx.canonical()
+    arts, _ = ctx.run("canonical")
     for r in arts.series:
         # lambda1 at the collapsing section is exactly 1/a
         assert abs(r.R_sigma0 - 2.0 / r.a - 2.0 * r.lambda2_sigma0) < 1e-9 * max(
@@ -41,10 +41,10 @@ def test_record_identity_and_c1_trend(ctx):
 
 def test_sigma2_crosscheck_bounds(ctx):
     from krflow import analysis
-    arts, _ = ctx.canonical()
+    arts, _ = ctx.run("canonical")
     disc = analysis.sigma2_crosscheck(arts.series, arts.anchor, tau_range=(2.0, 6.0))
     assert disc <= 0.05
-    kc, _ = ctx.kc_run()
+    kc, _ = ctx.run("kc")
     disc_kc = analysis.sigma2_crosscheck(kc.series, kc.anchor, tau_range=(0.5, 2.2))
     assert disc_kc <= 0.02
 
@@ -52,7 +52,7 @@ def test_sigma2_crosscheck_bounds(ctx):
 def test_kc_gauge_slope_is_translation_rate(ctx):
     import numpy as np
     from krflow.soliton import find_cao_koiso_constant
-    kc, _ = ctx.kc_run()
+    kc, _ = ctx.run("kc")
     taus = np.array([r.tau for r in kc.series])
     g = np.array([r.gauge_C for r in kc.series])
     m = taus >= 1.0

@@ -78,24 +78,44 @@ def test_quick_level_runs_the_documented_criteria():
         assert re.search(r"verify --level quick +# A1-A3, A8, A11, A14 ", fh.read())
 
 
+def test_verify_quick_end_to_end(capsys):
+    # the quick level runs QUICK_IDS in order, each criterion that reads a
+    # run (A8, A14) starting with its run check, and reports the tally last
+    from krflow.acceptance import QUICK_IDS
+    assert main(["verify", "--level", "quick"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[:2] for l in lines[:-1]] == [[cid, "PASS"] for cid in QUICK_IDS]
+    for line in lines[:-1]:
+        if line.split()[0] in ("A8", "A14"):
+            assert line.split(": ", 1)[1].startswith("run completed = 1 (ok: completed); ")
+    assert lines[-1] == "6/6 criteria passed"
+
+
 def test_criteria_fail_on_runs_that_did_not_complete():
-    # runs cut off by max_steps stand in for the cached A4 and A5 runs: no
-    # snapshot was taken and no record reaches the fit window, and each
-    # criterion prints a FAIL line on its run's status instead of reading it
-    from krflow.acceptance import AcceptanceContext, crit_a4, crit_a5
+    # runs cut off by max_steps stand in for every cached run of the full
+    # level: no snapshot was taken and no record reaches a fit window, and
+    # each criterion that reads a run prints a FAIL line holding only its
+    # run checks, without reading the run
+    from krflow.acceptance import CRITERIA, AcceptanceContext
     from krflow.flow import FlowConfig, run_flow
     ctx = AcceptanceContext(level="full")
     kc = run_flow(FlowConfig(a0=1.0, b0=3.0, initial_kind="cao_koiso", grid_n=128,
                              cfl=0.5, stop_tau=2.0, snap_taus=(1.0, 2.0), max_steps=50))
-    canon = run_flow(FlowConfig(a0=1.0, b0=10.0, grid_n=128, max_steps=50))
-    ctx._cache.update(kc=(kc, 0.1), canonical=(canon, 0.1))
-    for crit, arts in ((crit_a4, kc), (crit_a5, canon)):
-        assert arts.status == "max_steps"
-        res = crit(ctx)
-        line = res.line()
-        assert not res.passed and line.split()[1] == "FAIL"
-        assert "run max_steps = 0 (VIOLATED: completed)" in line
-    assert "snapshots = 0 (VIOLATED: == 2)" in crit_a4(ctx).line()
+    ctx._cache["kc"] = (kc, 0.1)
+    for key, engine, cut in (("canonical", "unscaled", 50.0),
+                             ("coupled50", "both", 50.0), ("coupled100", "both", 100.0)):
+        arts = run_flow(FlowConfig(a0=1.0, b0=10.0, grid_n=128, engine=engine,
+                                   phi_cut=cut, max_steps=50))
+        ctx._cache[key] = (arts, 0.1)
+    assert [arts.status for arts, _ in ctx._cache.values()] == ["max_steps"] * 4
+    stopped = "run max_steps = 0 (VIOLATED: completed)"
+    table = dict(CRITERIA)
+    for cid in ("A4", "A5", "A6", "A7", "A8", "A9", "A10", "A12", "A13", "A14"):
+        res = table[cid](ctx)
+        tags = ("phi_cut=50 ", "phi_cut=100 ") if cid == "A13" else ("",)
+        assert not res.passed
+        assert res.line().split()[:2] == [cid, "FAIL"]
+        assert res.line().endswith(f"{res.label}: " + "; ".join(t + stopped for t in tags))
 
 
 def test_readme_lists_every_config_key():
@@ -156,10 +176,16 @@ def test_evolve_analyze_pipeline(tmp_path, capsys):
 
 
 def test_evolve_bad_kahler_class_exits_2(tmp_path):
-    cfgp = tmp_path / "bad.cfg"
-    cfgp.write_text("a0 = 1.0\nb0 = 2.9\n")
-    rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(tmp_path / "o")])
-    assert rc == 2
+    for text in ("a0 = 1.0\nb0 = 2.9\n",
+                 # classes the engines cannot represent in floats: the Hermite
+                 # boundary stencil's powers of the node offsets underflow
+                 # (a0 = 1e-100) or overflow (a0 = 1e150)
+                 "a0 = 1e-100\nb0 = 1\nstop_tau = 1000\ngrid_n = 128\nmax_steps = 20\n",
+                 "a0 = 1e150\nb0 = 1e151\n"):
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text(text)
+        rc = main(["evolve", "--config", str(cfgp), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2, text
 
 
 def test_evolve_colliding_snapshot_labels_exit_2(tmp_path, capsys):
