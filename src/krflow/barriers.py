@@ -180,9 +180,11 @@ class SandwichMonitor:
         if self._buf is None or self._buf.shape[1] < K or self._buf.shape[2] != n:
             self._buf = np.empty((4, K, n))
         yfik, phi2, gap_lo, gap_hi = self._buf[:, :K]
-        amp_lo = [LAMBDA_INIT * np.exp(-BARRIER_DELTA * (tau - self.tau0))
-                  for tau in taus]
-        amp_hi = [self.lambda0 * np.exp(-0.5 * (tau - self.tau0)) for tau in taus]
+        # the amplitudes of all rows at once: np.exp rounds an array as it
+        # rounds each of its values alone
+        s = np.subtract(taus, self.tau0)[:, None]
+        amp_lo = LAMBDA_INIT * np.exp(-BARRIER_DELTA * s)
+        amp_hi = self.lambda0 * np.exp(-0.5 * s)
         # fik_y: (phi - 1) (phi + (sqrt2 - 1)) / (sqrt2 phi)
         np.subtract(phi, 1.0, out=yfik)
         np.add(phi, SQRT2 - 1.0, out=gap_lo)
@@ -191,10 +193,10 @@ class SandwichMonitor:
         yfik /= gap_lo
         np.multiply(phi, phi, out=phi2)
         # gap_lo = y1 - y, gap_hi = y - y2
-        np.multiply(phi2, np.array(amp_lo)[:, None], out=gap_lo)
+        np.multiply(phi2, amp_lo, out=gap_lo)
         np.subtract(yfik, gap_lo, out=gap_lo)
         gap_lo -= y
-        phi2 *= np.array(amp_hi)[:, None]
+        phi2 *= amp_hi
         yfik += phi2
         np.subtract(y, yfik, out=gap_hi)
         # a deficit gap - slack is positive exactly when gap > slack, so it

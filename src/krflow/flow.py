@@ -417,6 +417,7 @@ _REMESH_DTAU = 0.02      # tau between remeshes of a run stepped by ROS2
 _WINDOW_HI = 3.0         # y is compared with Y on the window 1 <= phi <= 3
 _ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 _FD_EPS = 2.0 ** -26     # relative finite-difference increment, sqrt of the unit roundoff
+_COUNTERS = ("remeshes", "halvings", "cfl_refreshes")   # the manifest's event counts
 
 
 class _Engine:
@@ -450,6 +451,9 @@ class _Engine:
         self.t = t
         self.step_count = 0
         self.n = n              # node count of every remeshed grid
+        # events, each counted when it happens: remeshes, positivity
+        # halvings of either stepper and refreshes of the CFL bound
+        self.counts = dict.fromkeys(_COUNTERS, 0)
         self._set_mesh(xi, u)
 
     # mesh ------------------------------------------------------------
@@ -464,14 +468,16 @@ class _Engine:
         self._ends = (float(xi[1]), float(xi[2]),
                       float(xi[-2]) - 1.0, float(xi[-3]) - 1.0)
         # rhs buffers: slot 0 for the first stage (and measure), slot 1 for
-        # the second; u_f covers every node, with the end slopes +1 / -1
+        # the second; u_f covers every node, with the end slopes +1 / -1, and
+        # F is the interior of an every-node array Fn whose ends stay 0
         n = xi.size
         self._slots = []
         for _ in range(2):
-            uf = np.empty(n)
+            uf, Fn = np.empty(n), np.zeros(n)
             uf[0], uf[-1] = 1.0, -1.0
-            self._slots.append((uf, uf[1:-1], np.empty(n - 2), np.empty(n - 2)))
-        self._d = np.empty(n - 1)
+            self._slots.append((uf, uf[1:-1], np.empty(n - 2), Fn[1:-1], Fn))
+        d = np.empty(n - 1)
+        self._d = (d, d[:-1], d[1:])
         self._tmp = np.empty(n - 2)
 
     def nodes(self, t=None):
@@ -484,7 +490,7 @@ class _Engine:
         interior nodes, u_f on all of them."""
         x0, _, L = self.domain(t)
         uf, uff = self._derivs(u, L, slot)
-        _, ufi, _, F = self._slots[slot]
+        _, ufi, _, F, _ = self._slots[slot]
         ui, tmp = u[1:-1], self._tmp
         # F = ui uff + uf (v - uf) + kappa ui - (ui / x)^2, left to right
         np.multiply(ui, uff, out=F)
@@ -507,14 +513,15 @@ class _Engine:
         stencils are in difference form: from d = diff(u) / L, u_f =
         A d[:-1] + B d[1:] and u_ff = (C d[1:] - E d[:-1]) / L with the
         mesh's weights (grids.difference_weights), nine array passes."""
-        uf, ufi, uff, _ = self._slots[slot]
-        d = self._d
+        uf, ufi, uff, _, _ = self._slots[slot]
+        d, d_left, d_right = self._d
         np.subtract(u[1:], u[:-1], out=d)
         d /= L
-        difference_stencils(self._w, d, ufi, uff, self._tmp)
+        difference_stencils(self._w, d_left, d_right, ufi, uff, self._tmp)
         uff /= L
         x1, x2, y1, y2 = self._ends
-        u1, u2, v2, v1 = u[1:3].tolist() + u[-3:-1].tolist()
+        u1, u2 = u[1:3].tolist()
+        v2, v1 = u[-3:-1].tolist()
         uf[1], uff[0], _ = hermite_boundary(x1 * L, x2 * L, 0.0, 1.0, u1, u2)
         if self.truncated:
             uf[-1] = uf[-2]
@@ -584,6 +591,7 @@ class _Engine:
             if not (np.minimum.reduce(unew[1:-1]) > 0.0    # also catches NaN
                     and math.isfinite(np.maximum.reduce(unew))):
                 h *= 0.5
+                self.counts["halvings"] += 1
                 continue
             self._accept(h, unew)
             return h
@@ -621,6 +629,7 @@ class _Engine:
         u_new[-1] = self._outer_value(self.t) if self.truncated else 0.0
         u_new[1:-1] = np.maximum(u_new[1:-1], 1e-300)
         self._set_mesh((x_new - x0) / (x1 - x0), u_new)
+        self.counts["remeshes"] += 1
 
     # reading the state ----------------------------------------------------
     def views(self):
@@ -635,10 +644,12 @@ class _Engine:
     def dilated_rows(self, ts, us):
         """The dilated view at each time in ts of the matching values in us,
         on the current mesh, one row each."""
-        u = np.stack(us)
-        x = np.broadcast_to(self.nodes(np.array(ts)[:, None]), u.shape)
-        x0 = x[:, :1]
-        return x / x0, u / x0
+        u = np.array(us)
+        # a row per time, or one row for all on a truncated window, whose
+        # nodes stay put
+        x = self.nodes(np.array(ts)[:, None])
+        x0 = x[..., :1]
+        return np.divide(x, x0, out=np.empty_like(u)), u / x0
 
     def _record(self, **own):
         """The SeriesRecord of the state, with the frame's own fields (t, b,
@@ -684,6 +695,7 @@ class _UnscaledEngine(_Engine):
         self.cfl = cfl
         self.anchor_r = 0.0
         self.anchor_f = 0.5 * (state.T + b0)
+        self._anchor_j = -1     # the anchor's last bracket on the nodes
         self._rho2_0 = None     # the gauge origin, set by the first measurement
         a, _, D = self.domain(state.t)
         super().__init__(state.t, n, (state.profile.f - a) / D, state.profile.u.copy())
@@ -694,6 +706,7 @@ class _UnscaledEngine(_Engine):
         self._cfl_next = self.step_count
         self._cfl_dt = np.inf
         self._xi_list = xi.tolist()
+        self._mid = np.zeros(xi.size)       # the midpoint stage; its ends stay 0
 
     @property
     def time_left(self):
@@ -701,7 +714,7 @@ class _UnscaledEngine(_Engine):
 
     @property
     def tau(self):
-        return -np.log(self.time_left)
+        return -np.log(self.T - self.t)
 
     def domain(self, t=None):
         t = self.t if t is None else t
@@ -720,6 +733,7 @@ class _UnscaledEngine(_Engine):
             self._cfl_dt = 0.95 * self.cfl / float(
                 np.max(2.0 * self.u[1:-1] / (h * h) + adv / h))
             self._cfl_next = self.step_count + 8
+            self.counts["cfl_refreshes"] += 1
         return min(self._cfl_dt, 0.25 * (self.T - self.t))
 
     def remesh_due(self):
@@ -729,47 +743,52 @@ class _UnscaledEngine(_Engine):
     def step(self, dt_max):
         """One midpoint step of at most dt_max, starting at the CFL-stable
         step when that is shorter, halved until the interior stays positive;
-        returns the step taken."""
-        F1, uf1, _ = self.rhs(self.u, self.t, 0)
+        returns the step taken.
+
+        Each stage is u plus the slot's F on every node (Fn, whose ends are
+        0) times its step.  The midpoint stage is written into one buffer of
+        the mesh, which every attempt and every step reuses; each accepted
+        state is a new array, never written again, so the states a run has
+        handed out (the monitor's queue holds them) stay as they were.
+        """
+        u, t = self.u, self.t
+        _, uf1, _ = self.rhs(u, t, 0)
+        F1, F2 = self._slots[0][4], self._slots[1][4]
+        mid = self._mid
+        mid_in = mid[1:-1]
         dt = min(self.stable_dt(uf1), dt_max)
-        inc = self._tmp
         for _ in range(_MAX_HALVINGS):
-            tm = self.t + 0.5 * dt
-            umid = self.u.copy()
-            np.multiply(F1, 0.5 * dt, out=inc)
-            umid[1:-1] += inc
-            if not np.minimum.reduce(umid[1:-1]) > 0.0:   # also catches NaN
-                dt *= 0.5
-                self._cfl_next = self.step_count  # force a CFL refresh
-                continue
-            F2, uf2, _ = self.rhs(umid, tm, 1)
-            unew = self.u.copy()
-            np.multiply(F2, dt, out=inc)
-            unew[1:-1] += inc
-            if (not np.minimum.reduce(unew[1:-1]) > 0.0
-                    or not math.isfinite(unew[1])):
-                dt *= 0.5
-                self._cfl_next = self.step_count
-                continue
-            self._anchor_step(dt, uf1, tm, umid, uf2)
-            self._accept(dt, unew)
-            self._maybe_reanchor()
-            return dt
+            tm = t + 0.5 * dt
+            np.multiply(F1, 0.5 * dt, out=mid)
+            mid += u
+            # positivity: the least interior value (argmin finds a NaN
+            # first, and NaN fails too)
+            if mid_in[mid_in.argmin()] > 0.0:
+                _, uf2, _ = self.rhs(mid, tm, 1)
+                unew = np.multiply(F2, dt)
+                unew += u
+                unew_in = unew[1:-1]
+                if unew_in[unew_in.argmin()] > 0.0 and math.isfinite(unew[1]):
+                    # the anchor rides along by the midpoint rule
+                    x = self.anchor_f
+                    xm = x + 0.5 * dt * self._phi_t_at(x, t, u, uf1)
+                    self.anchor_f = x + dt * self._phi_t_at(xm, tm, mid, uf2)
+                    self._accept(dt, unew)
+                    self._maybe_reanchor()
+                    return dt
+            dt *= 0.5
+            self._cfl_next = self.step_count    # force a CFL refresh
+            self.counts["halvings"] += 1
         raise FlowPositivityError(self.step_count, self.t)
 
     def _phi_t_at(self, x, t, u, uf):
         """phi_t = u_f + u/f - 2 at an interior point x (anchor ODE), with u
         and u_f interpolated linearly on the nodes at time t, as np.interp
-        on nodes(t) would."""
+        on nodes(t) would; each call starts from the last call's bracket."""
         a, _, D = self.domain(t)
-        g, v = affine_interp(x, a, D, self._xi_list, uf, u)
+        (g, v), self._anchor_j = affine_interp(x, a, D, self._xi_list, (uf, u),
+                                               self._anchor_j)
         return g + v / x - 2.0
-
-    def _anchor_step(self, dt, uf1, tm, umid, uf2):
-        """The anchor rides along by the midpoint rule, from (t, u, uf1) and
-        (tm, umid, uf2)."""
-        amid = self.anchor_f + 0.5 * dt * self._phi_t_at(self.anchor_f, self.t, self.u, uf1)
-        self.anchor_f += dt * self._phi_t_at(amid, tm, umid, uf2)
 
     def _maybe_reanchor(self):
         a, b, D = self.domain()
@@ -937,12 +956,15 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
     # docstring says.  The cut values are also stored before each joint
     # remesh, which may cut the window; catching up drops those it passed.
     cut_taus, cut_vals = [], []
+    cut_j = -1      # the cut's last bracket on the unscaled nodes
 
     def store_cut_value():
+        nonlocal cut_j
         a, _, D = ue.domain()
         Tt = T - ue.t
+        (v,), cut_j = affine_interp(de.phi_cut * Tt, a, D, ue._xi_list, (ue.u,), cut_j)
         cut_taus.append(tau_now)
-        cut_vals.append(affine_interp(de.phi_cut * Tt, a, D, ue._xi_list, ue.u)[0] / Tt)
+        cut_vals.append(v / Tt)
 
     def outer_bc(tau):
         if len(cut_taus) == 1:
@@ -1054,6 +1076,8 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
         "cross_engine_supdiff_max": (max(c[1] for c in cross) if cross else None),
         "cross_engine_supdiff_final": (cross[-1][1] if cross else None),
         "lambda0": lambda0,
+        "counters": {k: sum(e.counts[k] for e in filter(None, (ue, de)))
+                     for k in _COUNTERS},
         "tolerances": {
             "monitor_slack": monitor.slack,
             "max_halvings": _MAX_HALVINGS,

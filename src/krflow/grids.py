@@ -17,6 +17,7 @@ for operation, so that its results agree with it bit for bit: `pchip`
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -53,15 +54,16 @@ def difference_weights(x):
     return h2 / (h1 * s), h1 / (h2 * s), 2.0 / (h2 * s), 2.0 / (h1 * s)
 
 
-def difference_stencils(w, d, ux, uxx, tmp):
+def difference_stencils(w, d_left, d_right, ux, uxx, tmp):
     """u_x and u_xx at nodes 1..n-2 into ux and uxx from the differences
-    d = diff(u) and the weights w = difference_weights(x); tmp is scratch."""
+    d = diff(u), passed as its views d_left = d[:-1] and d_right = d[1:],
+    and the weights w = difference_weights(x); tmp is scratch."""
     A, B, C, E = w
-    np.multiply(A, d[:-1], out=ux)
-    np.multiply(B, d[1:], out=tmp)
+    np.multiply(A, d_left, out=ux)
+    np.multiply(B, d_right, out=tmp)
     ux += tmp
-    np.multiply(C, d[1:], out=uxx)
-    np.multiply(E, d[:-1], out=tmp)
+    np.multiply(C, d_right, out=uxx)
+    np.multiply(E, d_left, out=tmp)
     uxx -= tmp
 
 
@@ -148,34 +150,36 @@ def tridiagonal_solver(lower, diag, upper):
     return solve
 
 
-def affine_interp(x, a, scale, xi, *fps):
-    """np.interp(x, a + xi * scale, fp) for each fp, as floats, bit for bit.
+def affine_interp(x, a, scale, xi, fps, j=-1):
+    """(values, j): np.interp(x, a + xi * scale, fp) for each fp in fps, as
+    floats, bit for bit, and the bracket j, the last node at or left of x
+    (-1 left of every node).
 
     One bracket lookup serves every fp, and the node array is never formed:
-    the bisection runs on xi (fastest as a list) and the bracket is then
-    checked against the nodes as numpy rounds them.  x and fp must be
-    finite, xi increasing.
+    the nodes are formed one at a time as numpy rounds them.  A hint j (a
+    former call's bracket, say) that still brackets x is kept; else the
+    bisection runs on xi (fastest as a list) and its bracket is then checked
+    against the nodes.  x and fp must be finite, xi increasing.
     """
     def node(k):
-        return a + float(xi[k]) * scale
+        return a + xi[k] * scale
 
     n = len(xi)
-    j = bisect_right(xi, (x - a) / scale) - 1
-    while j >= 0 and node(j) > x:
-        j -= 1
-    while j < n - 1 and node(j + 1) <= x:
-        j += 1
-    if j < 0:
-        return tuple(float(fp[0]) for fp in fps)
-    x0 = node(j)
-    if j == n - 1 or x0 == x:
-        return tuple(float(fp[j]) for fp in fps)
-    dx = node(j + 1) - x0
-    out = []
-    for fp in fps:
-        y0, y1 = float(fp[j]), float(fp[j + 1])
-        out.append((y1 - y0) / dx * (x - x0) + y0)
-    return tuple(out)
+    x0, x1 = (node(j), node(j + 1)) if 0 <= j < n - 1 else (math.inf, math.inf)
+    if not x0 <= x < x1:
+        j = bisect_right(xi, (x - a) / scale) - 1
+        while j >= 0 and node(j) > x:
+            j -= 1
+        while j < n - 1 and node(j + 1) <= x:
+            j += 1
+        if j < 0 or j == n - 1:
+            return tuple([float(fp[max(j, 0)]) for fp in fps]), j
+        x0, x1 = node(j), node(j + 1)
+    if x0 == x:
+        return tuple([float(fp[j]) for fp in fps]), j
+    dx = x1 - x0
+    return tuple([(float(fp[j + 1]) - float(fp[j])) / dx * (x - x0) + float(fp[j])
+                  for fp in fps]), j
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -255,7 +259,8 @@ def derivatives(x, u, slope_left=None, slope_right=None):
     if n < 3:
         raise GridError("need at least 3 nodes for derivatives")
     ux, uxx = np.empty(n), np.empty(n)
-    difference_stencils(difference_weights(x), np.diff(u), ux[1:-1], uxx[1:-1],
+    d = np.diff(u)
+    difference_stencils(difference_weights(x), d[:-1], d[1:], ux[1:-1], uxx[1:-1],
                         np.empty(n - 2))
 
     for slope, (i0, i1, i2) in ((slope_left, (0, 1, 2)), (slope_right, (-1, -2, -3))):

@@ -224,6 +224,97 @@ def test_step_unscaled_caps_unstable_dt():
     assert np.all(eng.u[1:-1] > 0)
 
 
+def _reference_midpoint_step(eng, dt, F1):
+    """(u, t, anchor_f) after one midpoint step of dt from eng's state, with
+    numpy temporaries, from the first-stage values F1; the anchor by
+    np.interp on the nodes."""
+    u, t, x = eng.u, eng.t, eng.anchor_f
+    tm = t + 0.5 * dt
+
+    def phi_t(x, t, u, uf):
+        f = eng.nodes(t)
+        return np.interp(x, f, uf) + np.interp(x, f, u) / x - 2.0
+
+    uf1 = eng.rhs(u, t, 0)[1].copy()
+    umid = np.concatenate(([u[0]], u[1:-1] + F1 * (0.5 * dt), [u[-1]]))
+    F2, uf2, _ = eng.rhs(umid, tm, 1)
+    unew = np.concatenate(([u[0]], u[1:-1] + F2 * dt, [u[-1]]))
+    xmid = x + 0.5 * dt * phi_t(x, t, u, uf1)
+    return unew, t + dt, x + dt * phi_t(xmid, tm, umid, uf2)
+
+
+def _spoil_rhs(eng, spoil):
+    """Route eng.rhs through spoil(slot, calls so far in that slot, F),
+    which may change F in place; returns the per-slot call counts."""
+    rhs, calls = eng.rhs, [0, 0]
+
+    def spoiled(u, t, slot=0):
+        F, uf, uff = rhs(u, t, slot)
+        spoil(slot, calls[slot], F)
+        calls[slot] += 1
+        return F, uf, uff
+
+    eng.rhs = spoiled
+    return calls
+
+
+@pytest.mark.parametrize("stage", ["midpoint", "final"])
+def test_step_unscaled_positivity_halving_of_each_stage(stage):
+    # the first attempt of the step loses positivity at one stage; the
+    # accepted step must be the midpoint step at half the step, bit for bit
+    def stepped():
+        # copies of one state by replaying its steps: copy.deepcopy would
+        # turn the engine's buffer views into separate arrays
+        eng = _unscaled_engine(small_cfg())
+        for _ in range(20):
+            eng.step(1.0)
+        return eng
+
+    eng, twin, ref = stepped(), stepped(), stepped()
+    dt0 = twin.step(1.0)                 # the step the engine takes unspoiled
+    assert twin.counts["halvings"] == 0
+    k = eng.u.size // 2                  # F index of the spoiled node
+    F1 = eng.rhs(eng.u, eng.t, 0)[0].copy()
+    if stage == "midpoint":
+        # u + dt0/2 F1 is negative at node k + 1, u + dt0/4 F1 is not
+        F1[k] = -3.0 * eng.u[k + 1] / dt0
+
+        def spoil(slot, n, F):
+            if slot == 0:
+                F[k] = F1[k]
+    else:
+        def spoil(slot, n, F):
+            if slot == 1 and n == 0:     # the first final stage goes negative
+                F[:] = -1e300
+    calls = _spoil_rhs(eng, spoil)
+    assert eng.step(1.0) == 0.5 * dt0
+    assert eng.counts["halvings"] == 1
+    assert calls == [1, 1 if stage == "midpoint" else 2]
+    u, t, anchor_f = _reference_midpoint_step(ref, 0.5 * dt0, F1)
+    assert np.array_equal(eng.u, u)
+    assert eng.t == t and eng.anchor_f == anchor_f
+
+
+def test_step_unscaled_raises_after_the_last_halving():
+    from krflow import flow
+    eng = _unscaled_engine(small_cfg())
+    eng.step(1.0)
+    u, t, x = eng.u, eng.t, eng.anchor_f
+    state = u.copy()
+
+    def spoil(slot, n, F):
+        if slot == 1:
+            F[:] = -1e300
+
+    calls = _spoil_rhs(eng, spoil)
+    with pytest.raises(flow.FlowPositivityError):
+        eng.step(1.0)
+    assert calls == [1, flow._MAX_HALVINGS]
+    assert eng.counts["halvings"] == flow._MAX_HALVINGS
+    assert eng.u is u and np.array_equal(u, state)
+    assert eng.t == t and eng.anchor_f == x and eng.step_count == 1
+
+
 def test_step_unscaled_self_similar_oracle():
     # Cao-Koiso data shrinks self-similarly: u(f, t) = (1-t) u_KC(f/(1-t))
     ref = cao_koiso_profile(4097).profile
@@ -550,6 +641,15 @@ def test_dilated_rows_match_per_step_view():
     # views(): the state itself and the profile (phi, y) e^-tau, on a growing
     # and on a truncated window
     cut = _DilatedEngine(DilatedState(0.5, views[-1][0], views[-1][1], truncated=True), 256)
+    # a truncated window's rows share its fixed nodes
+    taus, ys = [], []
+    for _ in range(3):
+        cut.step(1.0)
+        taus.append(cut.tau)
+        ys.append(cut.u)
+    phi, y = cut.dilated_rows(taus, ys)
+    for r in range(3):
+        assert np.array_equal(phi[r], cut.nodes()) and np.array_equal(y[r], ys[r])
     for e in (eng, cut):
         rad, dil = e.views()
         Tt = np.exp(-e.tau)
@@ -683,6 +783,43 @@ def test_monitor_sees_every_accepted_step_once(monkeypatch, engine):
     n = arts.manifest["steps"]
     assert n > 200 and max(calls) == 64 and len(calls) > 4
     assert seen == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("engine", ["unscaled", "dilated", "both"])
+def test_manifest_counters_count_their_events(monkeypatch, engine):
+    # the manifest's counters against the events seen at the engines'
+    # boundaries, on a short run whose fifth second-stage rhs value is
+    # spoiled, so that one step (RK2 or ROS2) halves once
+    from krflow import flow
+    remeshes, refreshes, second_stages = [], [], []
+    remesh, stable_dt, rhs = flow._Engine.remesh, flow._UnscaledEngine.stable_dt, flow._Engine.rhs
+
+    def remesh_spy(self):
+        remesh(self)
+        remeshes.append(self.step_count)
+
+    def stable_dt_spy(self, uf):
+        refreshes.append(self.step_count >= self._cfl_next)
+        return stable_dt(self, uf)
+
+    def rhs_spy(self, u, t, slot=0):
+        F, uf, uff = rhs(self, u, t, slot)
+        if slot == 1:
+            second_stages.append(t)
+            if len(second_stages) == 5:
+                F[:] = -1e300
+        return F, uf, uff
+
+    monkeypatch.setattr(flow._Engine, "remesh", remesh_spy)
+    monkeypatch.setattr(flow._UnscaledEngine, "stable_dt", stable_dt_spy)
+    monkeypatch.setattr(flow._Engine, "rhs", rhs_spy)
+    arts = run_flow(small_cfg(grid_n=128, engine=engine, stop_tau=0.05))
+    assert arts.status == "completed"
+    counts = arts.manifest["counters"]
+    assert counts == {"remeshes": len(remeshes), "halvings": 1,
+                      "cfl_refreshes": sum(refreshes)}
+    assert counts["remeshes"] > 0
+    assert (counts["cfl_refreshes"] > 0) == (engine != "dilated")
 
 
 def _chart_r(st, x):

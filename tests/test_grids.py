@@ -25,12 +25,19 @@ def test_affine_interp_matches_np_interp_bit_for_bit():
         next_to_nodes = ([np.nextafter(v, np.inf) for v in f[:-1]]
                          + [np.nextafter(v, -np.inf) for v in f[1:]])
         outside = [f[0] - 0.1 * D, f[-1] + 0.1 * D]
-        for x in at_nodes + between + next_to_nodes + outside:
+        end_intervals = [0.5 * (f[0] + f[1]), 0.5 * (f[-2] + f[-1])]
+        for x in at_nodes + between + next_to_nodes + outside + end_intervals:
             x = float(x)
+            want = tuple(float(np.interp(x, f, fp)) for fp in fps)
+            # the last node at or left of x, -1 left of every node
+            j = int(np.searchsorted(f, x, side="right")) - 1
+            # hints left of, at and right of the true bracket, the two end
+            # intervals, and hints off the nodes' index range
+            hints = {j - 2, j - 1, j, j + 1, j + 2, 0, xi.size - 2, -1, xi.size - 1, xi.size}
             for xs in (xi, xi.tolist()):
-                got = affine_interp(x, a, D, xs, *fps)
-                want = tuple(float(np.interp(x, f, fp)) for fp in fps)
-                assert got == want, (n, x)
+                assert affine_interp(x, a, D, xs, fps) == (want, j), (n, x)
+                for hint in hints:
+                    assert affine_interp(x, a, D, xs, fps, hint) == (want, j), (n, x, hint)
 
 
 def test_hermite_boundary_on_floats_matches_numpy_scalars():
@@ -77,7 +84,8 @@ def test_difference_stencils_are_exact_for_quadratics_and_match_the_weight_form(
         # rounded values alone, on the scale of the quadratic's terms
         al, be, ga = rng.standard_normal(3)
         u = al + be * x + ga * x * x
-        difference_stencils(w, np.diff(u), ux, uxx, tmp)
+        d = np.diff(u)
+        difference_stencils(w, d[:-1], d[1:], ux, uxx, tmp)
         scale = np.abs(al) + np.abs(be * x) + np.abs(ga * x * x)
         near = np.maximum(np.maximum(scale[:-2], scale[1:-1]), scale[2:])
         xi = x[1:-1]
@@ -87,7 +95,8 @@ def test_difference_stencils_are_exact_for_quadratics_and_match_the_weight_form(
                       <= 8.0 * eps * (near * (C + E) + abs(2.0 * ga))), n
         # the weight form, on values whose u_ff is set by the spacing
         v = rng.standard_normal(x.size)
-        difference_stencils(w, np.diff(v), ux, uxx, tmp)
+        d = np.diff(v)
+        difference_stencils(w, d[:-1], d[1:], ux, uxx, tmp)
         for got, W in zip((ux, uxx), _weight_form(x)):
             want = W[0] * v[:-2] + W[1] * v[1:-1] + W[2] * v[2:]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
