@@ -163,42 +163,27 @@ class SandwichMonitor:
         self.lambda0 = lambda0
         self.tau0 = float(tau0)
         self.violations: list[ViolationRecord] = []
-        self._buf = None
 
     def check(self, steps, taus, phi, y):
         """Log the worst sub- and super-deficit of each row r of the (K, n)
         block (phi, y), at step steps[r] and dilated time taus[r], in order.
 
-        One pass over the block in scratch buffers, so that per-call overhead
-        is paid once per block, with the arithmetic of barrier_y1 and
-        barrier_y2 in the same order (fik_y in its factored form, five array
-        operations): the deficits equal
+        Y comes from one fik_y call and phi^2 is formed once; each gap follows
+        barrier_y1's and barrier_y2's operation order, so the deficits equal
         barrier_y1(phi, tau - tau0) - y - slack and
         y - barrier_y2(phi, tau - tau0, lambda0) - slack to the last bit.
         """
-        K, n = phi.shape
-        if self._buf is None or self._buf.shape[1] < K or self._buf.shape[2] != n:
-            self._buf = np.empty((4, K, n))
-        yfik, phi2, gap_lo, gap_hi = self._buf[:, :K]
         # the amplitudes of all rows at once: np.exp rounds an array as it
         # rounds each of its values alone
         s = np.subtract(taus, self.tau0)[:, None]
-        amp_lo = LAMBDA_INIT * np.exp(-BARRIER_DELTA * s)
-        amp_hi = self.lambda0 * np.exp(-0.5 * s)
-        # fik_y: (phi - 1) (phi + (sqrt2 - 1)) / (sqrt2 phi)
-        np.subtract(phi, 1.0, out=yfik)
-        np.add(phi, SQRT2 - 1.0, out=gap_lo)
-        yfik *= gap_lo
-        np.multiply(phi, SQRT2, out=gap_lo)
-        yfik /= gap_lo
-        np.multiply(phi, phi, out=phi2)
+        yfik = fik_y(phi)
+        phi2 = phi ** 2
         # gap_lo = y1 - y, gap_hi = y - y2
-        np.multiply(phi2, amp_lo, out=gap_lo)
-        np.subtract(yfik, gap_lo, out=gap_lo)
+        gap_lo = yfik - LAMBDA_INIT * np.exp(-BARRIER_DELTA * s) * phi2
         gap_lo -= y
-        phi2 *= amp_hi
+        phi2 *= self.lambda0 * np.exp(-0.5 * s)
         yfik += phi2
-        np.subtract(y, yfik, out=gap_hi)
+        gap_hi = np.subtract(y, yfik, out=phi2)
         # a deficit gap - slack is positive exactly when gap > slack, so it
         # is formed only on the rows that violate
         bad = (gap_lo.max(axis=1) > self.slack) | (gap_hi.max(axis=1) > self.slack)

@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--family", choices=("fik", "cao-koiso"), required=True)
     s.add_argument("--n", type=int, default=2048)
     s.add_argument("--f-max", type=float,
-                   help="outer end of the fik profile (default 50); fik only")
+                   help="outer end of the fik profile, in (1, 1e30] (default 50); fik only")
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_soliton)
 

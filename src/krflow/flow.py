@@ -231,8 +231,9 @@ class FlowConfig:
             labels = sorted(_snap_label(s) for s in set(self.snap_taus))
             if len(set(labels)) < len(labels):
                 errs.append(f"snap_taus {self.snap_taus} share file labels: {', '.join(labels)}")
-        if isinstance(self.record_every, int) and self.record_every < 1:
-            errs.append("record_every must be >= 1")
+        for k, lo in (("record_every", 1), ("max_steps", 0)):
+            if isinstance(getattr(self, k), int) and getattr(self, k) < lo:
+                errs.append(f"{k} must be >= {lo}")
         if self.engine not in _ENGINES:
             errs.append(f"engine must be one of {_ENGINES}")
         if self.phi_cut <= 3.0:
@@ -297,7 +298,6 @@ def _resample(spl, x_old, u_old, x_new, slope_right=None):
         dd = x_new - x_old[i0]
         m = dd < d2 if i0 == 0 else dd > d2
         u_new[m] = u_old[i0] + slope * dd[m] + c2 * dd[m] ** 2 + c3 * dd[m] ** 3
-        u_new[i0] = u_old[i0]
     return u_new
 
 
@@ -800,22 +800,15 @@ class _UnscaledEngine(_Engine):
         self.anchor_f = f_new
 
     def r_of(self, *xs):
-        """r-coordinates of interior points, via r = anchor_r + int df/u, from
-        one cumulative integral."""
+        """r-coordinates of interior points, via r = anchor_r + int df/u: the
+        nodes' cumulative integral plus each point's partial interval."""
         f = self.nodes()[1:-1]
         u = self.u[1:-1]
-        S = cumint_inverse_linear(f, u)
-        def at(xx):
-            k = min(max(int(np.searchsorted(f, xx)) - 1, 0), f.size - 2)
-            ux = u[k] + (u[k + 1] - u[k]) * (xx - f[k]) / (f[k + 1] - f[k])
-            du = ux - u[k]
-            if abs(du) <= 1e-12 * max(ux, u[k]):
-                part = 2.0 * (xx - f[k]) / (ux + u[k])
-            else:
-                part = (xx - f[k]) * np.log(ux / u[k]) / du
-            return S[k] + part
-        r_anchor = at(float(self.anchor_f))
-        return [self.anchor_r + at(float(x)) - r_anchor for x in xs]
+        xx = np.array((self.anchor_f, *xs), dtype=float)
+        k = np.searchsorted(f[1:-1], xx)    # [f[k], f[k+1]] holds x, or is the end one past it
+        ux = u[k] + (u[k + 1] - u[k]) * (xx - f[k]) / (f[k + 1] - f[k])
+        r = cumint_inverse_linear(f, u)[k] + cumint_inverse_linear([f[k], xx], [u[k], ux])[1]
+        return list(self.anchor_r + r[1:] - r[0])
 
     def measure(self, dt_last):
         a, b, _ = self.domain()

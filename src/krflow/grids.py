@@ -304,22 +304,22 @@ def cumint_inverse_linear(x, u):
 
     Exact on each interval (h * log(u1/u0) / (u1-u0)), which stays accurate
     where u degenerates linearly toward an endpoint.  Requires u > 0 at the
-    supplied nodes.
+    supplied nodes; 2-D x and u integrate each column along the first axis.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise ValueError("1/u integrand requires u > 0 at the nodes")
-    h = np.diff(x)
+    h = x[1:] - x[:-1]
     u0, u1 = u[:-1], u[1:]
     du = u1 - u0
     small = np.abs(du) <= 1e-12 * np.maximum(u0, u1)
     with np.errstate(divide="ignore", invalid="ignore"):
         seg = h * np.log(u1 / u0) / du
     seg = np.where(small, 2.0 * h / (u0 + u1), seg)
-    out = np.empty(len(x))
+    out = np.empty(x.shape)
     out[0] = 0.0
-    np.cumsum(seg, out=out[1:])
+    np.cumsum(seg, axis=0, out=out[1:])
     return out
 
 

@@ -99,7 +99,9 @@ def fik_y(phi):
     phi = np.asarray(phi, dtype=float)
     if np.any(phi < 1.0 - 1e-12):
         raise ValueError("fik_y is defined for phi >= 1")
-    out = (phi - 1.0) * (phi + (SQRT2 - 1.0)) / (SQRT2 * phi)
+    out = phi - 1.0
+    out *= phi + (SQRT2 - 1.0)
+    out /= SQRT2 * phi
     return out if out.ndim else float(out)
 
 
@@ -241,10 +243,10 @@ def cao_koiso_profile(n) -> SolitonProfile:
 
 
 def fik_profile(n, f_max=50.0) -> SolitonProfile:
-    """Noncompact-soliton profile Y (fik_y) on n nodes of [1, f_max],
-    truncated at a finite f_max > 1 (representation choice)."""
-    if not (np.isfinite(f_max) and f_max > 1.0):
-        raise ValueError(f"f_max must be finite and above 1, got {f_max}")
+    """Noncompact-soliton profile Y (fik_y) on n nodes of [1, f_max], truncated
+    at an f_max in (1, 1e30], FlowConfig's bound on b0 (Y overflows past 1e154)."""
+    if not 1.0 < f_max <= 1e30:
+        raise ValueError(f"f_max must lie in (1, 1e30], got {f_max}")
     f = np.linspace(1.0, float(f_max), n)
     return SolitonProfile(SolitonSpec(SQRT2, "L"), RadialProfile(f, fik_y(f)))
 

@@ -269,13 +269,13 @@ def test_evolve_invalid_profile_exits_2(tmp_path, capsys, rows, why):
     assert str(prof) in err and why in err
 
 
-@pytest.mark.parametrize("f_max", ["0.5", "1.0", "nan", "inf"])
+@pytest.mark.parametrize("f_max", ["0.5", "1.0", "nan", "inf", "1e31", "1e200"])
 def test_soliton_fik_f_max_not_above_one_or_not_finite_exits_2(tmp_path, capsys, f_max):
     out = tmp_path / "fik.csv"
     rc = main(["soliton", "--family", "fik", "--n", "64", "--f-max", f_max,
                "--out", str(out)])
     assert rc == 2
-    assert "f_max must be finite and above 1" in capsys.readouterr().err
+    assert "f_max must lie in (1, 1e30]" in capsys.readouterr().err
     assert not out.exists()
 
 

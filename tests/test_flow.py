@@ -64,6 +64,9 @@ def test_config_validation():
             parse_config_text(f"a0 = 1\nb0 = 10\n{key} = 1e-7")
     with pytest.raises(ConfigError):
         FlowConfig(a0=1.0, b0=10.0, grid_n=64).validate()
+    with pytest.raises(ConfigError, match="max_steps must be >= 0"):
+        FlowConfig(a0=1.0, b0=10.0, max_steps=-5)
+    FlowConfig(a0=1.0, b0=10.0, max_steps=0)
     # snapshots must lie in (tau0, stop_tau] = (-log a0, stop_tau]
     FlowConfig(a0=1.0, b0=10.0, stop_tau=0.05, snap_taus=(0.02, 0.05)).validate()
     for snaps in ((0.02, 3.0), (-1.0,), (0.0,)):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from krflow import grids
-from krflow.grids import (GridError, affine_interp, derivatives, difference_stencils,
-                          difference_weights, hermite_boundary, pchip,
-                          tridiagonal_solver, window_mesh)
+from krflow.grids import (GridError, affine_interp, cumint_inverse_linear, derivatives,
+                          difference_stencils, difference_weights, hermite_boundary,
+                          pchip, tridiagonal_solver, window_mesh)
 from krflow.soliton import fik_y
 
 
@@ -38,6 +40,39 @@ def test_affine_interp_matches_np_interp_bit_for_bit():
                 assert affine_interp(x, a, D, xs, fps) == (want, j), (n, x)
                 for hint in hints:
                     assert affine_interp(x, a, D, xs, fps, hint) == (want, j), (n, x, hint)
+
+
+def test_cumint_inverse_linear_integrates_piecewise_linear_u_exactly():
+    def segment(h, u0, u1):
+        """int of 1/u over one interval of linear u, in closed form."""
+        if u0 == u1:
+            return h / u0
+        if abs(u1 - u0) < 1e-6 * u0:      # log(u1/u0) would lose digits
+            return h * math.log1p((u1 - u0) / u0) / (u1 - u0)
+        return h * math.log(u1 / u0) / (u1 - u0)
+
+    x = [0.0, 1e-6, 0.3, 0.7, 1.0, 1.5, 2.25, 3.0, 4.0]
+    u = [1e-9, 2e-7, 0.3, 0.3,          # a flat interval
+         0.3 * (1.0 + 3e-13),            # a nearly flat one: |du| <= 1e-12 u
+         2.0, 0.25, 3.0, 1e-3]           # rising, falling, toward a degenerate end
+    want = [0.0]
+    for i in range(len(x) - 1):
+        want.append(want[-1] + segment(x[i + 1] - x[i], u[i], u[i + 1]))
+    got = cumint_inverse_linear(x, u)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # two-node grids, alone and as the columns of one 2-D call (the r-chart's
+    # partial intervals)
+    cols = cumint_inverse_linear([x[:-1], x[1:]], [u[:-1], u[1:]])
+    assert np.all(cols[0] == 0.0)
+    for i in range(len(x) - 1):
+        two = cumint_inverse_linear(x[i:i + 2], u[i:i + 2])
+        assert two[0] == 0.0 and two[1] == cols[1, i]
+        assert two[1] == pytest.approx(segment(x[i + 1] - x[i], u[i], u[i + 1]),
+                                       rel=1e-14, abs=0.0)
+    for bad in ([1.0, 0.0, 2.0], [1.0, -1e-3, 2.0]):
+        with pytest.raises(ValueError, match="requires u > 0"):
+            cumint_inverse_linear([0.0, 1.0, 2.0], bad)
 
 
 def test_hermite_boundary_on_floats_matches_numpy_scalars():
