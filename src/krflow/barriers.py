@@ -146,6 +146,9 @@ class ViolationRecord:
     deficit: float
 
 
+_ROUNDING = 64.0 * np.finfo(float).eps   # the certificate's allowance per unit of its largest term
+
+
 class SandwichMonitor:
     """Checks y1 <= y + slack and y <= y2 + slack nodewise at every accepted step.
 
@@ -153,6 +156,31 @@ class SandwichMonitor:
     subsolution amplitude is exactly LAMBDA_INIT at the start; lambda0 is the
     supersolution amplitude.  Violations are data, not errors: they are
     logged and the run continues.
+
+    A block of rows is first offered to a certificate (_clears) that
+    proves from per-node bounds phi_lo <= phi <= phi_hi, y_lo <= y <= y_hi
+    of its rows and their latest tau that no row violates.  It is sound:
+
+    - Y is increasing in phi (Y' = (phi^2 + sqrt2 - 1)/(sqrt2 phi^2) > 0),
+      so over the block y1 - y <= Y(phi_hi) - lam1 phi_lo^2 - y_lo and
+      y - y2 <= y_hi - Y(phi_lo) - lam2 phi_lo^2, for phi_lo >= 0;
+    - both amplitudes lam1 = LAMBDA_INIT e^{-BARRIER_DELTA s} and lam2 =
+      lambda0 e^{-s/2} decrease in s = tau - tau0, so the latest tau gives
+      the least of each;
+    - each bound is evaluated in its gap's operation order, and the
+      allowance _ROUNDING times the node's largest term (Y(phi_hi),
+      max(lam1, lam2) phi_lo^2 or max|y|) covers the rounding of both
+      evaluations, fik_y's ulp-level departures from monotonicity, and
+      bounds that hold only up to a few ulp (an engine's rebuilt nodes):
+      k ulp of phi move Y by at most k eps phi (Y' <= 1 on phi >= 1) and
+      lam phi^2 by at most 2 k eps lam phi^2, while the allowance holds
+      64 eps lam1 phi^2 >= 12 eps phi^2 (lam1 >= 0.19 for s < 5e5).
+
+    The block is cleared when both bounds plus the allowance are at most
+    slack at every node; then the exact evaluation could log nothing.  A
+    block the certificate cannot clear goes through the exact evaluation
+    (_check_rows) whole, so the log is the one that evaluation gives every
+    row, in order.  exact_rows counts the rows it evaluated.
     """
 
     slack = 1e-8      # tolerance of both checks
@@ -163,16 +191,51 @@ class SandwichMonitor:
         self.lambda0 = lambda0
         self.tau0 = float(tau0)
         self.violations: list[ViolationRecord] = []
+        self.exact_rows = 0
 
-    def check(self, steps, taus, phi, y):
-        """Log the worst sub- and super-deficit of each row r of the (K, n)
-        block (phi, y), at step steps[r] and dilated time taus[r], in order.
+    def check(self, steps, taus, bounds, rows):
+        """Log the worst sub- and super-deficit of each row r of a block of
+        K rows, at step steps[r] and dilated time taus[r], in order.
+        bounds() gives per-node bounds (phi_lo, phi_hi, y_lo, y_hi) of the
+        rows, and rows() the rows (phi, y), two (K, n) arrays; rows() is
+        called only when the certificate cannot clear the block."""
+        if not self._clears(max(taus), *bounds()):
+            self._check_rows(steps, taus, *rows())
+
+    def _clears(self, tau, phi_lo, phi_hi, y_lo, y_hi):
+        """True when the certificate shows that no row with nodes in
+        [phi_lo, phi_hi], values in [y_lo, y_hi] and dilated time at most
+        tau violates either barrier by more than slack."""
+        s = tau - self.tau0
+        lam1 = LAMBDA_INIT * np.exp(-BARRIER_DELTA * s)
+        lam2 = self.lambda0 * np.exp(-0.5 * s)
+        phi2 = phi_lo ** 2
+        yfik = fik_y(phi_hi)
+        allow = max(lam1, lam2) * phi2
+        allow += yfik
+        allow += np.maximum(y_hi, -y_lo)       # max(|y_lo|, |y_hi|)
+        allow *= _ROUNDING
+        # y1 - y at its largest
+        gap = yfik - lam1 * phi2
+        gap -= y_lo
+        gap += allow
+        if not gap.max() <= self.slack:       # NaN fails too
+            return False
+        # y - y2 at its largest
+        gap = fik_y(phi_lo) + lam2 * phi2
+        np.subtract(y_hi, gap, out=gap)
+        gap += allow
+        return bool(gap.max() <= self.slack)
+
+    def _check_rows(self, steps, taus, phi, y):
+        """The exact evaluation of the (K, n) rows (phi, y).
 
         Y comes from one fik_y call and phi^2 is formed once; each gap follows
         barrier_y1's and barrier_y2's operation order, so the deficits equal
         barrier_y1(phi, tau - tau0) - y - slack and
         y - barrier_y2(phi, tau - tau0, lambda0) - slack to the last bit.
         """
+        self.exact_rows += len(steps)
         # the amplitudes of all rows at once: np.exp rounds an array as it
         # rounds each of its values alone
         s = np.subtract(taus, self.tau0)[:, None]

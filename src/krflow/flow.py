@@ -54,12 +54,13 @@ the outer grading), is grids.window_mesh; the remesh spacings and the
 The core also reads every state through its dilated view: the inner end
 x[0] of a frame's nodes x is T - t unscaled and 1 dilated, so the view is
 (phi, y) = (x, u) / x[0], and a frame adds only its time_left (T - t, or
-e^-tau).  Snapshots (views), the monitor's rows (dilated_rows) and the
-record fields both frames share are the core's.  A frame (_UnscaledEngine,
-_DilatedEngine) supplies only its domain(t) = (x0, x1, L), its kappa, its
-outer boundary data, its step and remesh clock and its own record fields:
-the unscaled one t, b, dt, the gauge (its first measurement reads C = 0)
-and the anchor sample; the dilated one t = T - e^-tau, b and dt.
+e^-tau).  Snapshots (views), the monitor's rows and their per-node bounds
+(dilated_rows, dilated_bounds) and the record fields both frames share are
+the core's.  A frame (_UnscaledEngine, _DilatedEngine) supplies only its
+domain(t) = (x0, x1, L), its kappa, its outer boundary data, its step and
+remesh clock and its own record fields: the unscaled one t, b, dt, the
+gauge (its first measurement reads C = 0) and the anchor sample; the
+dilated one t = T - e^-tau, b and dt.
 
 In a coupled run (engine = both) the unscaled engine is the primary.  The
 dilated engine lags it and catches up by advance_to, in ceil(gap / _DTAU)
@@ -71,6 +72,9 @@ value at each stage time by linear interpolation in that history.
 
 The sandwich monitor checks every accepted step of the run's primary engine
 in either frame, on its dilated view (phi, y), a block of steps at a time.
+The engine hands it per-node bounds of the block's rows (dilated_bounds)
+and forms the rows (dilated_rows) only for a block that the monitor's
+certificate cannot clear (barriers.SandwichMonitor).
 """
 
 from __future__ import annotations
@@ -410,7 +414,10 @@ def make_initial(cfg: FlowConfig) -> FlowState:
 
 _MAX_HALVINGS = 45
 _MAX_SUBSTEPS = 100_000  # steps advance_to may take to reach its target
-_MONITOR_BLOCK = 8192    # values per sandwich-monitor block (64 kB)
+# accepted steps per sandwich-monitor block: the monitor's certificate costs
+# about as much per block as the exact check of a few rows, and its bounds
+# loosen with the steps a block spans
+_MONITOR_ROWS = 32
 _REMESH_INTERVAL = 200   # accepted RK2 steps between remeshes
 _DTAU = 0.005            # the ROS2 step in tau
 _REMESH_DTAU = 0.02      # tau between remeshes of a run stepped by ROS2
@@ -437,10 +444,11 @@ class _Engine:
     _outer_value(t).  A remesh builds its nodes by window_mesh(u_of, x0, x1,
     x0, n), x0 being T - t in frame units, and cuts a window that reaches
     phi_cut (the dilated frame's) there once the mesh law has succeeded.
-    views(), dilated_rows() and _record() read the state through its
-    dilated view (x, u) / x[0].  A frame also supplies its outer data, tau
-    and time_left, its step() (ROS2 dilated, explicit RK2 under a CFL bound
-    unscaled), its remesh clock and measure() with its own record fields.
+    views(), dilated_rows(), dilated_bounds() and _record() read the state
+    through its dilated view (x, u) / x[0].  A frame also supplies its
+    outer data, tau and time_left, its step() (ROS2 dilated, explicit RK2
+    under a CFL bound unscaled), its remesh clock and measure() with its
+    own record fields.
     """
 
     truncated = False
@@ -650,6 +658,32 @@ class _Engine:
         x = self.nodes(np.array(ts)[:, None])
         x0 = x[..., :1]
         return np.divide(x, x0, out=np.empty_like(u)), u / x0
+
+    def dilated_bounds(self, ts, us):
+        """Per-node bounds (phi_lo, phi_hi, y_lo, y_hi) of dilated_rows(ts,
+        us), for increasing times ts on the current mesh and values us >= 0,
+        from two rows' nodes and the least and largest of the values.
+
+        At a fixed xi, phi = 1 + xi L / x[0] is monotone in t in every frame:
+        unscaled, d(L / x[0])/dt = (b0 - 3 a0) / x[0]^2 keeps its sign (0
+        for Cao-Koiso); a moving dilated window's Phi_max = b3a e^tau + 3
+        grows (or shrinks, for b3a < 0); a truncated one stands still.  So
+        the nodes of the first and the last row bound every row's, up to the
+        rounding of the rebuilt nodes (a few ulp), which the monitor's
+        allowance covers.  y = u / x[0] is bounded exactly: x[0] is monotone
+        too (T - t unscaled, 1 dilated), so dividing the least u at each node
+        by the largest x[0], and the largest u by the least, bounds every
+        row's rounded quotient.
+        """
+        p_first, p_last = self.nodes(ts[0]), self.nodes(ts[-1])
+        x0s = p_first[0], p_last[0]
+        p_first /= x0s[0]
+        p_last /= x0s[1]
+        u = np.array(us)
+        lo, hi = u.min(axis=0), u.max(axis=0)
+        lo /= max(x0s)
+        hi /= min(x0s)
+        return np.minimum(p_first, p_last), np.maximum(p_first, p_last), lo, hi
 
     def _record(self, **own):
         """The SeriesRecord of the state, with the frame's own fields (t, b,
@@ -1002,17 +1036,18 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
             cross.append((rec.tau, float(np.max(np.abs(diff))), de_err))
 
     # Steps reach the monitor a block at a time, so its per-call overhead
-    # is paid once per block.  Nothing in the loop reads the log, and an
-    # engine replaces u on every accepted step and never writes into a u
-    # array it has replaced, so the queue holds references; it is drained
-    # before a remesh changes the mesh (and the dilated window's end).
+    # and its certificate are paid once per block.  Nothing in the loop
+    # reads the log, and an engine replaces u on every accepted step and
+    # never writes into a u array it has replaced, so the queue holds
+    # references; it is drained before a remesh changes the mesh (and the
+    # dilated window's end).
     unchecked = []
-    block = max(1, _MONITOR_BLOCK // primary.xi.size)
 
     def check_unchecked():
         if unchecked:
             steps, taus, ts, us = zip(*unchecked)
-            monitor.check(steps, taus, *primary.dilated_rows(ts, us))
+            monitor.check(steps, taus, lambda: primary.dilated_bounds(ts, us),
+                          lambda: primary.dilated_rows(ts, us))
             unchecked.clear()
 
     if coupled and de.truncated:
@@ -1033,7 +1068,7 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
                 store_cut_value()
             remesh_now = primary.remesh_due()
             unchecked.append((k, tau_now, primary.t, primary.u))
-            if remesh_now or len(unchecked) >= block:
+            if remesh_now or len(unchecked) >= _MONITOR_ROWS:
                 check_unchecked()
             if remesh_now:
                 if coupled:
@@ -1069,8 +1104,9 @@ def run_flow(cfg: FlowConfig) -> RunArtifacts:
         "cross_engine_supdiff_max": (max(c[1] for c in cross) if cross else None),
         "cross_engine_supdiff_final": (cross[-1][1] if cross else None),
         "lambda0": lambda0,
-        "counters": {k: sum(e.counts[k] for e in filter(None, (ue, de)))
-                     for k in _COUNTERS},
+        "counters": {**{k: sum(e.counts[k] for e in filter(None, (ue, de)))
+                        for k in _COUNTERS},
+                     "monitor_exact_rows": monitor.exact_rows},
         "tolerances": {
             "monitor_slack": monitor.slack,
             "max_halvings": _MAX_HALVINGS,

@@ -211,12 +211,17 @@ def find_cao_koiso_constant():
 # ---------------------------------------------------------------------------
 
 def soliton_ode_residual(p: SolitonProfile, u_f=None) -> float:
-    """max |u_f + u/f - C u + f - 2| over interior nodes."""
+    """max |u_f + u/f - C u + f - 2| over interior nodes, each node's
+    residual divided by its largest term (|u_f|, |u/f|, |C u|, f or 2), so
+    that rounding in terms of size f_max does not grow it: the exact profile
+    with its exact u_f reads at rounding level for any f_max."""
     f, u = p.profile.f, p.profile.u
     if u_f is None:
         u_f = derivatives(f, u)[0]
-    res = u_f + u / f - p.spec.C * u + f - 2.0
-    return float(np.max(np.abs(res[1:-1])))
+    u_over_f, cu = u / f, p.spec.C * u
+    res = u_f + u_over_f - cu + f - 2.0
+    scale = np.max(np.abs([u_f, u_over_f, cu, f, np.full_like(f, 2.0)]), axis=0)
+    return float(np.max(np.abs(res[1:-1] / scale[1:-1])))
 
 
 def cao_koiso_u(f):

@@ -176,16 +176,24 @@ def test_fit_lambda0_floor_and_construction():
     assert fit_lambda0(DilatedState(0.0, phi, below)) == 1e-3
 
 
+def _check(mon, steps, taus, phi, y):
+    """mon.check on explicit (K, n) rows, bounded by their row-wise least
+    and largest values, which is sound for any rows."""
+    mon.check(steps, taus,
+              lambda: (phi.min(axis=0), phi.max(axis=0), y.min(axis=0), y.max(axis=0)),
+              lambda: (phi, y))
+
+
 def test_sandwich_monitor_flags_constructed_violation(tmp_path):
     phi = np.linspace(1.0, 10.0, 501)
     mon = SandwichMonitor(1.0, tau0=0.0)
     y = fik_y(phi)
-    mon.check((0,), (0.0,), phi[None], y[None])
+    _check(mon, (0,), (0.0,), phi[None], y[None])
     assert not mon.violations           # stationary profile is inside the sandwich
     bad = y.copy()
     k = 250
     bad[k] = barrier_y1(phi[k], 0.0) - 1e-3
-    mon.check((1,), (0.0,), phi[None], bad[None])
+    _check(mon, (1,), (0.0,), phi[None], bad[None])
     assert len(mon.violations) == 1
     v = mon.violations[0]
     assert v.kind == "sub" and v.step == 1 and v.node_phi == phi[k]
@@ -237,17 +245,149 @@ def test_sandwich_monitor_matches_barrier_evaluation():
                 y = np.minimum(y, y2)                             # sub side only
             for yy in (y, 0.5 * (y1 + y2)):
                 step = len(steps)
-                mon.check((step,), (tau,), phi[None], yy[None])
+                _check(mon, (step,), (tau,), phi[None], yy[None])
                 expected += _reference_violations(lambda0, tau0, slack, step, tau,
                                                   phi, yy)
                 steps.append(step)
                 taus.append(tau)
                 phis.append(phi)
                 ys.append(yy)
-        block.check(steps, taus, np.array(phis), np.array(ys))
+        _check(block, steps, taus, np.array(phis), np.array(ys))
     assert {v.kind for v in expected} == {"sub", "super"}
     assert mon.violations == expected    # exact: same node, same deficit bits
     assert block.violations == expected  # a block checks as its rows one by one
+
+
+def _block_inside(rng, n, rows, lambda0, tau0):
+    """(taus, phi, y, y1, y2) of a block of rows as an engine queues them:
+    at each node phi grows slowly from row to row, tau increases, and y
+    lies between the barriers, a quarter of their distance from each."""
+    phi0 = np.concatenate(([1.0], np.sort(rng.uniform(1.0, 40.0, n - 1))))
+    phi = 1.0 + (phi0 - 1.0) * (1.0 + 1e-6 * np.arange(rows)[:, None])
+    taus = tau0 + rng.uniform(0.0, 5.0) + 1e-4 * np.arange(rows)
+    s = (taus - tau0)[:, None]
+    y1, y2 = barrier_y1(phi, s), barrier_y2(phi, s, lambda0)
+    y = y1 + rng.uniform(0.25, 0.75, (rows, n)) * (y2 - y1)
+    return list(taus), phi, y, y1, y2
+
+
+def test_certified_blocks_log_what_the_exact_evaluation_logs():
+    # violations injected at random rows and nodes, 1e-12 to 1e-2 past
+    # slack: the log equals the reference evaluation of every row, and each
+    # block goes through the exact evaluation whole
+    rng = np.random.default_rng(11)
+    lambda0, tau0 = 2e-3, 0.4
+    mon = SandwichMonitor(lambda0, tau0=tau0)
+    expected, first = [], 0
+    for n, rows in ((128, 16), (301, 5), (64, 64), (2048, 4), (97, 1), (256, 128)):
+        for hits in (1, 1, 3):
+            taus, phi, y, y1, y2 = _block_inside(rng, n, rows, lambda0, tau0)
+            for _ in range(hits):
+                r, k = rng.integers(rows), rng.integers(n)
+                d = mon.slack + 10.0 ** rng.uniform(-12.0, -2.0)
+                y[r, k] = y1[r, k] - d if rng.random() < 0.5 else y2[r, k] + d
+            steps = list(range(first, first + rows))
+            first += rows
+            before = mon.exact_rows
+            _check(mon, steps, taus, phi, y)
+            for r in range(rows):
+                expected += _reference_violations(lambda0, tau0, mon.slack, steps[r],
+                                                  taus[r], phi[r], y[r])
+            assert mon.exact_rows - before == rows
+    assert {v.kind for v in expected} == {"sub", "super"} and len(expected) >= 18
+    assert mon.violations == expected
+
+
+def test_a_block_without_violations_never_reaches_the_exact_evaluation():
+    rng = np.random.default_rng(12)
+    for lambda0, tau0 in ((2e-3, 0.4), (0.5, 0.0), (1e-3, 6.0)):
+        mon = SandwichMonitor(lambda0, tau0=tau0)
+        for n, rows in ((128, 16), (2048, 16), (256, 128), (64, 1)):
+            taus, phi, y, _, _ = _block_inside(rng, n, rows, lambda0, tau0)
+            _check(mon, list(range(rows)), taus, phi, y)
+        assert mon.exact_rows == 0 and not mon.violations
+
+
+def test_the_certificate_takes_the_amplitudes_at_the_latest_tau():
+    # the last row of each block crosses a barrier that has moved since the
+    # first row's tau, and would lie inside the first row's barriers
+    lambda0, tau0 = 1.0, 0.0
+    phi = np.array([[1.0, 2.0, 5.0]] * 2)
+    taus = [0.0, 2.0]
+    y1, y2 = barrier_y1(phi, np.array(taus)[:, None]), barrier_y2(phi, np.array(taus)[:, None],
+                                                                   lambda0)
+    mon = SandwichMonitor(lambda0, tau0=tau0)
+    expected = []
+    for step, (r, k, d) in enumerate(((1, 1, -1e-10), (1, 2, 1e-6))):
+        y = 0.5 * (y1 + y2)
+        y[r, k] = (y1 if d < 0 else y2)[r, k] + np.sign(d) * mon.slack + d
+        _check(mon, (2 * step, 2 * step + 1), taus, phi, y)
+        for q in range(2):
+            expected += _reference_violations(lambda0, tau0, mon.slack, 2 * step + q,
+                                              taus[q], phi[q], y[q])
+    assert [v.kind for v in expected] == ["sub", "super"]
+    assert mon.violations == expected
+
+
+def test_the_certificate_bounds_each_barrier_at_its_worst_row():
+    # phi grows from row to row.  y1 rises with phi near the section and
+    # falls far out, and y - y2 falls everywhere, so the certificate's bound
+    # is tight for a sub violation in the last row near the section (Y at
+    # phi_hi) and in the first row far out (lam1 phi_lo^2), and for a super
+    # violation in the first row (Y and lam2 phi^2 at phi_lo)
+    lambda0, tau0, slack = 1e-3, 0.0, SandwichMonitor.slack
+    phi0 = np.array([1.0, 1.2, 1.5, 10.0])
+    phi = 1.0 + (phi0 - 1.0) * (1.0 + 1e-3 * np.arange(4)[:, None])
+    taus = [0.1] * 4
+    y1, y2 = barrier_y1(phi, 0.1), barrier_y2(phi, 0.1, lambda0)
+    mon = SandwichMonitor(lambda0, tau0=tau0)
+    expected = []
+    for block, (r, k, kind) in enumerate(((3, 1, "sub"), (0, 3, "sub"), (0, 2, "super"))):
+        y = 0.5 * (y1 + y2)
+        y[r, k] = y1[r, k] - slack - 1e-10 if kind == "sub" else y2[r, k] + slack + 1e-10
+        steps = list(range(4 * block, 4 * block + 4))
+        _check(mon, steps, taus, phi, y)
+        for q in range(4):
+            expected += _reference_violations(lambda0, tau0, slack, steps[q], taus[q],
+                                              phi[q], y[q])
+        assert [v.kind for v in expected[block:]] == [kind]
+    assert mon.violations == expected
+
+
+@pytest.mark.parametrize("kind", ["sub", "super"])
+def test_the_allowance_covers_the_rounding_of_fik_y(kind):
+    # fik_y is not monotone to the last bit: for a < b adjacent floats it
+    # may give Y(a) > Y(b).  In a block with phi = a in one row and b in the
+    # other, the certificate bounds Y by Y(phi_hi) = Y(b) on the sub side
+    # and by Y(phi_lo) = Y(a) on the super side, so a row at a (sub) or at b
+    # (super) whose gap exceeds slack by less than Y(a) - Y(b) is found
+    # only through the allowance.  lam2 phi^2 = 1e-30 phi^2 rounds away.
+    rng = np.random.default_rng(13)
+    a = np.sort(rng.uniform(1.5, 3.0, 20_000))
+    b = np.nextafter(a, np.inf)
+    k = int(np.flatnonzero(fik_y(b) < fik_y(a))[0])
+    a, b = a[k], b[k]
+    lambda0, slack = 1e-30, SandwichMonitor.slack
+    if kind == "sub":
+        row, other, toward = a, b, -np.inf
+        y = barrier_y1(a, 0.0) - slack
+        gap = lambda y: barrier_y1(a, 0.0) - y
+        bound = lambda y: (fik_y(b) - LAMBDA_INIT * a ** 2) - y
+    else:
+        row, other, toward = b, a, np.inf
+        y = barrier_y2(b, 0.0, lambda0) + slack
+        gap = lambda y: y - barrier_y2(b, 0.0, lambda0)
+        bound = lambda y: y - (fik_y(a) + lambda0 * a ** 2)
+    while not gap(y) > slack:
+        y = np.nextafter(y, toward)
+    assert bound(y) <= slack            # the bound without the allowance clears it
+    phi = np.array([[1.0, other], [1.0, row]])
+    ys = np.array([[0.0, fik_y(other)], [0.0, y]])
+    mon = SandwichMonitor(lambda0, tau0=0.0)
+    _check(mon, (0, 1), (0.0, 0.0), phi, ys)
+    expected = _reference_violations(lambda0, 0.0, slack, 1, 0.0, phi[1], ys[1])
+    assert [v.kind for v in expected] == [kind]
+    assert mon.violations == expected
 
 
 # ---------------------------------------------------------------------------

@@ -762,30 +762,94 @@ def test_a_window_a_remesh_would_cut_needs_outer_bc():
 
 @pytest.mark.parametrize("engine", ["unscaled", "dilated", "both"])
 def test_monitor_sees_every_accepted_step_once(monkeypatch, engine):
-    # 254 steps at 128 nodes: monitor blocks of 8192 // 128 = 64 rows, and
-    # one remesh, at step 200, which drains a partial block.  The dilated
-    # engine steps by _DTAU and remeshes every _REMESH_DTAU of tau: with the
-    # remesh distance set to 200 steps it meets the same schedule at
-    # stop_tau = 254 _DTAU.
+    # a monitor block holds rows = _MONITOR_ROWS steps; with a remesh every
+    # rows + rows / 2 steps and a stop rows / 2 + 10 steps later, the run
+    # drains one full block, the partial block the remesh cuts short, and
+    # the rest at its end.  The dilated engine steps
+    # by _DTAU and remeshes every _REMESH_DTAU of tau, which the same count
+    # of steps sets.
     from krflow import flow
-    stop_tau = 0.05
-    if engine == "dilated":
-        monkeypatch.setattr(flow, "_REMESH_DTAU", 200 * flow._DTAU)
-        stop_tau = 254 * flow._DTAU
+    rows = flow._MONITOR_ROWS
+    interval = rows + rows // 2
+    monkeypatch.setattr(flow, "_REMESH_INTERVAL", interval)
+    monkeypatch.setattr(flow, "_REMESH_DTAU", interval * flow._DTAU)
     seen, calls = [], []
     check = SandwichMonitor.check
 
-    def spy(self, steps, taus, phi, y):
-        assert phi.shape == y.shape == (len(steps), 128)
+    def spy(self, steps, taus, bounds, rows):
+        phi_lo, phi_hi, y_lo, y_hi = bounds()
+        assert phi_lo.shape == y_hi.shape == (128,)
         seen.extend(steps)
         calls.append(len(steps))
-        return check(self, steps, taus, phi, y)
+        return check(self, steps, taus, bounds, rows)
 
     monkeypatch.setattr(SandwichMonitor, "check", spy)
-    arts = run_flow(small_cfg(grid_n=128, engine=engine, stop_tau=stop_tau))
-    n = arts.manifest["steps"]
-    assert n > 200 and max(calls) == 64 and len(calls) > 4
+    n = interval + rows // 2 + 10
+    arts = run_flow(small_cfg(grid_n=128, engine=engine, stop_tau=3.0, max_steps=n))
+    assert arts.status == "max_steps" and arts.manifest["steps"] == n
+    assert arts.manifest["counters"]["remeshes"] >= 1
+    assert calls == [rows, interval - rows, n - interval]
     assert seen == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("frame", ["parabola", "cao_koiso", "dilated", "dilated_truncated"])
+def test_engine_bounds_contain_every_dilated_row(frame):
+    # a block of queued states: its bounds hold every y of dilated_rows
+    # exactly, and every phi up to the rounding of the rebuilt nodes, which
+    # the monitor's allowance covers (on Cao-Koiso, where L / x[0] is
+    # constant, the nodes move by up to 2 ulp from step to step)
+    if frame in ("parabola", "cao_koiso"):
+        b0 = 10.0 if frame == "parabola" else 3.0
+        cfg = small_cfg(initial_kind=frame, b0=b0)
+        eng, rows = _unscaled_engine(cfg), 40
+    else:
+        d = analysis.dilate(make_initial(small_cfg()))
+        if frame == "dilated_truncated":
+            d = DilatedState(d.tau, d.phi[:200], d.y[:200], truncated=True)
+        eng, rows = _DilatedEngine(d, 256), 8
+    ts, us = [], []
+    for _ in range(rows):
+        eng.step(1.0)
+        ts.append(eng.t)
+        us.append(eng.u)
+    phi_lo, phi_hi, y_lo, y_hi = eng.dilated_bounds(ts, us)
+    phi, y = eng.dilated_rows(ts, us)
+    assert np.all(y_lo <= y) and np.all(y <= y_hi)
+    ulp = np.spacing(phi)
+    assert np.all(phi_lo - phi <= 2 * ulp) and np.all(phi - phi_hi <= 2 * ulp)
+    assert eng.truncated == (frame == "dilated_truncated")
+    # the phi bounds are the first and the last row's nodes
+    assert np.array_equal(phi_lo, np.minimum(phi[0], phi[-1]))
+    assert np.array_equal(phi_hi, np.maximum(phi[0], phi[-1]))
+
+
+@pytest.mark.parametrize("lambda0", ["1e-9", "0.9 fitted"])
+def test_violation_log_is_the_same_without_the_certificate(monkeypatch, tmp_path, lambda0):
+    # a supersolution amplitude too small for the initial data: every step
+    # violates it (1e-9), or the first 17 do (0.9 times the fitted
+    # amplitude).  y then stays near the supersolution, so a block is
+    # cleared only when it is short: with blocks of 4 rows the certificate
+    # clears most of them.  The violations.csv is byte for byte the one the
+    # exact evaluation of every row writes.
+    from krflow import flow
+    monkeypatch.setattr(flow, "_MONITOR_ROWS", 4)
+    fit = flow.fit_lambda0
+    monkeypatch.setattr(flow, "fit_lambda0",
+                        (lambda d: 1e-9) if lambda0 == "1e-9" else (lambda d: 0.9 * fit(d)))
+    cfg = small_cfg(grid_n=128, stop_tau=0.05)
+    out = {}
+    for mode in ("certificate", "exact"):
+        if mode == "exact":
+            monkeypatch.setattr(SandwichMonitor, "_clears", lambda self, *bounds: False)
+        arts = run_flow(cfg)
+        write_artifacts(arts, tmp_path / mode)
+        out[mode] = ((tmp_path / mode / "violations.csv").read_bytes(),
+                     arts.manifest["counters"]["monitor_exact_rows"], arts.manifest["steps"])
+    (log, exact_rows, steps), (log_exact, all_rows, _) = out["certificate"], out["exact"]
+    assert log == log_exact and log.count(b"\n") > 10
+    assert all_rows == steps
+    assert (exact_rows == steps) == (lambda0 == "1e-9")
+    assert exact_rows < steps / 2 or lambda0 == "1e-9"
 
 
 @pytest.mark.parametrize("engine", ["unscaled", "dilated", "both"])
@@ -794,8 +858,9 @@ def test_manifest_counters_count_their_events(monkeypatch, engine):
     # boundaries, on a short run whose fifth second-stage rhs value is
     # spoiled, so that one step (RK2 or ROS2) halves once
     from krflow import flow
-    remeshes, refreshes, second_stages = [], [], []
+    remeshes, refreshes, second_stages, exact_rows = [], [], [], []
     remesh, stable_dt, rhs = flow._Engine.remesh, flow._UnscaledEngine.stable_dt, flow._Engine.rhs
+    check_rows = SandwichMonitor._check_rows
 
     def remesh_spy(self):
         remesh(self)
@@ -813,14 +878,19 @@ def test_manifest_counters_count_their_events(monkeypatch, engine):
                 F[:] = -1e300
         return F, uf, uff
 
+    def check_rows_spy(self, steps, taus, phi, y):
+        exact_rows.extend(steps)
+        return check_rows(self, steps, taus, phi, y)
+
     monkeypatch.setattr(flow._Engine, "remesh", remesh_spy)
     monkeypatch.setattr(flow._UnscaledEngine, "stable_dt", stable_dt_spy)
     monkeypatch.setattr(flow._Engine, "rhs", rhs_spy)
+    monkeypatch.setattr(SandwichMonitor, "_check_rows", check_rows_spy)
     arts = run_flow(small_cfg(grid_n=128, engine=engine, stop_tau=0.05))
     assert arts.status == "completed"
     counts = arts.manifest["counters"]
     assert counts == {"remeshes": len(remeshes), "halvings": 1,
-                      "cfl_refreshes": sum(refreshes)}
+                      "cfl_refreshes": sum(refreshes), "monitor_exact_rows": len(exact_rows)}
     assert counts["remeshes"] > 0
     assert (counts["cfl_refreshes"] > 0) == (engine != "dilated")
 

@@ -140,7 +140,10 @@ def test_cao_koiso_profile_contract():
     a, b = p.profile.a, p.profile.b
     assert (a, b) == (1.0, 3.0)
     assert not b > 3.0 * a      # the compact soliton's class is not singular
-    assert soliton_ode_residual(p) < 5e-5
+    # the residual is relative to each node's largest term, here f <= 3
+    # (|u_f| <= 1, u/f and C u below 1): 5e-5 / 3 keeps the absolute
+    # residual below 5e-5 (it reads 8.5e-7, 1.7e-6 absolute)
+    assert soliton_ode_residual(p) < 5e-5 / 3.0
 
 
 @pytest.mark.parametrize("n", [64, 1024, 4097])
@@ -179,24 +182,34 @@ def test_fik_profile_mixed_ricci_sign():
 # ---------------------------------------------------------------------------
 
 def test_residual_fik_analytic():
-    f = np.linspace(1.0, 50.0, 2001)
-    y, yp, _ = fik_y_derivs(f)
-    p = SolitonProfile(SolitonSpec(RT2, "L"), RadialProfile(f, y))
-    assert soliton_ode_residual(p, u_f=yp) < 1e-12
+    # each node's residual is divided by its largest term, so the exact
+    # profile reads at rounding level however far out it reaches
+    for f_max, n in ((50.0, 2001), (1e30, 2001), (1e30, 64)):
+        f = np.linspace(1.0, f_max, n)
+        y, yp, _ = fik_y_derivs(f)
+        p = SolitonProfile(SolitonSpec(RT2, "L"), RadialProfile(f, y))
+        assert soliton_ode_residual(p, u_f=yp) < 1e-15
+    # with stencil derivatives, as `krflow soliton --f-max 1e30` prints it
+    # (it read 1.4e14 as an absolute residual)
+    assert soliton_ode_residual(fik_profile(64, f_max=1e30)) < 1e-15
 
 
 def test_residual_wrong_constant():
+    # the residual (sqrt2 - 1) y over the largest term f (at least 2): on
+    # [1, 10] y_f < 1, y / f < 1 and y < f
     f = np.linspace(1.0, 10.0, 1001)
     y, yp, _ = fik_y_derivs(f)
     p = SolitonProfile(SolitonSpec(1.0, "L"), RadialProfile(f, y))
     res = soliton_ode_residual(p, u_f=yp)
-    assert res == pytest.approx((RT2 - 1.0) * np.max(y[1:-1]), rel=1e-10)
+    want = np.max((RT2 - 1.0) * y[1:-1] / np.maximum(f[1:-1], 2.0))
+    assert res == pytest.approx(want, rel=1e-10)
 
 
 def test_residual_zero_profile():
     f = np.linspace(1.0, 10.0, 101)
     p = SolitonProfile(SolitonSpec(0.7, "M"), RadialProfile(f, np.zeros_like(f)))
-    assert soliton_ode_residual(p) == pytest.approx(np.max(np.abs(f[1:-1] - 2.0)))
+    want = np.max(np.abs(f[1:-1] - 2.0) / np.maximum(f[1:-1], 2.0))
+    assert soliton_ode_residual(p) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
